@@ -7,7 +7,9 @@ on even parity.  Phase 3 (mod-4 counting) passes the payload of a block iff
 the block's ones-count is divisible by four.  Round counts and bin sizes
 are always driven by the deterministic analytic recurrences, never by
 peeking at the data, so the machine realization stays oblivious; the
-empirical trace is recorded for validation only.
+empirical trace is recorded for validation only.  ``make_plan`` fixes them
+all in one ``Plan``.  A round runs on a flat bit array, optionally cut into
+segments (the interaction blocks) that no pair, bin or block straddles.
 
 Per-round step costs are charged from the compiled-program cost formulas
 (single-tape canonical); the pipeline additionally accumulates totals for
@@ -17,7 +19,8 @@ the two-tape and two-tape-plus-cellular-automaton cost models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +31,8 @@ __all__ = [
     "Phase1Config",
     "Phase2Schedule",
     "RoundRecord",
+    "Plan",
+    "make_plan",
     "choose_k",
     "phase1_round",
     "phase1_run",
@@ -36,9 +41,8 @@ __all__ = [
     "phase2_run",
     "phase3_round",
     "phase3_run",
-    "block_partition",
+    "block_segments",
     "block_size",
-    "gather",
     "gather_perm",
     "pipeline",
     "PipelineResult",
@@ -127,29 +131,93 @@ def _bias(ones, n):
 
 
 # ---------------------------------------------------------------------------
+# segments: the layout every round kernel shares
+
+
+def _rows(bits, size, segments, rng=None):
+    """Each segment's full rows of ``size`` bits, stacked into one
+    (rows, size) array, and the row count per segment (None when the input is
+    one segment).  The tail beyond a segment's last full row is dropped;
+    with ``rng`` each segment is shuffled first, one draw per segment in
+    order, so the tail dropped is a random one."""
+    n = len(bits)
+    if segments is not None and int(np.sum(segments)) != n:
+        raise ValueError("segment lengths must add up to the input length")
+    if segments is None or len(segments) == 1:
+        m = n - n % size
+        if rng is not None:
+            bits = bits[rng.permutation(n)[:m]]
+        return bits[:m].reshape(-1, size), None
+    lens = np.asarray(segments, dtype=np.int64)
+    full = lens // size
+    if rng is not None:
+        starts = (np.cumsum(lens) - lens).tolist()
+        bits = bits[np.concatenate([
+            start + rng.permutation(length)[: rows * size]
+            for start, length, rows in zip(starts, lens.tolist(), full.tolist())
+        ])]
+    elif (lens % size).any():
+        cut = full * size
+        runs = np.column_stack((cut, lens - cut)).ravel()
+        bits = bits[np.repeat(np.tile((True, False), len(lens)), runs)]
+    return bits.reshape(-1, size), full
+
+
+def _steps(phase, k, lens):
+    """Compiled step count summed over segments of these lengths, each
+    distinct length costed once; below one full pair (k = 2), bin or block
+    a segment costs nothing."""
+    if len(lens) > 1:
+        lens, counts = np.unique(lens, return_counts=True)
+        return sum(c * _steps(phase, k, [n]) for n, c in zip(lens.tolist(), counts.tolist()))
+    n = int(lens[0])
+    if n < k:
+        return 0
+    if phase == 1:
+        return compiler.phase1_cost(n)
+    return (compiler.phase2_round_cost if phase == 2 else compiler.phase3_round_cost)(n, k)
+
+
+def _record(phase, round_index, bits, ones_in, out, bias_pred, k, segments, u=None):
+    """The round's trace entry; ``k`` is 2 for pairing, where it is not recorded."""
+    n_out, ones_out = len(out), int(np.count_nonzero(out))
+    return RoundRecord(
+        phase=phase, round=round_index, n_in=len(bits), n_out=n_out, ones_in=ones_in,
+        ones_out=ones_out, bias_emp=_bias(ones_out, n_out), bias_pred=bias_pred,
+        steps=_steps(phase, k, [len(bits)] if segments is None else segments),
+        u=u, k=None if phase == 1 else k,
+    )
+
+
+def _result(out, rec, segments, kept, per_segment, width):
+    """``(out, rec)``, plus the per-segment output lengths (``width`` bits per
+    kept row) when the call was given segments."""
+    if segments is None:
+        return out, rec
+    if per_segment is None:
+        return out, rec, np.array([len(out)], dtype=np.int64)
+    # kept rows per segment, read off a running count at segment boundaries
+    running = np.concatenate(([0], np.cumsum(kept, dtype=np.int64)))
+    return out, rec, np.diff(running[np.concatenate(([0], np.cumsum(per_segment)))]) * width
+
+
+# ---------------------------------------------------------------------------
 # phase 1: pairing
 
 
-def phase1_round(bits, bias_pred_in=None, round_index=0):
-    """One pairing round: keep the second bit of each equal pair."""
+def phase1_round(bits, bias_pred_in=None, round_index=0, segments=None):
+    """One pairing round: keep the second bit of each equal pair.  Given
+    ``segments``, pair within each and also return their output lengths."""
     bits = np.asarray(bits, dtype=np.uint8)
-    n_in = len(bits)
-    m2 = n_in - (n_in % 2)
-    a, b = bits[0:m2:2], bits[1:m2:2]
-    out = b[a == b]
-    eps_in = bias_pred_in if bias_pred_in is not None else _bias(int(bits.sum()), n_in)
-    rec = RoundRecord(
-        phase=1,
-        round=round_index,
-        n_in=n_in,
-        n_out=len(out),
-        ones_in=int(bits.sum()),
-        ones_out=int(out.sum()),
-        bias_emp=_bias(int(out.sum()), len(out)),
-        bias_pred=analysis.bias_forward(min(max(eps_in, 0.0), 1.0)),
-        steps=compiler.phase1_cost(n_in) if n_in >= 2 else 0,
-    )
-    return out, rec
+    rows, per_segment = _rows(bits, 2, segments)
+    a, b = rows[:, 0], rows[:, 1]
+    kept = a == b
+    out = b[kept]
+    ones_in = int(np.count_nonzero(bits))
+    eps_in = bias_pred_in if bias_pred_in is not None else _bias(ones_in, len(bits))
+    bias_pred = analysis.bias_forward(min(max(eps_in, 0.0), 1.0))
+    rec = _record(1, round_index, bits, ones_in, out, bias_pred, 2, segments)
+    return _result(out, rec, segments, kept, per_segment, 1)
 
 
 def phase1_run(bits, config=None, eps0=None):
@@ -187,46 +255,33 @@ def phase1_run(bits, config=None, eps0=None):
 # phase 2: parity binning
 
 
-def phase2_round(bits, k, seed=None, delta_pred_in=None, round_index=0):
+def phase2_round(bits, k, seed=None, delta_pred_in=None, round_index=0, segments=None):
     """One parity-binning round.
 
     With a seed the bits are shuffled into bins first (the rerandomization
     belongs to the experimenter); ``seed=None`` keeps fixed consecutive
     binning, which is what the compiled program implements.  Bin bits beyond
-    the last full bin are discarded.
+    the last full bin are discarded.  With ``segments`` each segment is
+    shuffled and binned on its own, in order, from one generator.
     """
     if k < 2:
         raise ValueError("bin size must be >= 2")
     bits = np.asarray(bits, dtype=np.uint8)
     n_in = len(bits)
-    work = bits
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        work = bits[rng.permutation(n_in)]
-    m = (n_in // k) * k
-    rows = work[:m].reshape(-1, k)
-    parity = np.bitwise_xor.reduce(rows, axis=1) if m else np.zeros(0, dtype=np.uint8)
-    out = rows[parity == 0][:, 1:].ravel()
+    rng = None if seed is None else np.random.default_rng(seed)
+    rows, per_segment = _rows(bits, k, segments, rng)
+    kept = np.bitwise_xor.reduce(rows, axis=1) == 0
+    out = rows[kept][:, 1:].ravel()
+    ones_in = int(np.count_nonzero(bits))
     delta_in = (
         delta_pred_in
         if delta_pred_in is not None
-        else (int(bits.sum()) / n_in if n_in else 0.0)
+        else (ones_in / n_in if n_in else 0.0)
     )
     pred_out = analysis.phase2_delta_bound(min(delta_in, 0.5), k) if delta_in > 0 else 0.0
-    rec = RoundRecord(
-        phase=2,
-        round=round_index,
-        n_in=n_in,
-        n_out=len(out),
-        ones_in=int(bits.sum()),
-        ones_out=int(out.sum()),
-        bias_emp=_bias(int(out.sum()), len(out)),
-        bias_pred=1.0 - 2.0 * pred_out,
-        steps=compiler.phase2_round_cost(n_in, k) if n_in >= k else 0,
-        u=int((rows.sum(axis=1) == 1).sum()) if m else 0,
-        k=k,
-    )
-    return out, rec
+    u = int(np.count_nonzero(rows.sum(axis=1) == 1))
+    rec = _record(2, round_index, bits, ones_in, out, 1.0 - 2.0 * pred_out, k, segments, u)
+    return _result(out, rec, segments, kept, per_segment, k - 1)
 
 
 @dataclass(frozen=True)
@@ -265,10 +320,10 @@ def phase2_plan(delta0, n, schedule=None):
 
 
 def phase2_run(bits, n, schedule=None, seed=0, delta0=None):
-    """Run the planned parity-binning rounds with per-round reshuffles."""
-    if delta0 is None:
-        delta0 = (1.0 - 0.856) / 2.0
-    plan = phase2_plan(delta0, n, schedule)
+    """Run the planned parity-binning rounds with per-round reshuffles,
+    from ``delta0`` or else the schedule's region maximum."""
+    sch = schedule or Phase2Schedule()
+    plan = phase2_plan(sch.delta_max if delta0 is None else delta0, n, sch)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(len(plan)) if plan else []
     records = []
@@ -284,26 +339,27 @@ def phase2_run(bits, n, schedule=None, seed=0, delta0=None):
 # phase 3: mod-4 counting
 
 
-def phase3_round(bits, k, delta_pred_in=None, bias_pred_out=None, round_index=0):
+def phase3_round(bits, k, delta_pred_in=None, bias_pred_out=None, round_index=0,
+                 segments=None):
     """One mod-4 counting round on fixed consecutive blocks of size k.
 
     A block passes its payload (everything beyond the first three bits) iff
     its total ones-count is divisible by 4; the three header bits are always
-    consumed.
+    consumed.  With ``segments`` no block straddles two segments.
     """
     if k < 4:
         raise ValueError("block size must be >= 4")
     bits = np.asarray(bits, dtype=np.uint8)
     n_in = len(bits)
-    m = (n_in // k) * k
-    rows = bits[:m].reshape(-1, k)
-    keep = (rows.sum(axis=1) % 4) == 0 if m else np.zeros(0, dtype=bool)
-    out = rows[keep][:, 3:].ravel() if m else bits[:0]
+    rows, per_segment = _rows(bits, k, segments)
+    kept = (rows.sum(axis=1) % 4) == 0
+    out = rows[kept][:, 3:].ravel()
+    ones_in = int(np.count_nonzero(bits))
     if bias_pred_out is None:
         delta_in = (
             delta_pred_in
             if delta_pred_in is not None
-            else (int(bits.sum()) / n_in if n_in else 0.0)
+            else (ones_in / n_in if n_in else 0.0)
         )
         delta_in = min(delta_in, 0.999)
         pass_one = analysis.binomial_class_mass(delta_in, k - 1, 3, 4, start=3)
@@ -311,25 +367,13 @@ def phase3_round(bits, k, delta_pred_in=None, bias_pred_out=None, round_index=0)
         bias_pred_out = 1.0 - 2.0 * (
             delta_in * pass_one * k / ((k - 3) * floor) if floor else 0.0
         )
-    rec = RoundRecord(
-        phase=3,
-        round=round_index,
-        n_in=n_in,
-        n_out=len(out),
-        ones_in=int(bits.sum()),
-        ones_out=int(out.sum()),
-        bias_emp=_bias(int(out.sum()), len(out)),
-        bias_pred=bias_pred_out,
-        steps=compiler.phase3_round_cost(n_in, k) if n_in >= k else 0,
-        k=k,
-    )
-    return out, rec
+    rec = _record(3, round_index, bits, ones_in, out, bias_pred_out, k, segments)
+    return _result(out, rec, segments, kept, per_segment, k - 3)
 
 
 def phase3_run(bits, n, k=None, delta0=None):
-    """Run the certified number of mod-4 rounds for population budget n."""
-    if delta0 is None:
-        delta0 = float(n) ** -0.3
+    """Run the certified number of mod-4 rounds for population budget n;
+    ``delta0=None`` takes the certificate's default entry level."""
     cert = analysis.phase3_certificate(n, delta0=delta0, k=k)
     records = []
     for r in range(cert.rounds):
@@ -341,6 +385,38 @@ def phase3_run(bits, n, k=None, delta0=None):
         )
         records.append(rec)
     return bits, records
+
+
+# ---------------------------------------------------------------------------
+# the plan
+
+
+@dataclass(frozen=True)
+class Plan:
+    """Every round of a pipeline run, fixed from the declared bias alone:
+    the phase-1 bias ``orbit``, the parity-binning rounds ``phase2`` entered
+    at ``delta2``, and the mod-4 ``certificate`` entered where they stop."""
+
+    epsilon: float
+    orbit: tuple
+    delta2: float
+    phase2: tuple
+    certificate: analysis.Phase3Certificate
+
+
+def make_plan(epsilon, n, p1config=None, schedule=None):
+    """The ``Plan`` for declared bias ``epsilon`` in (0, 1] and population n."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon={epsilon} outside (0, 1]")
+    cfg = p1config or Phase1Config()
+    sch = schedule or Phase2Schedule()
+    orbit = tuple(analysis.forward_orbit(epsilon, cfg.target_bias))
+    # the orbit end sits within the threshold slack of the target; clamp the
+    # declared phase-2 entry level to the schedule's region maximum
+    delta2 = min((1.0 - orbit[-1]) / 2.0, sch.delta_max)
+    phase2 = tuple(phase2_plan(delta2, n, sch))
+    cert = analysis.phase3_certificate(n, delta0=phase2[-1].delta_out if phase2 else delta2)
+    return Plan(epsilon, orbit, delta2, phase2, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +433,10 @@ def block_size(n):
     return max(1, m)
 
 
-def block_partition(bits, n=None):
-    """Split into consecutive blocks of size floor(n^(1/3)); the final block
-    may be short and is processed identically."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if n is None:
-        n = len(bits)
-    m = block_size(n)
-    return [bits[i : i + m] for i in range(0, len(bits), m)]
-
-
-def gather(blocks):
-    """Concatenate the per-block clean segments into one prefix."""
-    blocks = [np.asarray(b, dtype=np.uint8) for b in blocks]
-    if not blocks:
-        return np.zeros(0, dtype=np.uint8)
-    return np.concatenate(blocks)
+def block_segments(n):
+    """Lengths of consecutive interaction blocks of size floor(n^(1/3))
+    covering n bits; the final block may be short."""
+    return np.diff(np.append(np.arange(0, n, block_size(n)), n))
 
 
 def gather_perm(live_mask):
@@ -423,9 +487,10 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
     ``binomial-direct`` skips the initial permutation and runs the phases on
     the whole population (valid when the source really is binomial).
     ``shuffled-blocks`` applies a spreading permutation (``stride`` by
-    default, ``uniform`` on request), confines every phase to interaction
-    blocks of size n^(1/3), and gathers the per-block clean segments at the
-    end; this is the layout the correlated-source analysis needs.
+    default, ``uniform`` on request) and confines every phase to interaction
+    blocks of size n^(1/3); the flat output of the last round is the
+    gathered prefix.  This is the layout the correlated-source analysis
+    needs.  Either way each round is one call on the flat bits.
 
     Step totals are tracked for three cost models: ``single`` (one tape),
     ``two_tape`` (linear-time terminal gather, n^(4/3) initial permutation)
@@ -433,29 +498,12 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
     """
     if mode not in ("binomial-direct", "shuffled-blocks"):
         raise ValueError(f"unknown mode {mode!r}")
-    cfg = p1config or Phase1Config()
-    sch = schedule or Phase2Schedule()
+    plan = make_plan(model.epsilon, n, p1config, schedule)
     bits = thermal.sample(model, n, seed)
-
     steps = {"single": 0, "two_tape": 0, "two_tape_ca": 0}
-    records = []
-
-    # deterministic analytic drivers, from the declared model bias only
-    eps0 = max(model.epsilon, 1e-12)
-    if eps0 >= cfg.target_bias:
-        orbit = [eps0]
-    else:
-        orbit = analysis.forward_orbit(eps0, cfg.target_bias)
-    r1 = len(orbit) - 1
-    # the orbit end sits within the threshold slack of the target; clamp the
-    # declared phase-2 entry level to the schedule's region maximum
-    delta_p2 = min((1.0 - orbit[-1]) / 2.0, sch.delta_max)
-    plan2 = phase2_plan(delta_p2, n, sch)
-    delta_p3 = plan2[-1].delta_out if plan2 else delta_p2
-    cert3 = analysis.phase3_certificate(n, delta0=delta_p3)
 
     if mode == "binomial-direct":
-        groups = [bits]
+        lens = np.array([n], dtype=np.int64)
     else:
         which = initial_perm or "auto"
         if which == "auto":
@@ -469,83 +517,37 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
         for arch, c in _arch_init_cost(n, perm).items():
             steps[arch] += c
         bits = perms.apply_to(bits, perm)
-        groups = block_partition(bits, n)
+        lens = block_segments(n)
 
     ss2 = np.random.SeedSequence((seed, 0x5EED2))
-    round2_rngs = [np.random.default_rng(c) for c in ss2.spawn(len(plan2))]
-
-    def run_rounds(phase, plans, fn):
-        nonlocal groups
-        for i, plan in enumerate(plans):
-            stats = {"n_in": 0, "n_out": 0, "ones_in": 0, "ones_out": 0, "u": 0}
-            block_costs = []
-            new_groups = []
-            for g in groups:
-                out, rec = fn(g, i, plan)
-                new_groups.append(out)
-                stats["n_in"] += rec.n_in
-                stats["n_out"] += rec.n_out
-                stats["ones_in"] += rec.ones_in
-                stats["ones_out"] += rec.ones_out
-                stats["u"] += rec.u or 0
-                if rec.steps:
-                    block_costs.append(rec.steps)
-            groups = new_groups
-            total = sum(block_costs) + n
+    rngs = [np.random.default_rng(c) for c in ss2.spawn(len(plan.phase2))]
+    cert = plan.certificate
+    rounds = (
+        [partial(phase1_round, bias_pred_in=e) for e in plan.orbit[:-1]],
+        [partial(phase2_round, k=pr.k, seed=rng, delta_pred_in=pr.delta_in)
+         for pr, rng in zip(plan.phase2, rngs)],
+        [partial(phase3_round, k=cert.k, bias_pred_out=1.0 - 2.0 * d) for d in cert.deltas[1:]],
+    )
+    records = []
+    for phase_rounds in rounds:
+        for i, round_fn in enumerate(phase_rounds):
+            largest = int(lens.max())
+            bits, rec, lens = round_fn(bits, round_index=i, segments=lens)
+            total = rec.steps + n
             steps["single"] += total
             steps["two_tape"] += total
-            steps["two_tape_ca"] += max(block_costs, default=0)
-            records.append(
-                RoundRecord(
-                    phase=phase,
-                    round=i,
-                    n_in=stats["n_in"],
-                    n_out=stats["n_out"],
-                    ones_in=stats["ones_in"],
-                    ones_out=stats["ones_out"],
-                    bias_emp=_bias(stats["ones_out"], stats["n_out"]),
-                    bias_pred=plan["bias_pred"],
-                    steps=total,
-                    u=stats["u"] if phase == 2 else None,
-                    k=plan.get("k"),
-                )
-            )
+            # blocks run in parallel: costs grow with length, so the largest
+            # block sets the pace
+            steps["two_tape_ca"] += _steps(rec.phase, rec.k or 2, [largest])
+            records.append(replace(rec, steps=total))
 
-    run_rounds(
-        1,
-        [{"bias_pred": orbit[r + 1]} for r in range(r1)],
-        lambda g, i, plan: phase1_round(g, bias_pred_in=orbit[i], round_index=i),
-    )
-    run_rounds(
-        2,
-        [
-            {"bias_pred": 1.0 - 2.0 * pr.delta_out, "k": pr.k}
-            for pr in plan2
-        ],
-        lambda g, i, plan: phase2_round(
-            g, plan2[i].k, seed=round2_rngs[i], delta_pred_in=plan2[i].delta_in,
-            round_index=i,
-        ),
-    )
-    run_rounds(
-        3,
-        [
-            {"bias_pred": 1.0 - 2.0 * cert3.deltas[r + 1], "k": cert3.k}
-            for r in range(cert3.rounds)
-        ],
-        lambda g, i, plan: phase3_round(
-            g, cert3.k, bias_pred_out=1.0 - 2.0 * cert3.deltas[i + 1], round_index=i
-        ),
-    )
-
-    clean = gather(groups)
     for arch, c in _arch_gather_cost(n).items():
         steps[arch] += c
 
-    ledger = analysis.yield_ledger(eps0, n, len(clean))
+    ledger = analysis.yield_ledger(plan.epsilon, n, len(bits))
     return PipelineResult(
-        clean_bits=len(clean),
-        bits=clean,
+        clean_bits=len(bits),
+        bits=bits,
         records=records,
         ledger=ledger,
         steps=steps,

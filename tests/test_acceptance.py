@@ -294,13 +294,9 @@ def _phase2_stop_level(n):
 
 
 def _pipeline_phase3_entry(n, eps):
-    """Phase-3 entry level as ``cooling.pipeline`` derives it for (n, eps):
-    forward orbit -> clamped phase-2 entry -> ``phase2_plan`` -> last delta_out."""
-    sch = cooling.Phase2Schedule()
-    orbit = analysis.forward_orbit(eps, cooling.Phase1Config().target_bias)
-    delta = min((1.0 - orbit[-1]) / 2.0, sch.delta_max)
-    plan = cooling.phase2_plan(delta, n, sch)
-    return plan[-1].delta_out if plan else delta
+    """Phase-3 entry level as ``cooling.pipeline`` derives it for (n, eps),
+    read off its ``Plan``."""
+    return cooling.make_plan(eps, n).certificate.deltas[0]
 
 
 def test_criterion_09b_per_iteration_loss_floor():

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from spinref import cli
+from spinref import analysis, cli, cooling
 
 
 def run(argv):
@@ -57,6 +57,32 @@ def test_phase_subcommand(tmp_path):
     assert summary["rounds"] == 3
     csv = read(tmp_path / "phase1_rounds.csv").decode()
     assert len(csv.splitlines()) == 4  # header + 3 rounds
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_phase_2_and_3_run_their_planned_rounds(tmp_path, which):
+    n = 20000
+    assert (
+        run(["phase", str(which), "--n", str(n), "--seed", "1", "--out", str(tmp_path)])
+        == cli.EXIT_OK
+    )
+    if which == 2:
+        planned = len(cooling.phase2_plan(cooling.Phase2Schedule().delta_max, n))
+    else:
+        planned = analysis.phase3_certificate(n).rounds
+    assert planned >= 1
+    rows = read(tmp_path / f"phase{which}_rounds.csv").decode().splitlines()
+    assert len(rows) == 1 + planned
+    assert json.loads(read(tmp_path / f"phase{which}_summary.json"))["rounds"] == planned
+
+
+@pytest.mark.parametrize("command", [["pipeline"], ["analyze"], ["phase", "1"]])
+@pytest.mark.parametrize("epsilon", ["0", "-0.1", "1.5"])
+def test_epsilon_outside_unit_interval_rejected(tmp_path, capsys, command, epsilon):
+    argv = command + ["--epsilon", epsilon, "--n", "1000", "--out", str(tmp_path)]
+    assert run(argv) == cli.EXIT_USAGE
+    assert "--epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "ledger.json").exists()
 
 
 def test_phase_json_format(tmp_path):

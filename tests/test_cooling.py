@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinref import analysis, cooling, thermal
 from spinref.cooling import (
     CoolingError,
     Phase1Config,
     Phase2Schedule,
-    block_partition,
+    block_segments,
     block_size,
     choose_k,
-    gather,
     gather_perm,
     phase1_round,
     phase1_run,
@@ -263,26 +264,90 @@ def test_phase3_zero_ones_loses_only_headers():
 
 
 # ---------------------------------------------------------------------------
+# segmented rounds
+
+
+# segment lengths: zero-length and trailing empty segments, odd tails, and a
+# single segment all occur
+segment_lengths = st.lists(
+    st.one_of(st.just(0), st.integers(1, 12), st.integers(13, 60)), min_size=1, max_size=12
+)
+
+
+def _per_segment_oracle(call, bits, lens):
+    """The per-block semantics: one whole-input call per segment, outputs
+    concatenated and records summed."""
+    outs, recs, start = [], [], 0
+    for length in lens:
+        out, rec = call(bits[start : start + length])
+        outs.append(out)
+        recs.append(rec)
+        start += length
+    return np.concatenate(outs), recs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lens=segment_lengths,
+    phase=st.sampled_from([1, 2, 3]),
+    k=st.integers(2, 9),
+    shuffled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_segmented_round_equals_per_segment_calls(lens, phase, k, shuffled, seed):
+    bits = np.random.default_rng(seed).integers(0, 2, sum(lens), dtype=np.uint8)
+    if phase == 1:
+        def call(b, **kw):
+            return phase1_round(b, bias_pred_in=0.5, **kw)
+    elif phase == 2:
+        # one generator drawn from in segment order, as the blocks were
+        def call(b, rng, **kw):
+            return phase2_round(b, k, seed=rng if shuffled else None, delta_pred_in=0.01, **kw)
+    else:
+        def call(b, **kw):
+            return phase3_round(b, max(k, 4), bias_pred_out=0.9, **kw)
+
+    if phase == 2:
+        rng_a, rng_b = (np.random.default_rng(seed + 1) for _ in range(2))
+        out, rec, out_lens = call(bits, rng_a, segments=lens)
+        want, recs = _per_segment_oracle(lambda b: call(b, rng_b), bits, lens)
+    else:
+        out, rec, out_lens = call(bits, segments=lens)
+        want, recs = _per_segment_oracle(call, bits, lens)
+
+    assert np.array_equal(out, want)
+    assert out_lens.tolist() == [r.n_out for r in recs]
+    for name in ("n_in", "n_out", "ones_in", "ones_out", "steps"):
+        assert getattr(rec, name) == sum(getattr(r, name) for r in recs), name
+    assert rec.u == (sum(r.u for r in recs) if phase == 2 else None)
+    # a whole-input call is the same round as a one-segment call
+    if len(lens) == 1 and not (phase == 2 and shuffled):
+        whole_out, whole_rec = call(bits, np.random.default_rng(0)) if phase == 2 else call(bits)
+        assert np.array_equal(whole_out, out) and whole_rec == rec
+
+
+def test_segment_lengths_must_cover_the_input():
+    with pytest.raises(ValueError):
+        phase1_round(np.zeros(10, dtype=np.uint8), segments=[4, 5])
+    with pytest.raises(ValueError):
+        phase3_round(np.zeros(10, dtype=np.uint8), 4, segments=[9])
+
+
+# ---------------------------------------------------------------------------
 # blocks, gather, pipeline
 
 
-def test_block_partition_paper_sizes():
+def test_block_segments_paper_sizes():
     assert block_size(27) == 3
     assert block_size(8) == 2
     assert block_size(10**6) == 100
-    blocks = block_partition(np.arange(27) % 2)
-    assert len(blocks) == 9 and all(len(b) == 3 for b in blocks)
-    blocks = block_partition(np.zeros(8, dtype=np.uint8))
-    assert len(blocks) == 4 and all(len(b) == 2 for b in blocks)
-    # blocks concatenate back to the input
-    bits = thermal.sample(thermal.BiasModel("binomial", 0.3), 1000, seed=0)
-    assert np.array_equal(np.concatenate(block_partition(bits)), bits)
-
-
-def test_gather_concatenates():
-    assert list(gather([bits_of(0, 0), bits_of(0)])) == [0, 0, 0]
-    assert list(gather([bits_of(1, 0)])) == [1, 0]
-    assert len(gather([])) == 0
+    assert block_segments(27).tolist() == [3] * 9
+    assert block_segments(8).tolist() == [2] * 4
+    # blocks of floor(n^(1/3)) cover the input, the last one short
+    lens = block_segments(50000)
+    assert block_size(50000) == 36
+    assert lens.tolist() == [36] * 1388 + [32]
+    assert int(lens.sum()) == 50000
 
 
 def test_gather_machine_cost_quadratic():
