@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``pipeline`` -- full end-to-end runs (round trace CSV + yield ledger JSON)
-* ``phase``    -- a single phase on freshly sampled bits
+* ``phase``    -- a single phase on freshly sampled bits; phases 2 and 3
+  draw binomial bits at their plan's entry level
 * ``analyze``  -- recurrence orbits, schedules and constants, no sampling
 * ``arch``     -- pulse-sequence permutation reports for a polymer ring
 * ``equiv``    -- compiled-versus-abstract equivalence suites
@@ -206,18 +207,24 @@ def _cmd_pipeline(args, outdir):
     return EXIT_OK if ok else EXIT_CONFORMANCE
 
 
+def _entry_bits(delta, n, seed):
+    """n independent bits, each 1 with probability ``delta``."""
+    return thermal.sample(thermal.BiasModel("binomial", 1.0 - 2.0 * delta), n, seed)
+
+
 def _cmd_phase(args, outdir):
-    model = _model(args)
-    bits = thermal.sample(model, args.n, args.seed)
+    # phases 2 and 3 take bits already at the level their plan enters at
     if args.which == 1:
+        bits = thermal.sample(_model(args), args.n, args.seed)
         out, recs = cooling.phase1_run(
             bits, cooling.Phase1Config(target_bias=args.target_bias), eps0=args.epsilon
         )
     elif args.which == 2:
-        out, recs = cooling.phase2_run(
-            bits, args.n, cooling.Phase2Schedule(alpha=args.alpha), seed=args.seed
-        )
+        schedule = cooling.Phase2Schedule(alpha=args.alpha)
+        bits = _entry_bits(schedule.delta_max, args.n, args.seed)
+        out, recs = cooling.phase2_run(bits, args.n, schedule, seed=args.seed)
     else:
+        bits = _entry_bits(analysis.phase3_certificate(args.n).deltas[0], args.n, args.seed)
         out, recs = cooling.phase3_run(bits, args.n)
     _records_payload(recs, args.format, outdir, f"phase{args.which}_rounds")
     summary = {

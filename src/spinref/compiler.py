@@ -23,7 +23,8 @@ Step counts are exact closed forms, checked against generated programs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,13 +104,19 @@ class MachineProgram:
     def steps(self):
         return len(self.instructions)
 
+    @cached_property
+    def lowered(self):
+        """The instructions lowered once for ``n_cells`` and shared by every
+        run; ``instructions`` must not change after the first run."""
+        return machine.lower(self.instructions, self.n_cells)
+
     def run(self, bits, return_state=False):
         """Execute on a fresh tape and extract the live output bits."""
         bits = np.asarray(bits, dtype=np.uint8)
         if len(bits) != self.n_cells:
             raise ValueError(f"program expects {self.n_cells} cells, got {len(bits)}")
         state = machine.new_tape(bits)
-        machine.execute(state, self.instructions)
+        machine.execute(state, self.lowered)
         out = self.live_map.extract(state.logical())
         if return_state:
             return out, state
@@ -138,19 +145,21 @@ def _emit_deinterleave(dest, passes):
     Each pass costs exactly n shifts (walk the ring once) plus one SWAP2
     gate per executed swap; total gates equal the inversion count of
     ``dest``.  The pass count and swap sites depend only on ``dest``.
+    Instructions are frozen, so one instance of each is shared.
     """
-    dest = np.asarray(dest).copy()
+    dest = np.asarray(dest).tolist()
     n = len(dest)
-    swap = GATES["SWAP2"]
+    swap, step = Gate(GATES["SWAP2"]), Shift(1)
     program = []
+    emit = program.append
     for _ in range(passes):
         for j in range(n - 1):
             if dest[j] > dest[j + 1]:
-                program.append(Gate(swap))
+                emit(swap)
                 dest[j], dest[j + 1] = dest[j + 1], dest[j]
-            program.append(Shift(1))
-        program.append(Shift(1))
-    if np.any(dest[:-1] > dest[1:]):
+            emit(step)
+        emit(step)
+    if any(a > b for a, b in zip(dest, dest[1:])):
         raise AssertionError("deinterleave pass budget too small")
     return program
 

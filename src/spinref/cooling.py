@@ -55,10 +55,9 @@ class CoolingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Phase1Config:
-    """Stop threshold for the pairing phase, optional fixed round count."""
+    """Stop threshold for the pairing phase."""
 
     target_bias: float = 0.856
-    rounds: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.target_bias < 1.0:
@@ -232,11 +231,7 @@ def phase1_run(bits, config=None, eps0=None):
     bits = np.asarray(bits, dtype=np.uint8)
     if eps0 is None:
         eps0 = max(_bias(int(bits.sum()), len(bits)), 1e-12)
-    if eps0 >= cfg.target_bias and cfg.rounds is None:
-        return bits, []
-    rounds = cfg.rounds
-    if rounds is None:
-        rounds = len(analysis.forward_orbit(eps0, cfg.target_bias)) - 1
+    rounds = len(analysis.forward_orbit(eps0, cfg.target_bias)) - 1
     records = []
     eps_pred = eps0
     for r in range(rounds):

@@ -21,11 +21,18 @@ cell (head + i) mod n; the bit "under the head" is logical index 0.
 The step cost of a parallel pulse is charged as 1, the same as a single head
 gate; nothing in the model pins this choice down, so it is a convention of
 this simulator.
+
+Programs are oblivious: where each primitive acts never depends on the
+data.  ``lower`` uses that to resolve the head statically, once per program
+and tape size, and ``execute``, ``trace`` and compiled programs all run the
+lowered form through one executor loop.  The primitives above are the
+reference semantics it is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -43,6 +50,8 @@ __all__ = [
     "SwapReg",
     "Measure",
     "CA",
+    "Lowered",
+    "lower",
     "execute",
     "trace",
     "invert_program",
@@ -165,6 +174,8 @@ class TapeState:
 
     def logical(self):
         """The tape contents as seen from the head."""
+        if self.head % self.n == 0:
+            return self.cells.copy()
         return np.roll(self.cells, -self.head)
 
     def copy(self):
@@ -195,12 +206,6 @@ def shift(state, direction):
     state.head = (state.head + direction) % state.n
     state.steps += 1
     return state
-
-
-def _gate_cells(state, width):
-    n = state.n
-    idx = [state.head % n, (state.head + 1) % n]
-    return idx[: min(width, 2)]
 
 
 def apply_head_gate(state, gate):
@@ -299,31 +304,158 @@ class CA:
     gate: ReversibleGate
 
 
-def execute(state, program):
-    """Run a program in place; returns the list of measurement results."""
-    measured = []
-    for ins in program:
-        if isinstance(ins, Shift):
-            shift(state, ins.direction)
-        elif isinstance(ins, Gate):
-            apply_head_gate(state, ins.gate)
-        elif isinstance(ins, SwapReg):
-            swap_register(state, ins.which)
-        elif isinstance(ins, Measure):
-            measured.append(measure_first(state))
-        elif isinstance(ins, CA):
-            ca_parallel_gate(state, ins.k, ins.gate)
+def _gate_meta(gate):
+    """(wires, rows) of a gate.  ``rows[i]`` is the output bit tuple for
+    packed input i.  ``wires[j]`` is the input wire that output wire j
+    copies, or ``wires`` is None if the gate does more than rearrange."""
+    w = gate.width
+    rows = tuple(tuple((o >> (w - 1 - j)) & 1 for j in range(w)) for o in gate.table)
+    inputs = [tuple((i >> (w - 1 - j)) & 1 for i in range(1 << w)) for j in range(w)]
+    outputs = list(zip(*rows))
+    if all(out in inputs for out in outputs):
+        return tuple(inputs.index(out) for out in outputs), rows
+    return None, rows
+
+
+@dataclass(frozen=True)
+class Lowered:
+    """A program lowered for an n-cell tape, every position fixed in advance.
+
+    The executor runs it on a list of n + 2 ints: the n cells as seen from
+    the start head, then y1 and y2 as cells n and n + 1.  Shifts are gone.
+    Wire rearrangements (SWAP2 gates and pulses, SWAPREG) move no data:
+    they are folded into a renaming of list slots, undone by one ``gather``
+    at the end.  What is left in ``ops`` are table lookups on at most 4
+    fixed slots, ``(width, slot..., rows)``, and measurements, ``(0, slot)``.
+    ``head`` is the final head offset; ``len()`` is the step count.
+    """
+
+    n: int
+    ops: list
+    gather: object
+    head: int
+    steps: int
+
+    def __len__(self):
+        return self.steps
+
+
+def lower(instructions, n, heads=None):
+    """Lower a program for an n-cell tape in one walk, the head offset
+    tracked statically.  Bad instructions raise here, before any tape
+    changes.  If ``heads`` is a list, the head offset before each
+    instruction is appended to it."""
+    y = (n, n + 1)
+    slot = list(range(n + 2))  # list slot holding each logical position's bit
+    ops = []
+    meta = {}  # id(gate) -> _gate_meta(gate)
+    h = steps = 0
+    for ins in instructions:
+        if heads is not None:
+            heads.append(h)
+        steps += 1
+        kind = type(ins)
+        if kind is Shift:
+            d = ins.direction
+            if d == 1:
+                h = h + 1 if h + 1 < n else 0
+            elif d == -1:
+                h = h - 1 if h else n - 1
+            else:
+                raise ValueError("shift direction must be +1 or -1")
+        elif kind is Gate:
+            g = ins.gate
+            wires, rows = meta.get(id(g)) or meta.setdefault(id(g), _gate_meta(g))
+            h1 = h + 1 if h + 1 < n else 0
+            if wires == (1, 0):
+                slot[h], slot[h1] = slot[h1], slot[h]
+            elif wires is None or (n == 1 and wires[0] > 1):
+                # on a one-cell ring both head wires are that cell; if the
+                # first output wire takes a register bit, the cell's bit
+                # lands in two places, which no renaming holds
+                ops.append((g.width, slot[h], slot[h1]) + tuple(slot[n : n + g.width - 2])
+                           + (rows,))
+            elif wires != (0, 1):
+                pos = (h, h1) + y
+                src = [slot[pos[i]] for i in wires]
+                for p, s in zip(pos, src):
+                    slot[p] = s
+        elif kind is SwapReg:
+            if ins.which not in (1, 2):
+                raise ValueError("register index must be 1 or 2")
+            r = y[ins.which - 1]
+            slot[h], slot[r] = slot[r], slot[h]
+        elif kind is Measure:
+            ops.append((0, slot[h]))
+        elif kind is CA:
+            g, k = ins.gate, ins.k
+            if g.width != 2:
+                raise ValueError("parallel pulses take a width-2 gate")
+            if k <= 0 or n % k != 0:
+                raise ValueError(f"spacing k={k} must divide n={n}")
+            if k == 1:
+                raise ValueError("spacing k=1 would address overlapping pairs")
+            wires, rows = meta.get(id(g)) or meta.setdefault(id(g), _gate_meta(g))
+            for first in range(h, h + n, k):
+                a, b = first % n, (first + 1) % n
+                if wires == (1, 0):
+                    slot[a], slot[b] = slot[b], slot[a]
+                elif wires is None:
+                    ops.append((2, slot[a], slot[b], rows))
         else:
             raise TypeError(f"unknown instruction {ins!r}")
+    gather = None if slot == list(range(n + 2)) else itemgetter(*slot)
+    return Lowered(n, ops, gather, h, steps)
+
+
+def _run(lowered, t):
+    """The executor: run ``lowered`` on the list ``t`` of n + 2 bits; returns
+    the final list, in logical order, and the measurements."""
+    measured = []
+    for op in lowered.ops:
+        w = op[0]
+        if w == 2:
+            _, a, b, rows = op
+            t[a], t[b] = rows[t[a] << 1 | t[b]]
+        elif w == 3:
+            _, a, b, c, rows = op
+            t[a], t[b], t[c] = rows[t[a] << 2 | t[b] << 1 | t[c]]
+        elif w == 4:
+            _, a, b, c, d, rows = op
+            t[a], t[b], t[c], t[d] = rows[t[a] << 3 | t[b] << 2 | t[c] << 1 | t[d]]
+        else:
+            measured.append(t[op[1]])
+    if lowered.gather is not None:
+        t = list(lowered.gather(t))
+    return t, measured
+
+
+def execute(state, program):
+    """Run a program (instructions, or ``lower``'s result for this tape
+    size) in place; returns the list of measurement results."""
+    n = state.n
+    if not isinstance(program, Lowered):
+        program = lower(program, n)
+    elif program.n != n:
+        raise ValueError(f"program lowered for {program.n} cells, tape has {n}")
+    head = state.head % n
+    cells = state.cells.tolist()
+    t, measured = _run(program, cells[head:] + cells[:head] + list(state.register))
+    state.cells[:] = t[n - head : n] + t[: n - head]
+    state.register[:] = t[n:]
+    state.head = (head + program.head) % n
+    state.steps += program.steps
     return measured
 
 
 def trace(state, program):
     """Execute and record the (mnemonic, head) pair before each primitive."""
-    out = []
-    for ins in program:
-        out.append((_mnemonic(ins), state.head))
-        execute(state, [ins])
+    program = list(program)
+    heads = []
+    lowered = lower(program, state.n, heads)
+    start = state.head
+    out = [(_mnemonic(ins), (start + h) % state.n) for ins, h in zip(program, heads)]
+    execute(state, lowered)
     return out
 
 

@@ -67,13 +67,20 @@ def test_phase_2_and_3_run_their_planned_rounds(tmp_path, which):
         == cli.EXIT_OK
     )
     if which == 2:
-        planned = len(cooling.phase2_plan(cooling.Phase2Schedule().delta_max, n))
+        entry = cooling.Phase2Schedule().delta_max
+        planned = len(cooling.phase2_plan(entry, n))
     else:
-        planned = analysis.phase3_certificate(n).rounds
+        cert = analysis.phase3_certificate(n)
+        entry, planned = cert.deltas[0], cert.rounds
     assert planned >= 1
     rows = read(tmp_path / f"phase{which}_rounds.csv").decode().splitlines()
     assert len(rows) == 1 + planned
     assert json.loads(read(tmp_path / f"phase{which}_summary.json"))["rounds"] == planned
+    # the input bits are drawn at the level the plan enters at
+    first = dict(zip(rows[0].split(","), rows[1].split(",")))
+    assert int(first["n_in"]) == n
+    sigma = (entry * (1 - entry) / n) ** 0.5
+    assert abs(int(first["ones_in"]) / n - entry) < 5 * sigma
 
 
 @pytest.mark.parametrize("command", [["pipeline"], ["analyze"], ["phase", "1"]])

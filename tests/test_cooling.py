@@ -95,6 +95,18 @@ def test_phase1_run_monte_carlo_against_forward_recurrence():
     assert hits >= 19
 
 
+@pytest.mark.parametrize("target", [0.6, 0.856, 0.95])
+@pytest.mark.parametrize("eps", [0.05, 0.25, 0.7])
+def test_phase1_run_and_pipeline_share_the_round_count(eps, target):
+    n = 10**5
+    config = Phase1Config(target_bias=target)
+    bits = thermal.sample(thermal.BiasModel("binomial", eps), n, seed=1)
+    _, recs = phase1_run(bits, config, eps0=eps)
+    res = pipeline(thermal.BiasModel("binomial", eps), n, 1, p1config=config)
+    planned = len(cooling.make_plan(eps, n, config).orbit) - 1
+    assert len(recs) == sum(r.phase == 1 for r in res.records) == planned
+
+
 def test_phase1_run_exhaustion_raises():
     with pytest.raises(CoolingError):
         phase1_run(bits_of(0, 1, 1, 0), eps0=0.01)

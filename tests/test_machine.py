@@ -238,3 +238,118 @@ def test_trace_text_roundtrip():
 def test_trace_text_rejects_garbage():
     with pytest.raises(ValueError):
         text_to_program("FROB 1\n")
+
+
+# ---------------------------------------------------------------------------
+# the lowered executor against the primitives, one step at a time
+
+
+def _reference(state, program):
+    """Measurements and (mnemonic, head) pairs of a step-by-step run."""
+    measured, pairs = [], []
+    for ins in program:
+        pairs.append((program_to_text([ins]).strip(), state.head))
+        if isinstance(ins, Shift):
+            shift(state, ins.direction)
+        elif isinstance(ins, Gate):
+            apply_head_gate(state, ins.gate)
+        elif isinstance(ins, SwapReg):
+            swap_register(state, ins.which)
+        elif isinstance(ins, Measure):
+            measured.append(measure_first(state))
+        else:
+            ca_parallel_gate(state, ins.k, ins.gate)
+    return measured, pairs
+
+
+def _table_gate(width):
+    return st.permutations(range(1 << width)).map(lambda t: ReversibleGate("t", width, t))
+
+
+def _wire_gate(width):
+    def build(order):
+        return ReversibleGate.from_function("w", width, lambda *b: tuple(b[i] for i in order))
+
+    return st.permutations(range(width)).map(build)
+
+
+@st.composite
+def _runs(draw):
+    n = draw(st.integers(1, 12))
+    widths = st.sampled_from([2, 3, 4])
+    gates = st.one_of(
+        st.sampled_from(sorted(GATES.values(), key=lambda g: g.name)),
+        widths.flatmap(_table_gate),
+        widths.flatmap(_wire_gate),
+    )
+    kinds = [
+        st.sampled_from([1, -1]).map(Shift),
+        gates.map(Gate),
+        st.sampled_from([1, 2]).map(SwapReg),
+        st.just(Measure()),
+    ]
+    spacings = [k for k in range(2, n + 1) if n % k == 0]
+    if spacings:
+        pulse_gates = st.one_of(st.just(GATES["SWAP2"]), _table_gate(2))
+        kinds.append(st.builds(CA, st.sampled_from(spacings), pulse_gates))
+    program = draw(st.lists(st.one_of(kinds), max_size=40))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    head = draw(st.integers(0, n - 1))
+    register = draw(st.lists(st.integers(0, 1), min_size=2, max_size=2))
+    steps = draw(st.integers(0, 50))
+    return program, bits, head, register, steps
+
+
+def _state(bits, head, register, steps):
+    return machine.TapeState(np.array(bits, dtype=np.uint8), head, list(register), steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs())
+def test_execute_and_trace_match_the_primitives(run):
+    program, *start = run
+    want = _state(*start)
+    want_measured, want_pairs = _reference(want, program)
+    for runner in (execute, trace):
+        got = _state(*start)
+        cells, register = got.cells, got.register
+        result = runner(got, program)
+        if runner is execute:
+            assert result == want_measured
+        else:
+            assert result == want_pairs
+        assert got.cells is cells and got.register is register
+        assert list(got.cells) == list(want.cells)
+        assert (got.head, got.register, got.steps) == (want.head, want.register, want.steps)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (object(), TypeError),
+        (Shift(2), ValueError),
+        (SwapReg(3), ValueError),
+        (CA(3, GATES["SWAP2"]), ValueError),
+        (CA(2, GATES["PAR3"]), ValueError),
+    ],
+)
+def test_bad_instruction_rejected_before_the_tape_changes(bad, error):
+    st_ = new_tape([1, 0, 1, 1, 0, 0, 1, 0])
+    st_.register = [1, 0]
+    snap = st_.snapshot()
+    program = [Shift(1), Gate(GATES["EQMARK"]), SwapReg(1), Measure(), bad]
+    for runner in (execute, trace, lambda s, p: machine.lower(p, s.n)):
+        with pytest.raises(error):
+            runner(st_, program)
+        assert st_.snapshot() == snap and st_.steps == 0
+
+
+def test_lowered_program_runs_on_its_tape_size_only():
+    program = [Shift(1), Gate(GATES["EQMARK"]), Measure()]
+    lowered = machine.lower(program, 4)
+    assert len(lowered) == 3
+    st_ = new_tape([1, 1, 0, 1])
+    assert execute(st_, lowered) == [1]
+    assert st_.head == 1 and st_.steps == 3
+    with pytest.raises(ValueError):
+        execute(new_tape([0] * 5), lowered)
