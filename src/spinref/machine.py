@@ -348,7 +348,7 @@ def lower(instructions, n, heads=None):
     y = (n, n + 1)
     slot = list(range(n + 2))  # list slot holding each logical position's bit
     ops = []
-    meta = {}  # id(gate) -> _gate_meta(gate)
+    meta = {}  # id(gate) -> (wires, rows, gate); holding the gate keeps its id unique
     h = steps = 0
     for ins in instructions:
         if heads is not None:
@@ -365,7 +365,7 @@ def lower(instructions, n, heads=None):
                 raise ValueError("shift direction must be +1 or -1")
         elif kind is Gate:
             g = ins.gate
-            wires, rows = meta.get(id(g)) or meta.setdefault(id(g), _gate_meta(g))
+            wires, rows, _ = meta.get(id(g)) or meta.setdefault(id(g), (*_gate_meta(g), g))
             h1 = h + 1 if h + 1 < n else 0
             if wires == (1, 0):
                 slot[h], slot[h1] = slot[h1], slot[h]
@@ -395,7 +395,7 @@ def lower(instructions, n, heads=None):
                 raise ValueError(f"spacing k={k} must divide n={n}")
             if k == 1:
                 raise ValueError("spacing k=1 would address overlapping pairs")
-            wires, rows = meta.get(id(g)) or meta.setdefault(id(g), _gate_meta(g))
+            wires, rows, _ = meta.get(id(g)) or meta.setdefault(id(g), (*_gate_meta(g), g))
             for first in range(h, h + n, k):
                 a, b = first % n, (first + 1) % n
                 if wires == (1, 0):

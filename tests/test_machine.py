@@ -353,3 +353,21 @@ def test_lowered_program_runs_on_its_tape_size_only():
     assert st_.head == 1 and st_.steps == 3
     with pytest.raises(ValueError):
         execute(new_tape([0] * 5), lowered)
+
+
+def test_execute_takes_a_stream_of_fresh_gates():
+    # gates made and dropped while the program streams in may reuse an
+    # address; each must still run its own table
+    rng = np.random.default_rng(3)
+    tables = [rng.permutation(16) for _ in range(100)]
+
+    def stream():
+        for table in tables:
+            yield Gate(ReversibleGate("g", 4, table))
+
+    want = new_tape([1, 0, 1, 1, 0])
+    for ins in stream():
+        apply_head_gate(want, ins.gate)
+    got = new_tape([1, 0, 1, 1, 0])
+    execute(got, stream())
+    assert got.snapshot() == want.snapshot()
