@@ -462,8 +462,8 @@ class PipelineResult:
     seed: int
 
 
-def _arch_init_cost(n, perm):
-    inv = perms.count_inversions(perm)
+def _arch_init_cost(n, inv):
+    """Initial-permutation steps per cost model; ``inv`` is its inversion count."""
     return {
         "single": n * n + inv,
         "two_tape": int(6 * n ** (4.0 / 3.0)),
@@ -505,11 +505,13 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
             which = "stride" if round(n ** (1 / 3)) ** 3 == n else "uniform"
         if which == "stride":
             perm = thermal.stride_shuffle_perm(n)
+            inv = thermal.stride_inversions(n)
         elif which == "uniform":
             perm = thermal.uniform_random_perm(n, np.random.SeedSequence((seed, 0xA11CE)))
+            inv = perms.count_inversions(perm)
         else:
             raise ValueError(f"unknown initial permutation {which!r}")
-        for arch, c in _arch_init_cost(n, perm).items():
+        for arch, c in _arch_init_cost(n, inv).items():
             steps[arch] += c
         bits = perms.apply_to(bits, perm)
         lens = block_segments(n)

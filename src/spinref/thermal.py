@@ -25,6 +25,7 @@ __all__ = [
     "BiasModel",
     "sample",
     "stride_shuffle_perm",
+    "stride_inversions",
     "uniform_random_perm",
     "transposition_schedule",
     "apply_perm_as_transpositions",
@@ -103,6 +104,19 @@ def stride_shuffle_perm(n):
     idx = np.arange(n)
     r, s = idx // m, idx % m
     return ((r + s) % (m * m)) * m + s
+
+
+def stride_inversions(n):
+    """Exact inversion count of ``stride_shuffle_perm(n)``, in closed form.
+
+    Read index r*m + s as cell (r, s) of an M x m grid (M = m^2), row-major.
+    The permutation rotates column s down by s, so column a holds a*(M-a)
+    inversions, and columns a < b, d = b - a, hold
+    M(M+1) - (M-b)(M-b+1) - d(d+1) - a(a+1) between them.  Summed over all
+    columns and column pairs this is m^2 (m-1) (8m^2 - 3m + 1) / 12.
+    """
+    m = _cube_root(n)
+    return m * m * (m - 1) * (8 * m * m - 3 * m + 1) // 12
 
 
 def uniform_random_perm(n, seed):

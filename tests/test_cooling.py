@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinref import analysis, cooling, thermal
+from spinref import analysis, cooling, perms, thermal
 from spinref.cooling import (
     CoolingError,
     Phase1Config,
@@ -429,6 +429,26 @@ def test_pipeline_markov_stride_blocks_near_binomial():
 
     binom = np.array([comb(8, c) * delta**c * (1 - delta) ** (8 - c) for c in range(9)])
     assert np.abs(emp - binom).sum() < 0.01
+
+
+def test_shuffled_blocks_costs_the_stride_without_the_merge_count(monkeypatch):
+    calls = []
+    merge_count = perms.count_inversions
+
+    def counted(a):
+        calls.append(len(a))
+        return merge_count(a)
+
+    monkeypatch.setattr(perms, "count_inversions", counted)
+    model = thermal.BiasModel("markov", 0.25, ell=10)
+    n = 16**3
+    res = pipeline(model, n, seed=1, mode="shuffled-blocks")
+    assert calls == []
+    init = n * n + merge_count(thermal.stride_shuffle_perm(n))
+    assert res.steps["single"] == init + sum(r.steps for r in res.records) + n * n
+    # the uniform permutation of a non-cube n keeps the merge count
+    pipeline(model, 5000, seed=1, mode="shuffled-blocks")
+    assert calls == [5000]
 
 
 def test_pipeline_rejects_bad_mode():

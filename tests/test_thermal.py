@@ -9,6 +9,7 @@ from spinref.thermal import (
     read_bits_packed,
     sample,
     schedule_cost,
+    stride_inversions,
     stride_shuffle_perm,
     transposition_schedule,
     uniform_random_perm,
@@ -88,6 +89,20 @@ def test_stride_perm_separates_blocks():
         for b in range(n // m):
             dests = dst[src == b]
             assert len(set(dests.tolist())) == m
+
+
+def test_stride_inversions_match_the_merge_count():
+    for m in list(range(1, 21)) + [48]:
+        n = m**3
+        assert stride_inversions(n) == perms.count_inversions(stride_shuffle_perm(n)), m
+
+
+def test_stride_inversions_reject_non_cubes():
+    for n in (2, 10, 50000):
+        with pytest.raises(ValueError):
+            stride_shuffle_perm(n)
+        with pytest.raises(ValueError):
+            stride_inversions(n)
 
 
 def test_uniform_perm_basics():
