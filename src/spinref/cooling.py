@@ -462,11 +462,23 @@ class PipelineResult:
     seed: int
 
 
+def _icbrt(x):
+    """Largest integer r with r**3 <= x, exact for any non-negative int."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // 3)  # above the root
+    while True:
+        s = (2 * r + x // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
+
+
 def _arch_init_cost(n, inv):
     """Initial-permutation steps per cost model; ``inv`` is its inversion count."""
     return {
         "single": n * n + inv,
-        "two_tape": int(6 * n ** (4.0 / 3.0)),
+        "two_tape": _icbrt(216 * n**4),  # floor(6 n^(4/3)), 6 n m at cubes
         "two_tape_ca": n,
     }
 

@@ -451,6 +451,20 @@ def test_shuffled_blocks_costs_the_stride_without_the_merge_count(monkeypatch):
     assert calls == [5000]
 
 
+def test_two_tape_initial_permutation_cost_is_exact():
+    model = thermal.BiasModel("markov", 0.25, ell=10)
+    for m in (8, 16, 30):
+        n = m**3
+        res = pipeline(model, n, seed=2, mode="shuffled-blocks")
+        rounds = sum(r.steps for r in res.records)
+        assert res.steps["two_tape"] - rounds - 6 * n == 6 * n * m
+    for m in (48, 81, 243, 10**6):
+        assert cooling._arch_init_cost(m**3, 0)["two_tape"] == 6 * m**4
+    for n in (50000, 100007, 177147, 10**7 + 1):
+        c = cooling._arch_init_cost(n, 0)["two_tape"]
+        assert c**3 <= 216 * n**4 < (c + 1) ** 3
+
+
 def test_pipeline_rejects_bad_mode():
     with pytest.raises(ValueError):
         pipeline(thermal.BiasModel("binomial", 0.2), 100, 0, mode="warp")

@@ -18,7 +18,7 @@ PIPELINE = {
         ["--mode", "shuffled-blocks", "--n", "531441", "--epsilon", "0.25"],
         {
             "rounds.csv": "d8db4a4d806e5c1397458bf18a8abda433beae6e5b47515dca648febd3186ae7",
-            "ledger.json": "e896d228fd17d95fc7d5c6d979a4fb104993e2c9b35d142d81788bbcc5fc16ac",
+            "ledger.json": "1d5ef9de53ffee51631f03277bc53d58b0174e1a0c6b23626c454dfb38cac324",
         },
     ),
     # phase 2 runs k = 3 then k = 7
