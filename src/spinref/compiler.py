@@ -340,22 +340,20 @@ class EquivReport:
         }
 
 
-def _int_to_bits(x, width):
-    return np.array([(x >> (width - 1 - j)) & 1 for j in range(width)], dtype=np.uint8)
-
-
 def equivalence_check(program, abstract_fn, width, samples=None, seed=0):
     """Compare a compiled program against its abstract function.
 
     Exhaustive over all 2^width inputs for width <= 16 unless ``samples``
-    forces sampling.  A mismatch is a result, not an error; the first
-    witness input is reported.
+    forces sampling; exhaustive inputs come in ascending order, read
+    most-significant bit first.  A mismatch is a result, not an error; the
+    first witness input is reported.
     """
     if width != program.n_cells:
         raise ValueError("width disagrees with the program")
     exhaustive = samples is None and width <= 16
     if exhaustive:
-        inputs = (_int_to_bits(x, width) for x in range(1 << width))
+        words = np.arange(1 << width, dtype=">u2").view(np.uint8).reshape(-1, 2)
+        inputs = np.unpackbits(words, axis=1)[:, 16 - width :]
         cases = 1 << width
         mode = "exhaustive"
     else:
@@ -368,9 +366,9 @@ def equivalence_check(program, abstract_fn, width, samples=None, seed=0):
     mismatches = 0
     witness = None
     for bits in inputs:
-        got = program.run(bits)
+        got = np.asarray(program.run(bits), dtype=np.uint8)
         want = np.asarray(abstract_fn(bits), dtype=np.uint8)
-        if len(got) != len(want) or not np.array_equal(got, want):
+        if len(got) != len(want) or got.tobytes() != want.tobytes():
             mismatches += 1
             if witness is None:
                 witness = [int(b) for b in bits]

@@ -504,7 +504,16 @@ def _mnemonic(ins):
 
 def program_to_text(program):
     """One primitive per line: SHIFT +1 | GATE <id> | SWAPREG 1|2 | MEASURE | CA <k> <id>."""
-    return "\n".join(_mnemonic(ins) for ins in program) + ("\n" if program else "")
+    # programs repeat a few instruction instances many times; each entry
+    # holds its instruction, so an id stays unique while the cache lives
+    cache = {}
+    lines = []
+    for ins in program:
+        hit = cache.get(id(ins))
+        if hit is None:
+            hit = cache[id(ins)] = (ins, _mnemonic(ins))
+        lines.append(hit[1])
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def text_to_program(text, gates=None):

@@ -210,6 +210,28 @@ def test_equivalence_identity_program():
     assert report.mismatches == 0
 
 
+def test_equivalence_check_enumerates_ascending_and_reports_the_first_witness():
+    ident = compiler.MachineProgram(
+        "id", 5, [], type("L", (), {"extract": staticmethod(lambda c: c)})()
+    )
+    seen = []
+    wrong = {9, 20, 30}
+
+    def abstract(b):
+        seen.append(b.copy())
+        x = int("".join(map(str, b)), 2)
+        return 1 - b if x in wrong else b
+
+    report = equivalence_check(ident, abstract, 5)
+    assert np.array_equal(np.array(seen), all_inputs(5))
+    assert report.as_dict() == {
+        "mode": "exhaustive", "cases": 32, "mismatches": 3, "witness": [0, 1, 0, 0, 1],
+    }
+    # a result of another length is a mismatch too
+    report = equivalence_check(ident, lambda b: b[:-1] if b[0] else b, 5)
+    assert report.mismatches == 16 and report.witness == [1, 0, 0, 0, 0]
+
+
 def test_equivalence_check_validation():
     prog = compile_phase1(8)
     with pytest.raises(ValueError):

@@ -355,6 +355,22 @@ def test_lowered_program_runs_on_its_tape_size_only():
         execute(new_tape([0] * 5), lowered)
 
 
+def test_program_to_text_takes_a_stream_of_fresh_instructions():
+    # instructions made and dropped while the program streams in may reuse
+    # an address; each must still print its own line
+    table = list(range(4))
+
+    def stream():
+        for i in range(100):
+            yield Gate(ReversibleGate(f"g{i}", 2, table))
+            yield CA(2, ReversibleGate(f"c{i}", 2, table))
+
+    text = program_to_text(stream())
+    assert text == program_to_text(list(stream()))
+    assert text.splitlines()[::2] == [f"GATE g{i}" for i in range(100)]
+    assert program_to_text(iter([])) == program_to_text([]) == ""
+
+
 def test_execute_takes_a_stream_of_fresh_gates():
     # gates made and dropped while the program streams in may reuse an
     # address; each must still run its own table
