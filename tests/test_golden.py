@@ -1,16 +1,19 @@
-"""Golden sha256 digests of CLI outputs for fixed seeds.
+"""Golden sha256 digests of CLI outputs and compiled programs.
 
 The pins say that a refactor keeps the same behaviour: every byte of
 ``rounds.csv``/``ledger.json`` from ``spinref pipeline`` in both modes and of
-``analysis.json``/``parity_plan.csv`` from ``spinref analyze``.  A change that
-is meant to alter these bytes re-pins them and says why.
+``analysis.json``/``parity_plan.csv`` from ``spinref analyze``, and every
+compiled phase program (its text, closed-form cost and live output on seeded
+tapes).  A change that is meant to alter these bytes re-pins them and says
+why.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from spinref import cli
+from spinref import cli, compiler
 
 PIPELINE = {
     # a phase-2 k = 7 round empties the shuffled blocks
@@ -81,3 +84,32 @@ def test_pipeline_golden(tmp_path, case):
 def test_analyze_golden(tmp_path, case):
     flags, pins = ANALYZE[case]
     assert _digests(tmp_path, ["analyze"] + flags, pins) == pins
+
+
+# Tape sizes with odd remainders, and block sizes up to k = N.
+PROGRAM_NS = (2, 3, 4, 7, 8, 9, 16, 31, 64, 100, 256)
+PROGRAM_KS = (2, 3, 4, 5, 7, 8, 21)
+PROGRAM_TAPES = 3
+PROGRAM_DIGEST = "6b56bc23a0becb8e31c2d21aaff83f090bc65d0cff5e28ce9aae3a6edb5e2f1f"
+
+
+def _programs(N):
+    yield compiler.compile_phase1(N), compiler.phase1_cost(N)
+    for k in sorted(set(PROGRAM_KS) | {N}):
+        if k <= N:
+            yield compiler.compile_phase2_round(N, k), compiler.phase2_round_cost(N, k)
+        if 4 <= k <= N:
+            yield compiler.compile_phase3_round(N, k), compiler.phase3_round_cost(N, k)
+
+
+def test_compiled_programs_golden():
+    rng = np.random.default_rng(2024)
+    h = hashlib.sha256()
+    for N in PROGRAM_NS:
+        for program, cost in _programs(N):
+            h.update(f"{program.name} {program.n_cells} {cost}\n".encode())
+            h.update(program.to_text().encode())
+            for _ in range(PROGRAM_TAPES):
+                out = program.run(rng.integers(0, 2, N, dtype=np.uint8))
+                h.update(f"{len(out)}:".encode() + out.tobytes())
+    assert h.hexdigest() == PROGRAM_DIGEST
