@@ -45,49 +45,27 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# live maps
+# live map
 
 
 @dataclass(frozen=True)
-class PairLiveMap:
-    """Pair layout after deinterleave: values [0,P), flags [P,2P); keep on 0."""
-
-    pairs: int
-
-    def extract(self, cells):
-        p = self.pairs
-        values = cells[:p]
-        flags = cells[p : 2 * p]
-        return values[flags == 0]
-
-
-@dataclass(frozen=True)
-class BinLiveMap:
-    """Parity bins: payload chunks of k-1, flags after; bin passes on flag 0."""
-
-    bins: int
-    k: int
-
-    def extract(self, cells):
-        b, k = self.bins, self.k
-        payload = cells[: b * (k - 1)].reshape(b, k - 1)
-        flags = cells[b * (k - 1) : b * k]
-        return payload[flags == 0].ravel()
-
-
-@dataclass(frozen=True)
-class BlockLiveMap:
-    """Mod-4 blocks: payload chunks of k-3, residue triples after; the third
-    residue bit is the pass flag with polarity 1 = pass."""
+class LiveMap:
+    """Every round cuts the tape into B = N // k blocks of k cells, the first
+    ``header`` of them holding the pass flag in their last cell.  After the
+    deinterleave the payload chunks of k - header cells fill the prefix in
+    block order and the headers follow; a block is live when its flag
+    equals ``keep``."""
 
     blocks: int
     k: int
+    header: int
+    keep: int
 
     def extract(self, cells):
-        b, k = self.blocks, self.k
-        payload = cells[: b * (k - 3)].reshape(b, k - 3)
-        residue = cells[b * (k - 3) : b * k].reshape(b, 3)
-        return payload[residue[:, 2] == 1].ravel()
+        b, k, h = self.blocks, self.k, self.header
+        payload = cells[: b * (k - h)].reshape(b, k - h)
+        flags = cells[b * (k - h) + h - 1 : b * k : h]
+        return payload[flags == self.keep].ravel()
 
 
 @dataclass
@@ -98,7 +76,6 @@ class MachineProgram:
     n_cells: int
     instructions: list
     live_map: object
-    cost_class: str = "O(N^2)"
 
     @property
     def steps(self):
@@ -165,7 +142,45 @@ def _emit_deinterleave(dest, passes):
 
 
 # ---------------------------------------------------------------------------
-# phase 1: pair marking + compaction
+# one block round
+
+
+def _round(name, N, k, header, body, keep):
+    """``body`` on every block, then the deinterleave into the block layout.
+
+    ``body`` walks one block from its first cell to the next block's first
+    cell; one shift per leftover cell brings the head back to cell 0.  A
+    header cell moves past every later payload cell, so the deinterleave
+    needs h*B + 1 passes.
+    """
+    B, h = N // k, header
+    program = body * B + [Shift(1)] * (N - B * k)
+    b, j = np.arange(B)[:, None], np.arange(k)
+    dest = np.where(j >= h, b * (k - h) + j - h, B * (k - h) + h * b + j)
+    dest = np.concatenate([dest.ravel(), np.arange(B * k, N)])
+    program.extend(_emit_deinterleave(dest, h * B + 1))
+    return MachineProgram(name, N, program, LiveMap(B, k, h, keep))
+
+
+def _round_cost(N, k, header, body_len):
+    """Exact step count of ``_round``: bodies, leftover shifts, h*B + 1
+    deinterleave walks of N shifts, and one swap per inversion."""
+    B, h = N // k, header
+    return B * body_len + (N - B * k) + (h * B + 1) * N + h * (k - h) * B * (B + 1) // 2
+
+
+def _count_walk(k, header, count, deposit, uncount):
+    """Block body of 5k - 4h + 1 steps: ``count`` over the payload into the
+    register walking right, ``deposit`` the flag into the last header cell
+    walking back, ``uncount`` walking right again so the register is clean
+    for the next block."""
+    step = Shift(1)
+
+    def sweep(gate):
+        return [gate, step] * (k - header - 1) + [gate]
+
+    walk = [step] * header + sweep(Gate(count)) + [Shift(-1)] * (k - header)
+    return walk + [Gate(deposit), step] + sweep(Gate(uncount)) + [step]
 
 
 def compile_phase1(N):
@@ -178,35 +193,13 @@ def compile_phase1(N):
     """
     if N < 2:
         raise ValueError("need at least one pair")
-    P = N // 2
-    eq = GATES["EQMARK"]
-    program = []
-    for _ in range(P):
-        program.append(Gate(eq))
-        program.extend([Shift(1), Shift(1)])
-    if N % 2:
-        program.append(Shift(1))
-
-    dest = np.empty(N, dtype=np.int64)
-    for m in range(P):
-        dest[2 * m] = P + m  # flag
-        dest[2 * m + 1] = m  # value
-    if N % 2:
-        dest[N - 1] = N - 1
-    program.extend(_emit_deinterleave(dest, P + 1))
-    return MachineProgram("phase1", N, program, PairLiveMap(P))
+    step = Shift(1)
+    return _round("phase1", N, 2, 1, [Gate(GATES["EQMARK"]), step, step], keep=0)
 
 
 def phase1_cost(N):
     """Exact step count of ``compile_phase1(N)``."""
-    P = N // 2
-    marking = P + 2 * P + (N % 2)
-    deint = (P + 1) * N + P * (P + 1) // 2
-    return marking + deint
-
-
-# ---------------------------------------------------------------------------
-# phase 2: parity binning
+    return _round_cost(N, 2, 1, 3)
 
 
 def compile_phase2_round(N, k):
@@ -221,46 +214,13 @@ def compile_phase2_round(N, k):
         raise ValueError("bin size must be >= 2")
     if k > N:
         raise ValueError("bin size exceeds the tape")
-    B = N // k
-    par, dep = GATES["PAR3"], GATES["XDEP3"]
-    program = []
-    for _ in range(B):
-        program.append(Shift(1))
-        for j in range(k - 1):
-            program.append(Gate(par))
-            if j < k - 2:
-                program.append(Shift(1))
-        program.extend([Shift(-1)] * (k - 1))
-        program.append(Gate(dep))
-        program.append(Shift(1))
-        for j in range(k - 1):
-            program.append(Gate(par))
-            if j < k - 2:
-                program.append(Shift(1))
-        program.append(Shift(1))
-    program.extend([Shift(1)] * (N - B * k))
-
-    dest = np.empty(N, dtype=np.int64)
-    for b in range(B):
-        dest[b * k] = B * (k - 1) + b  # parity flag
-        for j in range(1, k):
-            dest[b * k + j] = b * (k - 1) + (j - 1)  # payload
-    for r in range(B * k, N):
-        dest[r] = r
-    program.extend(_emit_deinterleave(dest, B + 1))
-    return MachineProgram("phase2", N, program, BinLiveMap(B, k))
+    par = GATES["PAR3"]
+    return _round("phase2", N, k, 1, _count_walk(k, 1, par, GATES["XDEP3"], par), keep=0)
 
 
 def phase2_round_cost(N, k):
     """Exact step count of ``compile_phase2_round(N, k)``."""
-    B = N // k
-    bins = B * (2 * k - 1) + B * (3 * k - 2) + (N - B * k)
-    deint = (B + 1) * N + (k - 1) * B * (B + 1) // 2
-    return bins + deint
-
-
-# ---------------------------------------------------------------------------
-# phase 3: mod-4 counting
+    return _round_cost(N, k, 1, 5 * k - 3)
 
 
 def compile_phase3_round(N, k):
@@ -277,43 +237,13 @@ def compile_phase3_round(N, k):
         raise ValueError("block size must be >= 4")
     if k > N:
         raise ValueError("block size exceeds the tape")
-    B = N // k
-    inc, dec, dep = GATES["INC4"], GATES["DEC4"], GATES["DEP34"]
-    program = []
-    for _ in range(B):
-        program.extend([Shift(1)] * 3)
-        for j in range(k - 3):
-            program.append(Gate(inc))
-            if j < k - 4:
-                program.append(Shift(1))
-        program.extend([Shift(-1)] * (k - 3))
-        program.append(Gate(dep))
-        program.append(Shift(1))
-        for j in range(k - 3):
-            program.append(Gate(dec))
-            if j < k - 4:
-                program.append(Shift(1))
-        program.append(Shift(1))
-    program.extend([Shift(1)] * (N - B * k))
-
-    dest = np.empty(N, dtype=np.int64)
-    for b in range(B):
-        for j in range(3):
-            dest[b * k + j] = B * (k - 3) + 3 * b + j  # residue incl. flag
-        for j in range(3, k):
-            dest[b * k + j] = b * (k - 3) + (j - 3)  # payload
-    for r in range(B * k, N):
-        dest[r] = r
-    program.extend(_emit_deinterleave(dest, 3 * B + 1))
-    return MachineProgram("phase3", N, program, BlockLiveMap(B, k))
+    body = _count_walk(k, 3, GATES["INC4"], GATES["DEP34"], GATES["DEC4"])
+    return _round("phase3", N, k, 3, body, keep=1)
 
 
 def phase3_round_cost(N, k):
     """Exact step count of ``compile_phase3_round(N, k)``."""
-    B = N // k
-    blocks = B * (2 * k - 5) + B * (3 * k - 6) + (N - B * k)
-    deint = (3 * B + 1) * N + 3 * (k - 3) * B * (B + 1) // 2
-    return blocks + deint
+    return _round_cost(N, k, 3, 5 * k - 11)
 
 
 # ---------------------------------------------------------------------------
