@@ -420,12 +420,7 @@ def make_plan(epsilon, n, p1config=None, schedule=None):
 
 def block_size(n):
     """Interaction-block size: floor(n^(1/3))."""
-    m = round(n ** (1.0 / 3.0))
-    while m**3 > n:
-        m -= 1
-    while (m + 1) ** 3 <= n:
-        m += 1
-    return max(1, m)
+    return max(1, thermal._icbrt(n))
 
 
 def block_segments(n):
@@ -462,23 +457,11 @@ class PipelineResult:
     seed: int
 
 
-def _icbrt(x):
-    """Largest integer r with r**3 <= x, exact for any non-negative int."""
-    if x < 2:
-        return x
-    r = 1 << -(-x.bit_length() // 3)  # above the root
-    while True:
-        s = (2 * r + x // (r * r)) // 3
-        if s >= r:
-            return r
-        r = s
-
-
 def _arch_init_cost(n, inv):
     """Initial-permutation steps per cost model; ``inv`` is its inversion count."""
     return {
         "single": n * n + inv,
-        "two_tape": _icbrt(216 * n**4),  # floor(6 n^(4/3)), 6 n m at cubes
+        "two_tape": thermal._icbrt(216 * n**4),  # floor(6 n^(4/3)), 6 n m at cubes
         "two_tape_ca": n,
     }
 
@@ -514,7 +497,7 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
     else:
         which = initial_perm or "auto"
         if which == "auto":
-            which = "stride" if round(n ** (1 / 3)) ** 3 == n else "uniform"
+            which = "stride" if thermal._icbrt(n) ** 3 == n else "uniform"
         if which == "stride":
             perm = thermal.stride_shuffle_perm(n)
             inv = thermal.stride_inversions(n)

@@ -103,14 +103,6 @@ class ReversibleGate:
             inv[o] = i
         return ReversibleGate(name or f"{self.name}^-1", self.width, inv)
 
-    def is_wire_permutation(self):
-        """True if the gate only rearranges its input bits (conserves ones)."""
-        width = self.width
-        for i, o in enumerate(self.table):
-            if bin(i).count("1") != bin(o).count("1"):
-                return False
-        return True
-
     def __eq__(self, other):
         return (
             isinstance(other, ReversibleGate)

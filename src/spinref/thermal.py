@@ -85,12 +85,24 @@ def sample(model, n, seed):
     return fresh[last]
 
 
+def _icbrt(x):
+    """Largest integer r with r**3 <= x, exact for any non-negative int."""
+    x = int(x)
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // 3)  # above the root
+    while True:
+        s = (2 * r + x // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
+
+
 def _cube_root(n):
-    m = round(n ** (1.0 / 3.0))
-    for cand in (m - 1, m, m + 1):
-        if cand > 0 and cand**3 == n:
-            return cand
-    raise ValueError(f"n={n} is not a perfect cube")
+    m = _icbrt(n)
+    if m < 1 or m**3 != n:
+        raise ValueError(f"n={n} is not a perfect cube")
+    return m
 
 
 def stride_shuffle_perm(n):
@@ -186,22 +198,6 @@ def transposition_schedule(perm):
     return program, len(program)
 
 
-def schedule_cost(perm):
-    """Step count of ``transposition_schedule`` without materializing it."""
-    n = len(np.asarray(perm))
-    head = 0
-    cost = 0
-    for sites in _oddeven_passes(perm):
-        first, last = int(sites[0]), int(sites[-1])
-        hop = min((first - head) % n, (head - first) % n)
-        d = np.diff(sites)
-        cost += hop + int(np.minimum(d, n - d).sum()) + len(sites)
-        head = last
-    if cost:
-        cost += min(head % n, (n - head) % n)
-    return cost
-
-
 def apply_perm_as_transpositions(state, perm):
     """Execute a destination-map permutation on the tape; returns (state, cost).
 
@@ -228,9 +224,14 @@ def write_bits_packed(path, bits):
 
 
 def read_bits_packed(path):
+    """Inverse of ``write_bits_packed``; a truncated file raises ValueError."""
     with open(path, "rb") as fh:
-        (n,) = struct.unpack("<Q", fh.read(8))
-        payload = np.frombuffer(fh.read(), dtype=np.uint8)
+        header, payload = fh.read(8), np.frombuffer(fh.read(), dtype=np.uint8)
+    if len(header) < 8:
+        raise ValueError(f"{path}: header holds {len(header)} of 8 bytes, no declared bit count")
+    (n,) = struct.unpack("<Q", header)
+    if 8 * len(payload) < n:
+        raise ValueError(f"{path}: declares {n} bits but holds only {8 * len(payload)}")
     return np.unpackbits(payload, count=n, bitorder="little")
 
 

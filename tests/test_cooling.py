@@ -367,7 +367,7 @@ def test_gather_machine_cost_quadratic():
     for n in (27, 243, 729):
         mask = rng.random(n) < 0.3
         perm = gather_perm(mask)
-        cost = thermal.schedule_cost(perm)
+        cost = thermal.transposition_schedule(perm)[1]
         assert cost <= 2.0 * n * n
         # gathered order preserved
         bits = rng.integers(0, 2, n, dtype=np.uint8)

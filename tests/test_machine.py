@@ -189,8 +189,6 @@ def test_ones_count_conservation():
     for ins in [Shift(1), SwapReg(1), Shift(-1), SwapReg(2), Gate(GATES["SWAP2"])]:
         execute(st_, [ins])
         assert int(st_.cells.sum()) + sum(st_.register) == total
-    assert GATES["SWAP2"].is_wire_permutation()
-    assert not GATES["EQMARK"].is_wire_permutation()
 
 
 def test_step_accounting_equals_program_length():

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from spinref import machine, perms, thermal
+from spinref import cooling, machine, perms, thermal
 from spinref.thermal import (
     BiasModel,
     apply_perm_as_transpositions,
     read_bits_ascii,
     read_bits_packed,
     sample,
-    schedule_cost,
     stride_inversions,
     stride_shuffle_perm,
     transposition_schedule,
@@ -105,6 +104,17 @@ def test_stride_inversions_reject_non_cubes():
             stride_inversions(n)
 
 
+def test_cube_roots_are_exact_past_float_precision():
+    # a float cube root is off by more than one past 2**53, so these failed
+    # a round-then-correct check
+    for m in (2**53 + 1, 2**60 + 1):
+        n = m**3
+        assert stride_inversions(n) == m * m * (m - 1) * (8 * m * m - 3 * m + 1) // 12
+        assert cooling.block_size(n) == m and cooling.block_size(n - 1) == m - 1
+        with pytest.raises(ValueError):
+            stride_inversions(n + 1)
+
+
 def test_uniform_perm_basics():
     assert list(uniform_random_perm(1, seed=0)) == [0]
     for n in (2, 5, 30):
@@ -148,7 +158,7 @@ def test_schedule_cost_quadratic_envelope():
     for n in (27, 81, 243, 729):
         pi = rng.permutation(n)
         prog, cost = transposition_schedule(pi)
-        assert cost == schedule_cost(pi)
+        assert cost == len(prog)
         ratios.append(cost / n**2)
     assert max(ratios) < 2.0
 
@@ -160,6 +170,18 @@ def test_packed_roundtrip(tmp_path):
         path = tmp_path / f"bits_{n}.bin"
         write_bits_packed(path, bits)
         assert np.array_equal(read_bits_packed(path), bits)
+
+
+def test_packed_read_rejects_truncated_files(tmp_path):
+    path = tmp_path / "bits.bin"
+    write_bits_packed(path, np.ones(100, dtype=np.uint8))
+    data = path.read_bytes()
+    path.write_bytes(data[:-2])  # 100 declared bits, 88 left
+    with pytest.raises(ValueError, match="declares 100 bits but holds only 88"):
+        read_bits_packed(path)
+    path.write_bytes(data[:5])
+    with pytest.raises(ValueError, match="header holds 5 of 8 bytes"):
+        read_bits_packed(path)
 
 
 def test_ascii_roundtrip(tmp_path):
