@@ -65,7 +65,7 @@ class LiveMap:
         b, k, h = self.blocks, self.k, self.header
         payload = cells[: b * (k - h)].reshape(b, k - h)
         flags = cells[b * (k - h) + h - 1 : b * k : h]
-        return payload[flags == self.keep].ravel()
+        return payload.compress(flags == self.keep, axis=0).ravel()
 
 
 @dataclass
