@@ -176,9 +176,10 @@ def test_packed_read_rejects_truncated_files(tmp_path):
     path = tmp_path / "bits.bin"
     write_bits_packed(path, np.ones(100, dtype=np.uint8))
     data = path.read_bytes()
-    path.write_bytes(data[:-2])  # 100 declared bits, 88 left
-    with pytest.raises(ValueError, match="declares 100 bits but holds only 88"):
-        read_bits_packed(path)
+    for cut, left in ((1, 96), (2, 88)):
+        path.write_bytes(data[:-cut])
+        with pytest.raises(ValueError, match=f"declares 100 bits but holds only {left}"):
+            read_bits_packed(path)
     path.write_bytes(data[:5])
     with pytest.raises(ValueError, match="header holds 5 of 8 bytes"):
         read_bits_packed(path)
