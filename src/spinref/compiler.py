@@ -149,9 +149,9 @@ def _round(name, N, k, header, body, keep):
     """``body`` on every block, then the deinterleave into the block layout.
 
     ``body`` walks one block from its first cell to the next block's first
-    cell; one shift per leftover cell brings the head back to cell 0.  A
-    header cell moves past every later payload cell, so the deinterleave
-    needs h*B + 1 passes.
+    cell; one shift per leftover cell brings the head back to cell 0.  All
+    h*B header cells precede the last block's payload and sort after it, so
+    the bubble deinterleave needs h*B + 1 passes.
     """
     B, h = N // k, header
     program = body * B + [Shift(1)] * (N - B * k)
