@@ -1,8 +1,9 @@
-"""Golden sha256 digests of CLI outputs and compiled programs.
+"""Golden sha256 digests of CLI outputs, sampled bits and compiled programs.
 
 The pins say that a refactor keeps the same behaviour: every byte of
 ``rounds.csv``/``ledger.json`` from ``spinref pipeline`` in both modes and of
-``analysis.json``/``parity_plan.csv`` from ``spinref analyze``, and every
+``analysis.json``/``parity_plan.csv`` from ``spinref analyze``, the thermal
+samples of both models and the clean bits of one pipeline run, and every
 compiled phase program (its text, closed-form cost and live output on seeded
 tapes).  A change that is meant to alter these bytes re-pins them and says
 why.
@@ -13,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from spinref import cli, compiler
+from spinref import cli, compiler, cooling, thermal
 
 PIPELINE = {
     # a phase-2 k = 7 round empties the shuffled blocks
@@ -84,6 +85,52 @@ def test_pipeline_golden(tmp_path, case):
 def test_analyze_golden(tmp_path, case):
     flags, pins = ANALYZE[case]
     assert _digests(tmp_path, ["analyze"] + flags, pins) == pins
+
+
+# n around the sampler's chunk of 2^14 doubles, and one large n with a
+# partial last chunk; digests of ``sample(model, n, seed).tobytes()``.
+SAMPLES = {
+    ("binomial", 1, 0): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    ("binomial", 1, 3): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    ("binomial", 16383, 0): "34eae103ccbc8785cb0fd6bd859007fd0d403d8ff88516a1e4f6876ca2fa04c6",
+    ("binomial", 16383, 3): "b8fa55db643a113a1843e8b9bce0a13a4faa1f4e2fb18a718817e0eb4c5f3069",
+    ("binomial", 16384, 0): "946023741309b57576431c3a857a06f664aa2691ac7a24e5de8c44b5c3d0749a",
+    ("binomial", 16384, 3): "80227b345468bdb8d0643a36ead3ebaa9565428887e72f7e3493ab7f408c6684",
+    ("binomial", 16385, 0): "a82fbc6322eb9a8cc3827d8edcdab998dbfa24bb889310e7d1232ba5f635b441",
+    ("binomial", 16385, 3): "4ec74e672966599913657726a8bc1d2a8a0625b5d38f47c948c60336e6fdc4df",
+    ("binomial", 1000007, 0): "9a5bbf49fddec0f68c8ac95a47bac2b05f7408d61942ef8eeb846ec6b85cc06e",
+    ("binomial", 1000007, 3): "dca42bb9d8eddc1d583af59177fd9648f43d773a9c7db3f22fea0634d56a698f",
+    ("markov", 1, 0): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    ("markov", 1, 3): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    ("markov", 16383, 0): "2b5598740acbecfd82010d4297f373cb178005224be279071d8eb85679a17ae7",
+    ("markov", 16383, 3): "8db81a9b5afce298cbdfeeeb378dcc2a7ebf6bc513035a31898fb885f7be629a",
+    ("markov", 16384, 0): "35350fa6a0a4c9850e7b4b6efbd66d51d73466a169924b24cbfd4dbd08d38027",
+    ("markov", 16384, 3): "c6c36a896aa3da0cbf6f20695dddb00828c4fe1b669db1ab6c14cb24bb80324b",
+    ("markov", 16385, 0): "9d9f11f1719c583d9aa8e6b833fbf7bd1ad597dfcc8856e7b971873a2b970e9f",
+    ("markov", 16385, 3): "98538946915d130b13641f28a2a4af57d0556bc2fdc5e93241f3ab953dea5637",
+    ("markov", 1000007, 0): "c6295ee97dfcf8eba760a26f556028a60ce3697e4f02524c08bd0a28cb7490ae",
+    ("markov", 1000007, 3): "b13f9ec6c5b24c381ac7ba2738f08a87bfb62d953d998fc2483ec65429668136",
+}
+MODELS = {
+    "binomial": thermal.BiasModel("binomial", 0.25),
+    "markov": thermal.BiasModel("markov", 0.25, ell=10),
+}
+# clean bits of ``pipeline(MODELS["binomial"], 10**6, 3)``: 8400 bytes of 0/1
+PIPELINE_BITS = "8d2230968bb2dbe1a7b9a4e594a7c4ac1dc07cafa8733d85a55e2d7630ee3b80"
+
+
+def _sha(bits):
+    assert bits.dtype == np.uint8
+    return hashlib.sha256(bits.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind,n,seed", sorted(SAMPLES))
+def test_sample_golden(kind, n, seed):
+    assert _sha(thermal.sample(MODELS[kind], n, seed)) == SAMPLES[kind, n, seed]
+
+
+def test_pipeline_bits_golden():
+    assert _sha(cooling.pipeline(MODELS["binomial"], 10**6, 3).bits) == PIPELINE_BITS
 
 
 # Tape sizes with odd remainders, and block sizes up to k = N.
