@@ -158,7 +158,7 @@ def _rows(bits, size, segments, rng=None):
     elif (lens % size).any():
         cut = full * size
         runs = np.column_stack((cut, lens - cut)).ravel()
-        bits = bits[np.repeat(np.tile((True, False), len(lens)), runs)]
+        bits = bits.compress(np.repeat(np.tile((True, False), len(lens)), runs))
     return bits.reshape(-1, size), full
 
 
@@ -211,7 +211,7 @@ def phase1_round(bits, bias_pred_in=None, round_index=0, segments=None):
     rows, per_segment = _rows(bits, 2, segments)
     a, b = rows[:, 0], rows[:, 1]
     kept = a == b
-    out = b[kept]
+    out = b.compress(kept)
     ones_in = int(np.count_nonzero(bits))
     eps_in = bias_pred_in if bias_pred_in is not None else _bias(ones_in, len(bits))
     bias_pred = analysis.bias_forward(min(max(eps_in, 0.0), 1.0))
@@ -265,8 +265,9 @@ def phase2_round(bits, k, seed=None, delta_pred_in=None, round_index=0, segments
     n_in = len(bits)
     rng = None if seed is None else np.random.default_rng(seed)
     rows, per_segment = _rows(bits, k, segments, rng)
-    kept = np.bitwise_xor.reduce(rows, axis=1) == 0
-    out = rows[kept][:, 1:].ravel()
+    s = rows.sum(axis=1)
+    kept = (s & 1) == 0
+    out = rows[:, 1:].compress(kept, axis=0).ravel()
     ones_in = int(np.count_nonzero(bits))
     delta_in = (
         delta_pred_in
@@ -274,7 +275,7 @@ def phase2_round(bits, k, seed=None, delta_pred_in=None, round_index=0, segments
         else (ones_in / n_in if n_in else 0.0)
     )
     pred_out = analysis.phase2_delta_bound(min(delta_in, 0.5), k) if delta_in > 0 else 0.0
-    u = int(np.count_nonzero(rows.sum(axis=1) == 1))
+    u = int(np.count_nonzero(s == 1))
     rec = _record(2, round_index, bits, ones_in, out, 1.0 - 2.0 * pred_out, k, segments, u)
     return _result(out, rec, segments, kept, per_segment, k - 1)
 
@@ -348,7 +349,7 @@ def phase3_round(bits, k, delta_pred_in=None, bias_pred_out=None, round_index=0,
     n_in = len(bits)
     rows, per_segment = _rows(bits, k, segments)
     kept = (rows.sum(axis=1) % 4) == 0
-    out = rows[kept][:, 3:].ravel()
+    out = rows[:, 3:].compress(kept, axis=0).ravel()
     ones_in = int(np.count_nonzero(bits))
     if bias_pred_out is None:
         delta_in = (

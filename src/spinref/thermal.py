@@ -68,21 +68,42 @@ class BiasModel:
         return self.threshold ** (1.0 / self.ell)
 
 
+# doubles drawn per step of ``_below``: a 128 KiB buffer that stays in cache
+_CHUNK = 1 << 14
+
+
+def _below(rng, n, p):
+    """``(rng.random(n) < p)`` as uint8, drawn ``_CHUNK`` doubles at a time.
+
+    PCG64 spends one 64-bit word per double however the draw is split, so
+    the flags and the generator state afterwards match the one-shot draw,
+    without its n-element float array.
+    """
+    out = np.empty(n, dtype=np.uint8)
+    flags = out.view(bool)
+    buf = np.empty(min(n, _CHUNK))
+    for start in range(0, n, _CHUNK):
+        chunk = buf[: n - start]
+        rng.random(out=chunk)
+        np.less(chunk, p, out=flags[start : start + len(chunk)])
+    return out
+
+
 def sample(model, n, seed):
     """Draw n bits; deterministic for fixed (model, n, seed)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     if model.kind == "binomial":
-        return (rng.random(n) < model.p_one).astype(np.uint8)
+        return _below(rng, n, model.p_one)
     # markov: X_t copies X_{t-1} with prob rho, else refreshes from the
-    # stationary marginal; draw order is refresh coins first, then values.
-    rho = model.rho
-    refresh = rng.random(n) >= rho
-    refresh[0] = True
-    fresh = (rng.random(n) < model.p_one).astype(np.uint8)
-    last = np.maximum.accumulate(np.where(refresh, np.arange(n), 0))
-    return fresh[last]
+    # stationary marginal; draw order is the copy coins first, then values.
+    # Each refresh starts a run that repeats its fresh value.
+    copy = _below(rng, n, model.rho)
+    fresh = _below(rng, n, model.p_one)
+    copy[0] = 0
+    starts = np.flatnonzero(copy == 0)
+    return np.repeat(fresh[starts], np.diff(starts, append=n))
 
 
 def _icbrt(x):

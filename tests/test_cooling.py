@@ -338,6 +338,29 @@ def test_segmented_round_equals_per_segment_calls(lens, phase, k, shuffled, seed
         assert np.array_equal(whole_out, out) and whole_rec == rec
 
 
+# phase -> (round on the whole input, row size, header bits dropped, pass rule)
+WHOLE_ROUNDS = {
+    1: (lambda b: phase1_round(b, bias_pred_in=0.5), 2, 1, lambda g: g[:, 0] == g[:, 1]),
+    2: (lambda b: phase2_round(b, 3, delta_pred_in=0.01), 3, 1, lambda g: g.sum(axis=1) % 2 == 0),
+    3: (lambda b: phase3_round(b, 5, bias_pred_out=0.9), 5, 3, lambda g: g.sum(axis=1) % 4 == 0),
+}
+
+
+@pytest.mark.parametrize("phase", sorted(WHOLE_ROUNDS))
+def test_rounds_equal_boolean_index_selection(phase):
+    # the kernels select with ``compress``; the output must be the
+    # boolean-index selection of the passing rows' payloads
+    call, k, header, passes = WHOLE_ROUNDS[phase]
+    rng = np.random.default_rng(phase)
+    for rows in (0, 1, 1000, 100_003):
+        bits = (rng.random(rows * k + 1) < 0.3).astype(np.uint8)
+        grid = bits[:-1].reshape(rows, k)
+        out, rec = call(bits)
+        assert np.array_equal(out, grid[passes(grid)][:, header:].ravel()), rows
+        if phase == 2:
+            assert rec.u == np.count_nonzero(grid.sum(axis=1) == 1)
+
+
 def test_segment_lengths_must_cover_the_input():
     with pytest.raises(ValueError):
         phase1_round(np.zeros(10, dtype=np.uint8), segments=[4, 5])

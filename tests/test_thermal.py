@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinref import cooling, machine, perms, thermal
 from spinref.thermal import (
@@ -65,6 +69,68 @@ def test_sample_reproducible():
     b = sample(model, 4096, seed=9)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, sample(model, 4096, seed=10))
+
+
+def _whole_array_sample(model, n, seed):
+    """The one-shot formulas ``sample`` reproduces bit for bit."""
+    rng = np.random.default_rng(seed)
+    if model.kind == "binomial":
+        return (rng.random(n) < model.p_one).astype(np.uint8)
+    refresh = rng.random(n) >= model.rho
+    refresh[0] = True
+    fresh = (rng.random(n) < model.p_one).astype(np.uint8)
+    return fresh[np.maximum.accumulate(np.where(refresh, np.arange(n), 0))]
+
+
+CHUNK = thermal._CHUNK
+# lengths at and around several chunk boundaries, and anywhere up to three chunks
+sample_sizes = st.one_of(
+    st.builds(lambda c, d: max(1, c * CHUNK + d), st.integers(0, 3), st.integers(-2, 2)),
+    st.integers(1, 3 * CHUNK + 5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=sample_sizes,
+    eps=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    ell=st.one_of(st.none(), st.integers(1, 30)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_matches_whole_array_draws(n, eps, ell, seed):
+    model = BiasModel("binomial", eps) if ell is None else BiasModel("markov", eps, ell=ell)
+    bits = sample(model, n, seed)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, _whole_array_sample(model, n, seed))
+
+
+def test_sample_draw_equal_to_p_one_is_a_zero():
+    # the threshold is strict; a double drawn exactly at p_one, here in the
+    # last partial chunk, must read 0
+    n, seed = 3 * CHUNK + 100, 1
+    draws = np.random.default_rng(seed).random(n)
+    j = int(np.flatnonzero((draws >= 0.25) & (draws < 0.5))[-1])
+    assert j >= 3 * CHUNK
+    model = BiasModel("binomial", 1.0 - 2.0 * draws[j])
+    assert model.p_one == draws[j]
+    bits = sample(model, n, seed)
+    assert bits[j] == 0
+    assert np.array_equal(bits, (draws < draws[j]).astype(np.uint8))
+
+
+def test_sample_peak_allocation_stays_near_the_output():
+    # the one-shot draw peaked at about 9 bytes per bit (a float64 array
+    # plus a bool array); chunked draws hold little beyond the uint8 output
+    n = 10**6
+    model = BiasModel("binomial", 0.25)
+    sample(model, CHUNK, 0)
+    tracemalloc.start()
+    try:
+        sample(model, n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n
 
 
 def test_stride_perm_small_values():
