@@ -245,7 +245,8 @@ def write_bits_packed(path, bits):
 
 
 def read_bits_packed(path):
-    """Inverse of ``write_bits_packed``; a truncated file raises ValueError."""
+    """Inverse of ``write_bits_packed``; a truncated file, or one with bytes
+    past the declared bit count, raises ValueError."""
     with open(path, "rb") as fh:
         header, payload = fh.read(8), np.frombuffer(fh.read(), dtype=np.uint8)
     if len(header) < 8:
@@ -253,6 +254,9 @@ def read_bits_packed(path):
     (n,) = struct.unpack("<Q", header)
     if 8 * len(payload) < n:
         raise ValueError(f"{path}: declares {n} bits but holds only {8 * len(payload)}")
+    size = -(-n // 8)
+    if len(payload) > size:
+        raise ValueError(f"{path}: declares {n} bits in {size} bytes but holds {len(payload)} bytes")
     return np.unpackbits(payload, count=n, bitorder="little")
 
 

@@ -251,6 +251,14 @@ def test_packed_read_rejects_truncated_files(tmp_path):
         read_bits_packed(path)
 
 
+def test_packed_read_rejects_bytes_past_the_declared_count(tmp_path):
+    path = tmp_path / "bits.bin"
+    write_bits_packed(path, np.ones(100, dtype=np.uint8))
+    path.write_bytes(path.read_bytes() + b"\xff" * 5)
+    with pytest.raises(ValueError, match="declares 100 bits in 13 bytes but holds 18 bytes"):
+        read_bits_packed(path)
+
+
 def test_ascii_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, 200, dtype=np.uint8)
