@@ -1,7 +1,8 @@
 """Golden sha256 digests of CLI outputs, sampled bits and compiled programs.
 
 The pins say that a refactor keeps the same behaviour: every byte of
-``rounds.csv``/``ledger.json`` from ``spinref pipeline`` in both modes and of
+``rounds.csv``/``ledger.json`` from ``spinref pipeline`` in both modes, of
+``phaseN_rounds.csv``/``phaseN_summary.json`` from ``spinref phase`` and of
 ``analysis.json``/``parity_plan.csv`` from ``spinref analyze``, the thermal
 samples of both models and the clean bits of one pipeline run, and every
 compiled phase program (its text, closed-form cost and live output on seeded
@@ -70,6 +71,31 @@ ANALYZE = {
 }
 
 
+PHASE = {
+    "1": (
+        ["--epsilon", "0.2"],
+        {
+            "phase1_rounds.csv": "b33d237ee853d7b8550f8738c48052e1dd4145abc39c6f5964f16d4acb4f31d6",
+            "phase1_summary.json": "44da917274e7222a88913d9c1f7e60ad909f61e93a4a4b451f1b78d55465b204",
+        },
+    ),
+    "2": (
+        [],
+        {
+            "phase2_rounds.csv": "e74dd6f0bdc15f06f3e47e6e9a516e40c611b5d09e3c1423a1c2ba4662247880",
+            "phase2_summary.json": "0f83cd6b852f2a88cb538305a6151f9ea5594709997839e884c9ce00b2585504",
+        },
+    ),
+    "3": (
+        [],
+        {
+            "phase3_rounds.csv": "1665b7c5ef9dc89a71057652021e58696d5587ca76a2589ce216789ae1990ebe",
+            "phase3_summary.json": "fd0cdd7e61c163c6c58f3548f68275c9a71871ae35f1e0e85efa63d9e4346836",
+        },
+    ),
+}
+
+
 def _digests(tmp_path, argv, names):
     assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK
     return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
@@ -79,6 +105,13 @@ def _digests(tmp_path, argv, names):
 def test_pipeline_golden(tmp_path, case):
     flags, pins = PIPELINE[case]
     assert _digests(tmp_path, ["pipeline", "--seed", "3"] + flags, pins) == pins
+
+
+@pytest.mark.parametrize("which", sorted(PHASE))
+def test_phase_golden(tmp_path, which):
+    flags, pins = PHASE[which]
+    argv = ["phase", which, "--n", "100000", "--seed", "3"] + flags
+    assert _digests(tmp_path, argv, pins) == pins
 
 
 @pytest.mark.parametrize("case", sorted(ANALYZE))
