@@ -306,7 +306,7 @@ def entropy_cap(n, eps):
 
 # loss factors: pairing low-bias region, pairing product, three parity
 # regions, fourth region cumulative
-LEDGER_FACTORS = (1.0017, 6.7, 1.0 / 0.532, 1.0 / 0.75, 1.0 / 0.899, 1.0 / 0.96)
+LEDGER_FACTORS = (1.0017, 6.7, *(1.0 / REGION_FLOORS[r] for r in (1, 2, 3, 4)))
 
 
 def ledger_constant():

@@ -41,81 +41,86 @@ def _default_seed():
         return 0
 
 
+# flag -> (add_argument options, default); a flag left unset takes the
+# config file's value, else the default
+_FLAGS = {
+    "n": ({"type": int}, 1_000_000),
+    "epsilon": ({"type": float}, 0.25),
+    "model": ({"choices": ["binomial", "markov"]}, "binomial"),
+    "ell": ({"type": int}, 10),
+    "seed": ({"type": int}, None),  # SPINREF_SEED when resolved
+    "trials": ({"type": int}, 1),
+    "target_bias": ({"type": float}, 0.856),
+    "alpha": ({"type": float}, 0.3),
+    "format": ({"choices": ["csv", "json"]}, "csv"),
+    "mode": ({"choices": ["binomial-direct", "shuffled-blocks"]}, "binomial-direct"),
+    "jobs": ({"type": int}, 1),
+    "out": ({"type": str}, "."),
+}
+
+# subcommand -> (help, the flags it reads besides --out and --config)
+_COMMANDS = {
+    "pipeline": ("full cooling run", ("n", "epsilon", "model", "ell", "seed", "trials",
+                                      "target_bias", "alpha", "format", "mode", "jobs")),
+    "phase": ("run a single phase", ("n", "epsilon", "model", "ell", "seed", "target_bias",
+                                     "alpha", "format")),
+    "analyze": ("orbits, schedules, constants", ("n", "epsilon", "target_bias", "alpha")),
+    "arch": ("pulse-permutation verification", ()),
+    "equiv": ("compiled-vs-abstract suites", ("seed",)),
+    "bench": ("runtime-exponent fits", ("epsilon", "model", "ell", "seed")),
+}
+
+# flag -> (valid value test, message), checked in this order when declared
+_CHECKS = {
+    "n": (lambda v: v >= 1, "--n must be >= 1"),
+    "trials": (lambda v: v >= 1, "--trials must be >= 1"),
+    "jobs": (lambda v: v >= 1, "--jobs must be >= 1"),
+    "epsilon": (lambda v: 0.0 < v <= 1.0, "--epsilon must lie in (0, 1]"),
+}
+
+
+def _flags(command):
+    return _COMMANDS[command][1] + ("out",)
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="spinref", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--model", choices=["binomial", "markov"], default=None)
-        p.add_argument("--ell", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--target-bias", dest="target_bias", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--jobs", type=int, default=None)
+    parsers = {}
+    for command, (help_text, _) in _COMMANDS.items():
+        p = parsers[command] = sub.add_parser(command, help=help_text)
+        for name in _flags(command):
+            p.add_argument("--" + name.replace("_", "-"), default=None, **_FLAGS[name][0])
         p.add_argument("--config", type=str, default=None)
-        return p
-
-    common(sub.add_parser("pipeline", help="full cooling run")).add_argument(
-        "--mode", choices=["binomial-direct", "shuffled-blocks"], default=None
-    )
-    pp = sub.add_parser("phase", help="run a single phase")
-    common(pp)
-    pp.add_argument("which", type=int, choices=[1, 2, 3])
-    common(sub.add_parser("analyze", help="orbits, schedules, constants"))
-    pa = sub.add_parser("arch", help="pulse-permutation verification")
-    common(pa)
-    pa.add_argument("--pattern", type=str, default="ABC")
-    pa.add_argument("--periods", type=int, default=3)
-    common(sub.add_parser("equiv", help="compiled-vs-abstract suites"))
-    pb = sub.add_parser("bench", help="runtime-exponent fits")
-    common(pb)
+    parsers["phase"].add_argument("which", type=int, choices=[1, 2, 3])
+    parsers["arch"].add_argument("--pattern", type=str, default="ABC")
+    parsers["arch"].add_argument("--periods", type=int, default=3)
+    pb = parsers["bench"]
     pb.add_argument("--sizes", type=str, default=None, help="comma list, default 3^6..3^9")
     pb.add_argument("--tol", type=float, default=0.15)
     return ap
 
 
-_DEFAULTS = {
-    "n": 1_000_000,
-    "epsilon": 0.25,
-    "model": "binomial",
-    "ell": 10,
-    "trials": 1,
-    "target_bias": 0.856,
-    "alpha": 0.3,
-    "format": "csv",
-    "out": ".",
-    "jobs": 1,
-    "mode": "binomial-direct",
-}
-
-
 def _resolve(args):
-    """Config-file values fill unset flags; explicit flags always win."""
+    """Config-file values fill the subcommand's unset flags; explicit flags
+    always win.  Config keys of flags the subcommand lacks are ignored."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
     merged = argparse.Namespace(**vars(args))
-    for key, hard in _DEFAULTS.items():
-        if getattr(merged, key, None) is None:
-            setattr(merged, key, cfg.get(key, hard))
-    if merged.seed is None:
-        merged.seed = int(cfg.get("seed", _default_seed()))
-    if merged.n < 1:
-        raise ValueError("--n must be >= 1")
-    if merged.trials < 1:
-        raise ValueError("--trials must be >= 1")
-    if merged.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
-    if not 0.0 < merged.epsilon <= 1.0:
-        raise ValueError("--epsilon must lie in (0, 1]")
+    flags = _flags(args.command)
+    for key in flags:
+        if getattr(merged, key) is None:
+            default = _default_seed() if key == "seed" else _FLAGS[key][1]
+            setattr(merged, key, cfg.get(key, default))
+    if "seed" in flags:
+        merged.seed = int(merged.seed)
+    for key, (valid, message) in _CHECKS.items():
+        if key in flags and not valid(getattr(merged, key)):
+            raise ValueError(message)
     return merged
 
 
@@ -127,40 +132,15 @@ def _model(args):
 
 def _records_payload(records, fmt, outdir, stem):
     if fmt == "json":
-        rows = [
-            {
-                "phase": r.phase,
-                "round": r.round,
-                "n_in": r.n_in,
-                "n_out": r.n_out,
-                "ones_in": r.ones_in,
-                "ones_out": r.ones_out,
-                "bias_emp": r.bias_emp,
-                "bias_pred": r.bias_pred,
-                "steps": r.steps,
-            }
-            for r in records
-        ]
+        rows = [{f: getattr(r, f) for f in reports.ROUND_FIELDS} for r in records]
         reports.write_text(outdir / f"{stem}.json", reports.to_json(rows))
     else:
         reports.write_text(outdir / f"{stem}.csv", reports.records_to_csv(records))
 
 
 def _pipeline_trial(payload):
-    kind, eps, ell, n, seed, mode, target, alpha = payload
-    model = (
-        thermal.BiasModel("binomial", eps)
-        if kind == "binomial"
-        else thermal.BiasModel("markov", eps, ell=ell)
-    )
-    res = cooling.pipeline(
-        model,
-        n,
-        seed,
-        mode=mode,
-        p1config=cooling.Phase1Config(target_bias=target),
-        schedule=cooling.Phase2Schedule(alpha=alpha),
-    )
+    model, n, seed, mode, p1config, schedule = payload
+    res = cooling.pipeline(model, n, seed, mode=mode, schedule=schedule, p1config=p1config)
     return {
         "seed": seed,
         "clean_bits": res.clean_bits,
@@ -179,9 +159,11 @@ def _map_trials(fn, payloads, jobs):
 
 
 def _cmd_pipeline(args, outdir):
+    model = _model(args)
+    p1config = cooling.Phase1Config(target_bias=args.target_bias)
+    schedule = cooling.Phase2Schedule(alpha=args.alpha)
     payloads = [
-        (args.model, args.epsilon, args.ell, args.n, args.seed + t, args.mode,
-         args.target_bias, args.alpha)
+        (model, args.n, args.seed + t, args.mode, p1config, schedule)
         for t in range(args.trials)
     ]
     results = _map_trials(_pipeline_trial, payloads, args.jobs)

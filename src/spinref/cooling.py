@@ -8,8 +8,10 @@ the block's ones-count is divisible by four.  Round counts and bin sizes
 are always driven by the deterministic analytic recurrences, never by
 peeking at the data, so the machine realization stays oblivious; the
 empirical trace is recorded for validation only.  ``make_plan`` fixes them
-all in one ``Plan``.  A round runs on a flat bit array, optionally cut into
-segments (the interaction blocks) that no pair, bin or block straddles.
+all in one ``Plan``, and with them each round's predicted output bias,
+which the round kernels record as given (NaN when called without a plan).
+A round runs on a flat bit array, optionally cut into segments (the
+interaction blocks) that no pair, bin or block straddles.
 
 Per-round step costs are charged from the compiled-program cost formulas
 (single-tape canonical); the pipeline additionally accumulates totals for
@@ -64,24 +66,27 @@ class Phase1Config:
             raise ValueError("target bias must lie in (0, 1)")
 
 
+# Parity-binning regions (right-inclusive): ones-fraction range -> bin size.
+# Below the last one the power rule k = ceil(delta^-0.4) applies (always
+# >= 33 there).
+PHASE2_REGIONS = ((0.0188, 0.072, 3), (0.0027, 0.0188, 7), (0.000158, 0.0027, 21))
+PHASE2_DELTA_MAX = max(hi for _, hi, _ in PHASE2_REGIONS)
+_POWER_EXPONENT = 0.4
+
+
 @dataclass(frozen=True)
 class Phase2Schedule:
-    """Bin-size schedule for parity binning.
+    """Bin-size cap for parity binning.
 
-    Regions (right-inclusive) map the ones-fraction to a bin size; below the
-    last boundary the power rule k = ceil(delta^-0.4) applies (always
-    >= 33 there).  Once the rule would exceed n**alpha the remaining rounds
-    use the whole interaction block (size n^(1/3)); rounds stop when the
-    predicted ones-fraction falls to the stationary level n^(-1/3), where
-    the mod-4 phase's per-round loss floor 1 - 4 n^(-1/6) holds.  Above that
-    level the rule gives k < n^0.134 + 1, so for alpha in the validated range
-    the whole-block branch is never entered.
+    Bin sizes follow ``choose_k``.  Once it would exceed n**alpha the
+    remaining rounds use the whole interaction block (size n^(1/3)); rounds
+    stop when the predicted ones-fraction falls to the stationary level
+    n^(-1/3), where the mod-4 phase's per-round loss floor 1 - 4 n^(-1/6)
+    holds.  Above that level the rule gives k < n^0.134 + 1, so for alpha in
+    the validated range the whole-block branch is never entered.
     """
 
     alpha: float = 0.3
-    regions: tuple = ((0.0188, 0.072, 3), (0.0027, 0.0188, 7), (0.000158, 0.0027, 21))
-    power_boundary: float = 0.000158
-    power_exponent: float = 0.4
 
     def __post_init__(self):
         if not 0.2 < self.alpha <= 0.32:
@@ -89,19 +94,18 @@ class Phase2Schedule:
 
     @property
     def delta_max(self):
-        return max(hi for _, hi, _ in self.regions)
+        return PHASE2_DELTA_MAX
 
 
-def choose_k(delta, schedule=None):
+def choose_k(delta):
     """Bin size for the current (predicted) ones-fraction."""
-    sch = schedule or Phase2Schedule()
-    if not 0.0 < delta <= sch.delta_max:
-        raise ValueError(f"delta={delta} outside (0, {sch.delta_max}]")
-    for lo, hi, k in sch.regions:
+    if not 0.0 < delta <= PHASE2_DELTA_MAX:
+        raise ValueError(f"delta={delta} outside (0, {PHASE2_DELTA_MAX}]")
+    for lo, hi, k in PHASE2_REGIONS:
         if lo < delta <= hi:
             return k
     # power rule; round before ceil so exact powers don't overshoot
-    return math.ceil(round(delta**-sch.power_exponent, 9))
+    return math.ceil(round(delta**-_POWER_EXPONENT, 9))
 
 
 @dataclass
@@ -177,11 +181,12 @@ def _steps(phase, k, lens):
     return (compiler.phase2_round_cost if phase == 2 else compiler.phase3_round_cost)(n, k)
 
 
-def _record(phase, round_index, bits, ones_in, out, bias_pred, k, segments, u=None):
+def _record(phase, round_index, bits, out, bias_pred, k, segments, u=None):
     """The round's trace entry; ``k`` is 2 for pairing, where it is not recorded."""
     n_out, ones_out = len(out), int(np.count_nonzero(out))
     return RoundRecord(
-        phase=phase, round=round_index, n_in=len(bits), n_out=n_out, ones_in=ones_in,
+        phase=phase, round=round_index, n_in=len(bits), n_out=n_out,
+        ones_in=int(np.count_nonzero(bits)),
         ones_out=ones_out, bias_emp=_bias(ones_out, n_out), bias_pred=bias_pred,
         steps=_steps(phase, k, [len(bits)] if segments is None else segments),
         u=u, k=None if phase == 1 else k,
@@ -204,18 +209,16 @@ def _result(out, rec, segments, kept, per_segment, width):
 # phase 1: pairing
 
 
-def phase1_round(bits, bias_pred_in=None, round_index=0, segments=None):
+def phase1_round(bits, bias_pred=math.nan, round_index=0, segments=None):
     """One pairing round: keep the second bit of each equal pair.  Given
-    ``segments``, pair within each and also return their output lengths."""
+    ``segments``, pair within each and also return their output lengths.
+    ``bias_pred`` is the planned output bias, recorded as given."""
     bits = np.asarray(bits, dtype=np.uint8)
     rows, per_segment = _rows(bits, 2, segments)
     a, b = rows[:, 0], rows[:, 1]
     kept = a == b
     out = b.compress(kept)
-    ones_in = int(np.count_nonzero(bits))
-    eps_in = bias_pred_in if bias_pred_in is not None else _bias(ones_in, len(bits))
-    bias_pred = analysis.bias_forward(min(max(eps_in, 0.0), 1.0))
-    rec = _record(1, round_index, bits, ones_in, out, bias_pred, 2, segments)
+    rec = _record(1, round_index, bits, out, bias_pred, 2, segments)
     return _result(out, rec, segments, kept, per_segment, 1)
 
 
@@ -231,17 +234,15 @@ def phase1_run(bits, config=None, eps0=None):
     bits = np.asarray(bits, dtype=np.uint8)
     if eps0 is None:
         eps0 = max(_bias(int(bits.sum()), len(bits)), 1e-12)
-    rounds = len(analysis.forward_orbit(eps0, cfg.target_bias)) - 1
+    orbit = analysis.forward_orbit(eps0, cfg.target_bias)
     records = []
-    eps_pred = eps0
-    for r in range(rounds):
+    for r, eps_pred in enumerate(orbit[1:]):
         if len(bits) < 2:
             raise CoolingError(
                 f"population exhausted after {r} pairing rounds; "
-                f"{rounds - r} more needed to reach bias {cfg.target_bias}"
+                f"{len(orbit) - 1 - r} more needed to reach bias {cfg.target_bias}"
             )
-        bits, rec = phase1_round(bits, bias_pred_in=eps_pred, round_index=r)
-        eps_pred = rec.bias_pred
+        bits, rec = phase1_round(bits, bias_pred=eps_pred, round_index=r)
         records.append(rec)
     return bits, records
 
@@ -250,7 +251,7 @@ def phase1_run(bits, config=None, eps0=None):
 # phase 2: parity binning
 
 
-def phase2_round(bits, k, seed=None, delta_pred_in=None, round_index=0, segments=None):
+def phase2_round(bits, k, seed=None, bias_pred=math.nan, round_index=0, segments=None):
     """One parity-binning round.
 
     With a seed the bits are shuffled into bins first (the rerandomization
@@ -258,25 +259,18 @@ def phase2_round(bits, k, seed=None, delta_pred_in=None, round_index=0, segments
     binning, which is what the compiled program implements.  Bin bits beyond
     the last full bin are discarded.  With ``segments`` each segment is
     shuffled and binned on its own, in order, from one generator.
+    ``bias_pred`` is the planned output bias, recorded as given.
     """
     if k < 2:
         raise ValueError("bin size must be >= 2")
     bits = np.asarray(bits, dtype=np.uint8)
-    n_in = len(bits)
     rng = None if seed is None else np.random.default_rng(seed)
     rows, per_segment = _rows(bits, k, segments, rng)
     s = rows.sum(axis=1)
     kept = (s & 1) == 0
     out = rows[:, 1:].compress(kept, axis=0).ravel()
-    ones_in = int(np.count_nonzero(bits))
-    delta_in = (
-        delta_pred_in
-        if delta_pred_in is not None
-        else (ones_in / n_in if n_in else 0.0)
-    )
-    pred_out = analysis.phase2_delta_bound(min(delta_in, 0.5), k) if delta_in > 0 else 0.0
     u = int(np.count_nonzero(s == 1))
-    rec = _record(2, round_index, bits, ones_in, out, 1.0 - 2.0 * pred_out, k, segments, u)
+    rec = _record(2, round_index, bits, out, bias_pred, k, segments, u)
     return _result(out, rec, segments, kept, per_segment, k - 1)
 
 
@@ -306,7 +300,7 @@ def phase2_plan(delta0, n, schedule=None):
     while delta > halt:
         if len(plan) >= 200:
             raise CoolingError("parity-bin plan failed to converge")
-        k = choose_k(delta, sch)
+        k = choose_k(delta)
         if k > k_cap:
             k = k_end
         delta_next = analysis.phase2_delta_bound(delta, k)
@@ -325,7 +319,7 @@ def phase2_run(bits, n, schedule=None, seed=0, delta0=None):
     records = []
     for i, (pr, child) in enumerate(zip(plan, children)):
         bits, rec = phase2_round(
-            bits, pr.k, seed=child, delta_pred_in=pr.delta_in, round_index=i
+            bits, pr.k, seed=child, bias_pred=1.0 - 2.0 * pr.delta_out, round_index=i
         )
         records.append(rec)
     return bits, records
@@ -335,35 +329,21 @@ def phase2_run(bits, n, schedule=None, seed=0, delta0=None):
 # phase 3: mod-4 counting
 
 
-def phase3_round(bits, k, delta_pred_in=None, bias_pred_out=None, round_index=0,
-                 segments=None):
+def phase3_round(bits, k, bias_pred=math.nan, round_index=0, segments=None):
     """One mod-4 counting round on fixed consecutive blocks of size k.
 
     A block passes its payload (everything beyond the first three bits) iff
     its total ones-count is divisible by 4; the three header bits are always
     consumed.  With ``segments`` no block straddles two segments.
+    ``bias_pred`` is the planned output bias, recorded as given.
     """
     if k < 4:
         raise ValueError("block size must be >= 4")
     bits = np.asarray(bits, dtype=np.uint8)
-    n_in = len(bits)
     rows, per_segment = _rows(bits, k, segments)
     kept = (rows.sum(axis=1) % 4) == 0
     out = rows[:, 3:].compress(kept, axis=0).ravel()
-    ones_in = int(np.count_nonzero(bits))
-    if bias_pred_out is None:
-        delta_in = (
-            delta_pred_in
-            if delta_pred_in is not None
-            else (ones_in / n_in if n_in else 0.0)
-        )
-        delta_in = min(delta_in, 0.999)
-        pass_one = analysis.binomial_class_mass(delta_in, k - 1, 3, 4, start=3)
-        floor = (1.0 - delta_in) ** k
-        bias_pred_out = 1.0 - 2.0 * (
-            delta_in * pass_one * k / ((k - 3) * floor) if floor else 0.0
-        )
-    rec = _record(3, round_index, bits, ones_in, out, bias_pred_out, k, segments)
+    rec = _record(3, round_index, bits, out, bias_pred, k, segments)
     return _result(out, rec, segments, kept, per_segment, k - 3)
 
 
@@ -372,13 +352,8 @@ def phase3_run(bits, n, k=None, delta0=None):
     ``delta0=None`` takes the certificate's default entry level."""
     cert = analysis.phase3_certificate(n, delta0=delta0, k=k)
     records = []
-    for r in range(cert.rounds):
-        bits, rec = phase3_round(
-            bits,
-            cert.k,
-            bias_pred_out=1.0 - 2.0 * cert.deltas[r + 1],
-            round_index=r,
-        )
+    for r, delta in enumerate(cert.deltas[1:]):
+        bits, rec = phase3_round(bits, cert.k, bias_pred=1.0 - 2.0 * delta, round_index=r)
         records.append(rec)
     return bits, records
 
@@ -516,10 +491,10 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
     rngs = [np.random.default_rng(c) for c in ss2.spawn(len(plan.phase2))]
     cert = plan.certificate
     rounds = (
-        [partial(phase1_round, bias_pred_in=e) for e in plan.orbit[:-1]],
-        [partial(phase2_round, k=pr.k, seed=rng, delta_pred_in=pr.delta_in)
+        [partial(phase1_round, bias_pred=e) for e in plan.orbit[1:]],
+        [partial(phase2_round, k=pr.k, seed=rng, bias_pred=1.0 - 2.0 * pr.delta_out)
          for pr, rng in zip(plan.phase2, rngs)],
-        [partial(phase3_round, k=cert.k, bias_pred_out=1.0 - 2.0 * d) for d in cert.deltas[1:]],
+        [partial(phase3_round, k=cert.k, bias_pred=1.0 - 2.0 * d) for d in cert.deltas[1:]],
     )
     records = []
     for phase_rounds in rounds:

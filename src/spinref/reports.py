@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import json
 
-ROUND_CSV_HEADER = "phase,round,n_in,n_out,ones_in,ones_out,bias_emp,bias_pred,steps"
+# the round-trace columns, in order, of both rounds.csv and the JSON rows
+ROUND_FIELDS = (
+    "phase", "round", "n_in", "n_out", "ones_in", "ones_out", "bias_emp", "bias_pred", "steps",
+)
+ROUND_CSV_HEADER = ",".join(ROUND_FIELDS)
 
 
 def _fmt(x):
@@ -21,22 +25,7 @@ def records_to_csv(records):
     """Round trace as CSV with the fixed header; empty trace is header-only."""
     lines = [ROUND_CSV_HEADER]
     for r in records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.phase,
-                    r.round,
-                    r.n_in,
-                    r.n_out,
-                    r.ones_in,
-                    r.ones_out,
-                    r.bias_emp,
-                    r.bias_pred,
-                    r.steps,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(getattr(r, f)) for f in ROUND_FIELDS))
     return "\n".join(lines) + "\n"
 
 

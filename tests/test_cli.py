@@ -92,6 +92,40 @@ def test_epsilon_outside_unit_interval_rejected(tmp_path, capsys, command, epsil
     assert not (tmp_path / "ledger.json").exists()
 
 
+# subcommand -> flags it does not read, so does not accept
+DROPPED = {
+    ("phase", "1"): ["--trials", "--jobs"],
+    ("analyze",): ["--model", "--ell", "--seed", "--trials", "--format", "--jobs"],
+    ("arch",): ["--n", "--epsilon", "--model", "--ell", "--seed", "--trials",
+                "--target-bias", "--alpha", "--format", "--jobs"],
+    ("equiv",): ["--n", "--epsilon", "--model", "--ell", "--trials", "--target-bias",
+                 "--alpha", "--format", "--jobs"],
+    ("bench",): ["--n", "--trials", "--target-bias", "--alpha", "--format", "--jobs"],
+}
+FLAG_VALUES = {"--model": "binomial", "--format": "json", "--epsilon": "0.3",
+               "--target-bias": "0.856", "--alpha": "0.3"}
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c, flags in DROPPED.items() for f in flags]
+)
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    out = tmp_path / "o"
+    argv = list(command) + [flag, FLAG_VALUES.get(flag, "1"), "--out", str(out)]
+    assert run(argv) == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shared_config_values_of_unread_flags_are_ignored(tmp_path):
+    # a config written for pipeline runs does not break arch or equiv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 0, "epsilon": 0, "trials": 0, "seed": 4}))
+    assert run(["arch", "--config", str(cfg), "--out", str(tmp_path / "a")]) == cli.EXIT_OK
+    assert run(["equiv", "--config", str(cfg), "--out", str(tmp_path / "e")]) == cli.EXIT_OK
+    assert run(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "p")]) == cli.EXIT_USAGE
+
+
 def test_phase_json_format(tmp_path):
     run(["phase", "1", "--n", "10000", "--epsilon", "0.3", "--seed", "1",
          "--format", "json", "--out", str(tmp_path)])

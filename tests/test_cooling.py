@@ -53,11 +53,10 @@ def test_phase1_survivor_bias_three_sigma():
     # eps=0.5: survivor bias 0.8, i.e. ones fraction 0.1
     n = 10**6
     bits = thermal.sample(thermal.BiasModel("binomial", 0.5), n, seed=123)
-    out, rec = phase1_round(bits, bias_pred_in=0.5)
+    out, rec = phase1_round(bits)
     delta = 0.1
     sigma = np.sqrt(rec.n_out * delta * (1 - delta))
     assert abs(rec.ones_out - rec.n_out * delta) < 3 * sigma
-    assert rec.bias_pred == pytest.approx(0.8)
 
 
 def test_phase1_run_zero_rounds_when_past_target():
@@ -310,14 +309,14 @@ def test_segmented_round_equals_per_segment_calls(lens, phase, k, shuffled, seed
     bits = np.random.default_rng(seed).integers(0, 2, sum(lens), dtype=np.uint8)
     if phase == 1:
         def call(b, **kw):
-            return phase1_round(b, bias_pred_in=0.5, **kw)
+            return phase1_round(b, bias_pred=0.8, **kw)
     elif phase == 2:
         # one generator drawn from in segment order, as the blocks were
         def call(b, rng, **kw):
-            return phase2_round(b, k, seed=rng if shuffled else None, delta_pred_in=0.01, **kw)
+            return phase2_round(b, k, seed=rng if shuffled else None, bias_pred=0.99, **kw)
     else:
         def call(b, **kw):
-            return phase3_round(b, max(k, 4), bias_pred_out=0.9, **kw)
+            return phase3_round(b, max(k, 4), bias_pred=0.9, **kw)
 
     if phase == 2:
         rng_a, rng_b = (np.random.default_rng(seed + 1) for _ in range(2))
@@ -340,9 +339,9 @@ def test_segmented_round_equals_per_segment_calls(lens, phase, k, shuffled, seed
 
 # phase -> (round on the whole input, row size, header bits dropped, pass rule)
 WHOLE_ROUNDS = {
-    1: (lambda b: phase1_round(b, bias_pred_in=0.5), 2, 1, lambda g: g[:, 0] == g[:, 1]),
-    2: (lambda b: phase2_round(b, 3, delta_pred_in=0.01), 3, 1, lambda g: g.sum(axis=1) % 2 == 0),
-    3: (lambda b: phase3_round(b, 5, bias_pred_out=0.9), 5, 3, lambda g: g.sum(axis=1) % 4 == 0),
+    1: (lambda b: phase1_round(b, bias_pred=0.8), 2, 1, lambda g: g[:, 0] == g[:, 1]),
+    2: (lambda b: phase2_round(b, 3, bias_pred=0.99), 3, 1, lambda g: g.sum(axis=1) % 2 == 0),
+    3: (lambda b: phase3_round(b, 5, bias_pred=0.9), 5, 3, lambda g: g.sum(axis=1) % 4 == 0),
 }
 
 
@@ -486,6 +485,53 @@ def test_two_tape_initial_permutation_cost_is_exact():
     for n in (50000, 100007, 177147, 10**7 + 1):
         c = cooling._arch_init_cost(n, 0)["two_tape"]
         assert c**3 <= 216 * n**4 < (c + 1) ** 3
+
+
+def _planned_bias(plan):
+    """Each round's planned output bias, phase by phase."""
+    cert = plan.certificate
+    return {
+        1: list(plan.orbit[1:]),
+        2: [1.0 - 2.0 * pr.delta_out for pr in plan.phase2],
+        3: [1.0 - 2.0 * d for d in cert.deltas[1:]],
+    }
+
+
+@pytest.mark.parametrize(
+    "mode,n,eps",
+    [
+        ("binomial-direct", 10**5, 0.05),
+        ("binomial-direct", 50000, 1.0),
+        ("shuffled-blocks", 3**11, 0.01),
+        ("shuffled-blocks", 50000, 0.25),
+    ],
+)
+def test_pipeline_records_the_plan_predictions(mode, n, eps):
+    # the kernels record the plan's prediction exactly; nothing recomputes it
+    res = pipeline(thermal.BiasModel("binomial", eps), n, seed=4, mode=mode)
+    planned = _planned_bias(cooling.make_plan(eps, n))
+    for phase, want in planned.items():
+        assert [r.bias_pred for r in res.records if r.phase == phase] == want, phase
+
+
+def test_phase_runs_record_the_plan_predictions():
+    n = 10**5
+    bits = thermal.sample(thermal.BiasModel("binomial", 0.2), n, seed=6)
+    _, recs = phase1_run(bits, eps0=0.2)
+    assert [r.bias_pred for r in recs] == analysis.forward_orbit(0.2)[1:]
+    _, recs = phase2_run(bits, n, seed=6, delta0=0.05)
+    assert [r.bias_pred for r in recs] == [1.0 - 2.0 * pr.delta_out for pr in phase2_plan(0.05, n)]
+    _, recs = phase3_run(bits, n, delta0=0.01)
+    cert = analysis.phase3_certificate(n, delta0=0.01)
+    assert recs and [r.bias_pred for r in recs] == [1.0 - 2.0 * d for d in cert.deltas[1:]]
+
+
+def test_bare_kernel_call_records_no_prediction():
+    bits = thermal.sample(thermal.BiasModel("binomial", 0.5), 1000, seed=0)
+    for _, rec in (phase1_round(bits), phase2_round(bits, 3), phase3_round(bits, 5)):
+        assert np.isnan(rec.bias_pred)
+    _, rec, _ = phase1_round(bits, segments=[500, 500])
+    assert np.isnan(rec.bias_pred)
 
 
 def test_pipeline_rejects_bad_mode():

@@ -1,20 +1,31 @@
-"""The benchmark's tracer wraps library functions by name (``spinbench/
-tracing.py``), so a rename in ``spinref`` must fail here rather than crash
-every traced benchmark run."""
+"""The benchmark calls spinref by name: its tracer wraps library functions
+(``spinbench/tracing.py``) and its workloads call the public API
+(``spinbench/workloads.py``).  A rename or signature change in ``spinref``
+must fail here rather than crash or fail every benchmark run."""
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "spinbench" / "tracing.py"
+import pytest
+
+SPINBENCH = Path(__file__).resolve().parents[1] / "spinbench"
+
+
+def _load(name):
+    """Import ``spinbench/<name>.py`` without touching the file.  Registered
+    in ``sys.modules`` first: the dataclasses of a module look it up there."""
+    spec = importlib.util.spec_from_file_location(f"spinbench_{name}", SPINBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("spinbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
 
 
 def test_every_traced_name_is_a_spinref_function():
@@ -24,3 +35,9 @@ def test_every_traced_name_is_a_spinref_function():
         module, attr = name.split(".")
         obj = getattr(importlib.import_module(f"spinref.{module}"), attr, None)
         assert inspect.isfunction(obj), f"traced name {name} is not a spinref function"
+
+
+@pytest.mark.parametrize("workload", ["direct", "blocks", "verify", "compile"])
+def test_workload_first_op_passes_its_checks(workload):
+    result = _load("workloads").WORKLOADS[workload](2024, 0)
+    assert result.cases > 0 and result.bits > 0
