@@ -9,12 +9,13 @@ ledger, and log-log runtime-exponent fits.  No sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 __all__ = [
     "PolarizationParams",
+    "TARGET_BIAS",
     "epsilon_thermal",
     "bias_forward",
     "bias_backward",
@@ -52,16 +53,15 @@ class PolarizationParams:
     mu: float
     B0: float
     T: float
-    kB: float = 1e-16
 
     def __post_init__(self):
-        if min(self.mu, self.B0, self.T, self.kB) < 0 or min(self.mu, self.T, self.kB) == 0:
+        if min(self.mu, self.B0, self.T) < 0 or min(self.mu, self.T) == 0:
             raise ValueError("polarization parameters must be positive (B0 may be 0)")
 
 
 def epsilon_thermal(params):
-    """Equilibrium orientation bias eps = mu*B0/(kB*T)."""
-    return params.mu * params.B0 / (params.kB * params.T)
+    """Equilibrium orientation bias eps = mu*B0/(kB*T), kB = 1e-16 erg/K."""
+    return params.mu * params.B0 / (1e-16 * params.T)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +88,11 @@ def bias_backward(eps_next):
 # value lands within ~1e-4 of the exact threshold.
 THRESHOLD_RTOL = 1e-4
 
+# the pairing phase hands over to parity binning at this bias
+TARGET_BIAS = 0.856
 
-def forward_orbit(eps0, target=0.856, max_rounds=10_000):
+
+def forward_orbit(eps0, target=TARGET_BIAS):
     """Forward orbit [eps0, ...] up to and including the first value that
     reaches the target (to within the threshold slack)."""
     if eps0 <= 0.0:
@@ -97,7 +100,7 @@ def forward_orbit(eps0, target=0.856, max_rounds=10_000):
     stop = target * (1.0 - THRESHOLD_RTOL)
     orbit = [eps0]
     while orbit[-1] < stop:
-        if len(orbit) > max_rounds:
+        if len(orbit) > 10_000:
             raise ValueError("bias orbit failed to reach the target")
         orbit.append(bias_forward(orbit[-1]))
     return orbit
@@ -111,12 +114,12 @@ def backward_orbit(target, rounds):
     return orbit
 
 
-def phase1_rounds(eps0, target=0.856):
+def phase1_rounds(eps0, target=TARGET_BIAS):
     """Rounds of pairing needed to push eps0 to the target."""
     return len(forward_orbit(eps0, target)) - 1
 
 
-def phase1_overhead(eps0, eps_target=0.856):
+def phase1_overhead(eps0, eps_target=TARGET_BIAS):
     """Product of (1 + eps_j^2) along the forward orbit below the target.
 
     The square of this product (times the target term for the inclusive
@@ -188,7 +191,11 @@ def phase2_stationary(n):
 # phase 3: mod-4 counting
 
 
-def phase3_recurrence(delta0, n, k=None):
+def _phase3_block_size(n):
+    return max(4, round(n ** (1.0 / 6.0)))
+
+
+def phase3_recurrence(delta0, n):
     """One-round ones-fraction bound for mod-4 counting blocks of size n^(1/6).
 
     delta1 = delta0 * (3*n^(-1/6) + 3*delta0 + C(k,3)*delta0^3); the first two
@@ -199,8 +206,7 @@ def phase3_recurrence(delta0, n, k=None):
         raise ValueError("delta must lie in [0, 1)")
     if n < 64:
         raise ValueError("n must be >= 64")
-    if k is None:
-        k = max(4, round(n ** (1.0 / 6.0)))
+    k = _phase3_block_size(n)
     return delta0 * (3.0 * n ** (-1.0 / 6.0) + 3.0 * delta0 + math.comb(k, 3) * delta0**3)
 
 
@@ -247,30 +253,27 @@ class Phase3Certificate:
         return self.deltas[-1]
 
 
-def phase3_certificate(n, delta0=None, k=None, target=None, max_rounds=500):
+def phase3_certificate(n, delta0=None):
     """Certify the mod-4 phase by iterating its exact conservative recurrence.
 
     Under the keep-iff-count==0-mod-4 semantics a 1 can only survive a block
     whose total weight is a positive multiple of 4, so the per-1 pass
     probability is the binomial tail over weights {3, 7, ...} of the other
-    k-1 bits.  Dividing by the all-zero-blocks survivor floor gives a
-    conservative delta orbit; iteration certifies delta < target (default
-    n^(-10)).
+    k-1 bits, with blocks of k = max(4, round(n^(1/6))).  Dividing by the
+    all-zero-blocks survivor floor gives a conservative delta orbit;
+    iteration from ``delta0`` (default the cautious level n^(-0.3)) certifies
+    delta < n^(-10) within 500 rounds.
     """
     if n < 64:
         raise ValueError("n must be >= 64")
-    if k is None:
-        k = max(4, round(n ** (1.0 / 6.0)))
-    if k < 4:
-        raise ValueError("block size must be >= 4")
+    k = _phase3_block_size(n)
     if delta0 is None:
-        delta0 = n**-0.3
-    if target is None:
-        target = float(n) ** -10.0
+        delta0 = phase2_stationary(n)[1]
+    target = float(n) ** -10.0
     cert = Phase3Certificate(n=n, k=k, target=target, deltas=[delta0])
     delta = delta0
     while delta >= target:
-        if len(cert.deltas) > max_rounds:
+        if len(cert.deltas) > 500:
             raise ValueError("certificate failed to converge")
         pass_one = binomial_class_mass(delta, k - 1, 3, 4, start=3)
         floor = (1.0 - delta) ** k * (k - 3) / k
@@ -331,19 +334,7 @@ class YieldLedger:
     within_entropy_cap: bool = False
 
     def as_dict(self):
-        return {
-            "epsilon": self.epsilon,
-            "n": self.n,
-            "clean_bits": self.clean_bits,
-            "factors": list(self.factors),
-            "constant": self.constant,
-            "total_factor": self.total_factor,
-            "expected_floor": self.expected_floor,
-            "entropy_cap": self.entropy_cap,
-            "c_yield": self.c_yield,
-            "meets_floor": self.meets_floor,
-            "within_entropy_cap": self.within_entropy_cap,
-        }
+        return asdict(self)
 
 
 def yield_ledger(eps, n, clean_bits):

@@ -13,7 +13,8 @@ Subcommands:
 Exit codes: 0 success, 1 validation error, 2 conformance/assertion failure.
 Every emitted byte is a function of (config, seed); trial parallelism
 (``--jobs``) merges results in seed order so it never changes output bytes.
-``SPINREF_SEED`` provides the default seed.
+``SPINREF_SEED`` provides the default seed and must be an integer.  Flags
+are matched exactly, never by prefix.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ EXIT_CONFORMANCE = 2
 
 
 def _default_seed():
+    value = os.environ.get("SPINREF_SEED", "0")
     try:
-        return int(os.environ.get("SPINREF_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise ValueError(f"SPINREF_SEED must be an integer, got {value!r}") from None
 
 
 # flag -> (add_argument options, default); a flag left unset takes the
@@ -50,27 +52,34 @@ _FLAGS = {
     "ell": ({"type": int}, 10),
     "seed": ({"type": int}, None),  # SPINREF_SEED when resolved
     "trials": ({"type": int}, 1),
-    "target_bias": ({"type": float}, 0.856),
-    "alpha": ({"type": float}, 0.3),
+    "target_bias": ({"type": float}, cooling.Phase1Config().target_bias),
+    "alpha": ({"type": float}, cooling.Phase2Schedule().alpha),
     "format": ({"choices": ["csv", "json"]}, "csv"),
     "mode": ({"choices": ["binomial-direct", "shuffled-blocks"]}, "binomial-direct"),
     "jobs": ({"type": int}, 1),
     "out": ({"type": str}, "."),
 }
 
-# subcommand -> (help, the flags it reads besides --out and --config)
+# phase -> the flags ``spinref phase`` reads for it
+_PHASE_FLAGS = {
+    1: ("n", "epsilon", "model", "ell", "seed", "target_bias", "format"),
+    2: ("n", "seed", "alpha", "format"),
+    3: ("n", "seed", "format"),
+}
+
+# subcommand -> (help, the flags it reads besides --out and --config); phase
+# declares the flags of all three phases
 _COMMANDS = {
     "pipeline": ("full cooling run", ("n", "epsilon", "model", "ell", "seed", "trials",
                                       "target_bias", "alpha", "format", "mode", "jobs")),
-    "phase": ("run a single phase", ("n", "epsilon", "model", "ell", "seed", "target_bias",
-                                     "alpha", "format")),
+    "phase": ("run a single phase", tuple(dict.fromkeys(sum(_PHASE_FLAGS.values(), ())))),
     "analyze": ("orbits, schedules, constants", ("n", "epsilon", "target_bias", "alpha")),
     "arch": ("pulse-permutation verification", ()),
     "equiv": ("compiled-vs-abstract suites", ("seed",)),
     "bench": ("runtime-exponent fits", ("epsilon", "model", "ell", "seed")),
 }
 
-# flag -> (valid value test, message), checked in this order when declared
+# flag -> (valid value test, message), checked in this order when read
 _CHECKS = {
     "n": (lambda v: v >= 1, "--n must be >= 1"),
     "trials": (lambda v: v >= 1, "--trials must be >= 1"),
@@ -83,12 +92,21 @@ def _flags(command):
     return _COMMANDS[command][1] + ("out",)
 
 
+def _read_flags(args):
+    """The flags the chosen subcommand (and phase) reads."""
+    if args.command == "phase":
+        return _PHASE_FLAGS[args.which] + ("out",)
+    return _flags(args.command)
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(prog="spinref", description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(
+        prog="spinref", description=__doc__.splitlines()[0], allow_abbrev=False
+    )
     sub = ap.add_subparsers(dest="command", required=True)
     parsers = {}
     for command, (help_text, _) in _COMMANDS.items():
-        p = parsers[command] = sub.add_parser(command, help=help_text)
+        p = parsers[command] = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for name in _flags(command):
             p.add_argument("--" + name.replace("_", "-"), default=None, **_FLAGS[name][0])
         p.add_argument("--config", type=str, default=None)
@@ -102,8 +120,12 @@ def _build_parser():
 
 
 def _resolve(args):
-    """Config-file values fill the subcommand's unset flags; explicit flags
-    always win.  Config keys of flags the subcommand lacks are ignored."""
+    """Config-file values fill the unset flags the subcommand reads; explicit
+    flags always win.  Config keys of flags it does not read are ignored."""
+    flags = _read_flags(args)
+    for key in _flags(args.command):
+        if key not in flags and getattr(args, key) is not None:
+            raise ValueError(f"phase {args.which} does not read --{key.replace('_', '-')}")
     cfg = {}
     if args.config:
         with open(args.config) as fh:
@@ -111,7 +133,6 @@ def _resolve(args):
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
     merged = argparse.Namespace(**vars(args))
-    flags = _flags(args.command)
     for key in flags:
         if getattr(merged, key) is None:
             default = _default_seed() if key == "seed" else _FLAGS[key][1]
@@ -202,12 +223,15 @@ def _cmd_phase(args, outdir):
             bits, cooling.Phase1Config(target_bias=args.target_bias), eps0=args.epsilon
         )
     elif args.which == 2:
-        schedule = cooling.Phase2Schedule(alpha=args.alpha)
-        bits = _entry_bits(schedule.delta_max, args.n, args.seed)
-        out, recs = cooling.phase2_run(bits, args.n, schedule, seed=args.seed)
+        delta0 = cooling.PHASE2_DELTA_MAX
+        bits = _entry_bits(delta0, args.n, args.seed)
+        out, recs = cooling.phase2_run(
+            bits, args.n, cooling.Phase2Schedule(alpha=args.alpha), seed=args.seed, delta0=delta0
+        )
     else:
-        bits = _entry_bits(analysis.phase3_certificate(args.n).deltas[0], args.n, args.seed)
-        out, recs = cooling.phase3_run(bits, args.n)
+        delta0 = analysis.phase3_certificate(args.n).deltas[0]
+        bits = _entry_bits(delta0, args.n, args.seed)
+        out, recs = cooling.phase3_run(bits, args.n, delta0=delta0)
     _records_payload(recs, args.format, outdir, f"phase{args.which}_rounds")
     summary = {
         "n_in": int(args.n),

@@ -23,7 +23,7 @@ Step counts are exact closed forms, checked against generated programs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -262,12 +262,7 @@ class EquivReport:
         return self.mismatches == 0
 
     def as_dict(self):
-        return {
-            "mode": self.mode,
-            "cases": self.cases,
-            "mismatches": self.mismatches,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def equivalence_check(program, abstract_fn, width, samples=None, seed=0):

@@ -59,7 +59,7 @@ class CoolingError(RuntimeError):
 class Phase1Config:
     """Stop threshold for the pairing phase."""
 
-    target_bias: float = 0.856
+    target_bias: float = analysis.TARGET_BIAS
 
     def __post_init__(self):
         if not 0.0 < self.target_bias < 1.0:
@@ -91,10 +91,6 @@ class Phase2Schedule:
     def __post_init__(self):
         if not 0.2 < self.alpha <= 0.32:
             raise ValueError("alpha must lie in (0.2, 0.32]")
-
-    @property
-    def delta_max(self):
-        return PHASE2_DELTA_MAX
 
 
 def choose_k(delta):
@@ -222,18 +218,16 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, segments=None):
     return _result(out, rec, segments, kept, per_segment, 1)
 
 
-def phase1_run(bits, config=None, eps0=None):
+def phase1_run(bits, config=None, *, eps0):
     """Pairing rounds until the predicted bias passes the target.
 
     The round count comes from the forward orbit of the declared input bias
-    ``eps0`` (empirical estimate if omitted), matching the backward-orbit
-    count; it never adapts to the data.  Raises ``CoolingError`` if the
-    population runs out before the planned rounds finish.
+    ``eps0``, matching the backward-orbit count; it never adapts to the
+    data.  Raises ``CoolingError`` if the population runs out before the
+    planned rounds finish.
     """
     cfg = config or Phase1Config()
     bits = np.asarray(bits, dtype=np.uint8)
-    if eps0 is None:
-        eps0 = max(_bias(int(bits.sum()), len(bits)), 1e-12)
     orbit = analysis.forward_orbit(eps0, cfg.target_bias)
     records = []
     for r, eps_pred in enumerate(orbit[1:]):
@@ -290,8 +284,10 @@ def phase2_plan(delta0, n, schedule=None):
     exactly when the input is already at or below that level.
     """
     sch = schedule or Phase2Schedule()
-    if not 0.0 <= delta0 <= sch.delta_max:
-        raise ValueError(f"phase 2 needs input delta <= {sch.delta_max} (bias >= 0.856)")
+    if not 0.0 <= delta0 <= PHASE2_DELTA_MAX:
+        raise ValueError(
+            f"phase 2 needs input delta <= {PHASE2_DELTA_MAX} (bias >= {analysis.TARGET_BIAS})"
+        )
     halt, _ = analysis.phase2_stationary(n)
     k_cap = float(n) ** sch.alpha
     k_end = max(2, block_size(n))
@@ -309,11 +305,10 @@ def phase2_plan(delta0, n, schedule=None):
     return plan
 
 
-def phase2_run(bits, n, schedule=None, seed=0, delta0=None):
+def phase2_run(bits, n, schedule=None, seed=0, *, delta0):
     """Run the planned parity-binning rounds with per-round reshuffles,
-    from ``delta0`` or else the schedule's region maximum."""
-    sch = schedule or Phase2Schedule()
-    plan = phase2_plan(sch.delta_max if delta0 is None else delta0, n, sch)
+    entered at the declared ones-fraction ``delta0``."""
+    plan = phase2_plan(delta0, n, schedule)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(len(plan)) if plan else []
     records = []
@@ -347,10 +342,10 @@ def phase3_round(bits, k, bias_pred=math.nan, round_index=0, segments=None):
     return _result(out, rec, segments, kept, per_segment, k - 3)
 
 
-def phase3_run(bits, n, k=None, delta0=None):
-    """Run the certified number of mod-4 rounds for population budget n;
-    ``delta0=None`` takes the certificate's default entry level."""
-    cert = analysis.phase3_certificate(n, delta0=delta0, k=k)
+def phase3_run(bits, n, *, delta0):
+    """Run the certified number of mod-4 rounds for population budget n,
+    entered at the declared ones-fraction ``delta0``."""
+    cert = analysis.phase3_certificate(n, delta0=delta0)
     records = []
     for r, delta in enumerate(cert.deltas[1:]):
         bits, rec = phase3_round(bits, cert.k, bias_pred=1.0 - 2.0 * delta, round_index=r)
@@ -380,12 +375,11 @@ def make_plan(epsilon, n, p1config=None, schedule=None):
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon={epsilon} outside (0, 1]")
     cfg = p1config or Phase1Config()
-    sch = schedule or Phase2Schedule()
     orbit = tuple(analysis.forward_orbit(epsilon, cfg.target_bias))
     # the orbit end sits within the threshold slack of the target; clamp the
     # declared phase-2 entry level to the schedule's region maximum
-    delta2 = min((1.0 - orbit[-1]) / 2.0, sch.delta_max)
-    phase2 = tuple(phase2_plan(delta2, n, sch))
+    delta2 = min((1.0 - orbit[-1]) / 2.0, PHASE2_DELTA_MAX)
+    phase2 = tuple(phase2_plan(delta2, n, schedule))
     cert = analysis.phase3_certificate(n, delta0=phase2[-1].delta_out if phase2 else delta2)
     return Plan(epsilon, orbit, delta2, phase2, cert)
 
@@ -446,17 +440,16 @@ def _arch_gather_cost(n):
     return {"single": n * n, "two_tape": 6 * n, "two_tape_ca": n}
 
 
-def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=None,
-             initial_perm=None):
+def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=None):
     """End-to-end run: sample, (permute), cool in three phases, gather.
 
     ``binomial-direct`` skips the initial permutation and runs the phases on
     the whole population (valid when the source really is binomial).
-    ``shuffled-blocks`` applies a spreading permutation (``stride`` by
-    default, ``uniform`` on request) and confines every phase to interaction
-    blocks of size n^(1/3); the flat output of the last round is the
-    gathered prefix.  This is the layout the correlated-source analysis
-    needs.  Either way each round is one call on the flat bits.
+    ``shuffled-blocks`` applies a spreading permutation (the stride
+    permutation when n is a perfect cube, else a seeded uniform one) and
+    confines every phase to interaction blocks of size n^(1/3); the flat
+    output of the last round is the gathered prefix.  This is the layout the
+    correlated-source analysis needs.  Either way each round is one call on the flat bits.
 
     Step totals are tracked for three cost models: ``single`` (one tape),
     ``two_tape`` (linear-time terminal gather, n^(4/3) initial permutation)
@@ -471,17 +464,12 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
     if mode == "binomial-direct":
         lens = np.array([n], dtype=np.int64)
     else:
-        which = initial_perm or "auto"
-        if which == "auto":
-            which = "stride" if thermal._icbrt(n) ** 3 == n else "uniform"
-        if which == "stride":
+        if thermal._icbrt(n) ** 3 == n:
             perm = thermal.stride_shuffle_perm(n)
             inv = thermal.stride_inversions(n)
-        elif which == "uniform":
+        else:
             perm = thermal.uniform_random_perm(n, np.random.SeedSequence((seed, 0xA11CE)))
             inv = perms.count_inversions(perm)
-        else:
-            raise ValueError(f"unknown initial permutation {which!r}")
         for arch, c in _arch_init_cost(n, inv).items():
             steps[arch] += c
         bits = perms.apply_to(bits, perm)

@@ -508,11 +508,8 @@ def program_to_text(program):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def text_to_program(text, gates=None):
-    """Parse the line format back; ``gates`` supplies non-standard gate ids."""
-    registry = dict(GATES)
-    if gates:
-        registry.update(gates)
+def text_to_program(text):
+    """Parse the line format back; gate ids name entries of ``GATES``."""
     program = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -524,13 +521,13 @@ def text_to_program(text, gates=None):
             if op == "SHIFT":
                 program.append(Shift(1 if parts[1] == "+1" else -1))
             elif op == "GATE":
-                program.append(Gate(registry[parts[1]]))
+                program.append(Gate(GATES[parts[1]]))
             elif op == "SWAPREG":
                 program.append(SwapReg(int(parts[1])))
             elif op == "MEASURE":
                 program.append(Measure())
             elif op == "CA":
-                program.append(CA(int(parts[1]), registry[parts[2]]))
+                program.append(CA(int(parts[1]), GATES[parts[2]]))
             else:
                 raise KeyError(op)
         except (KeyError, IndexError) as exc:

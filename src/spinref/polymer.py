@@ -307,10 +307,7 @@ def sequence_to_text(seq):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def text_to_sequence(text, gates=None):
-    registry = dict(GATES)
-    if gates:
-        registry.update(gates)
+def text_to_sequence(text):
     seq = PulseSequence()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -321,7 +318,7 @@ def text_to_sequence(text, gates=None):
                 a, b = line[2:-1].split(",")
                 seq.append(TypePulse(a.strip(), b.strip()))
             elif line.startswith("HEAD "):
-                seq.append(HeadPulse(registry[line.split()[1]]))
+                seq.append(HeadPulse(GATES[line.split()[1]]))
             else:
                 raise ValueError
         except (ValueError, KeyError) as exc:

@@ -4,9 +4,9 @@ Bits are 0 with probability (1+eps)/2.  Two distribution models:
 
 * ``binomial`` -- independent identically biased bits;
 * ``markov``   -- a stationary two-state chain whose +/-1 spin encoding has
-  Pearson autocorrelation rho**d at lag d, with rho = threshold**(1/ell), so
-  the correlation at the declared distance ell equals the threshold
-  (default 1/10).  Realized as copy-with-probability-rho / refresh.
+  Pearson autocorrelation rho**d at lag d, with rho = (1/10)**(1/ell), so
+  the correlation at the declared distance ell equals the threshold 1/10.
+  Realized as copy-with-probability-rho / refresh.
 
 All randomness is owned by the caller through explicit seeds; samplers are
 pure functions of (model, n, seed).
@@ -43,7 +43,6 @@ class BiasModel:
     kind: str
     epsilon: float
     ell: int | None = None
-    threshold: float = 0.1
 
     def __post_init__(self):
         if self.kind not in ("binomial", "markov"):
@@ -53,8 +52,6 @@ class BiasModel:
         if self.kind == "markov":
             if self.ell is None or self.ell < 1:
                 raise ValueError("markov model needs a correlation distance ell >= 1")
-            if not 0.0 < self.threshold < 1.0:
-                raise ValueError("threshold must lie in (0, 1)")
 
     @property
     def p_one(self):
@@ -65,7 +62,7 @@ class BiasModel:
         """Lag-1 spin autocorrelation of the markov model."""
         if self.kind != "markov":
             return 0.0
-        return self.threshold ** (1.0 / self.ell)
+        return 0.1 ** (1.0 / self.ell)
 
 
 # doubles drawn per step of ``_below``: a 128 KiB buffer that stays in cache

@@ -283,7 +283,7 @@ def _phase2_stop_level(n):
     level, so bisect (geometrically) on emptiness; the returned value is the
     smallest input seen that still gets a round, i.e. just above the level.
     """
-    lo, hi = 1e-30, cooling.Phase2Schedule().delta_max
+    lo, hi = 1e-30, cooling.PHASE2_DELTA_MAX
     for _ in range(60):
         mid = math.sqrt(lo * hi)
         if cooling.phase2_plan(mid, n):

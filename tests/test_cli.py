@@ -19,6 +19,17 @@ def test_unknown_flag_rejected(tmp_path, capsys):
     assert run(["pipeline", "--frobnicate"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["phase", "1", "--mode", "binomial"], "--mode"),
+    (["pipeline", "--trial", "2"], "--trial"),
+])
+def test_abbreviated_flag_rejected(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    assert run(argv + ["--n", "1000", "--out", str(out)]) == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_error_exit_code(tmp_path):
     assert run(["pipeline", "--n", "0", "--out", str(tmp_path)]) == cli.EXIT_USAGE
 
@@ -67,7 +78,7 @@ def test_phase_2_and_3_run_their_planned_rounds(tmp_path, which):
         == cli.EXIT_OK
     )
     if which == 2:
-        entry = cooling.Phase2Schedule().delta_max
+        entry = cooling.PHASE2_DELTA_MAX
         planned = len(cooling.phase2_plan(entry, n))
     else:
         cert = analysis.phase3_certificate(n)
@@ -92,22 +103,27 @@ def test_epsilon_outside_unit_interval_rejected(tmp_path, capsys, command, epsil
     assert not (tmp_path / "ledger.json").exists()
 
 
-# subcommand -> flags it does not read, so does not accept
-DROPPED = {
-    ("phase", "1"): ["--trials", "--jobs"],
-    ("analyze",): ["--model", "--ell", "--seed", "--trials", "--format", "--jobs"],
-    ("arch",): ["--n", "--epsilon", "--model", "--ell", "--seed", "--trials",
-                "--target-bias", "--alpha", "--format", "--jobs"],
-    ("equiv",): ["--n", "--epsilon", "--model", "--ell", "--trials", "--target-bias",
-                 "--alpha", "--format", "--jobs"],
-    ("bench",): ["--n", "--trials", "--target-bias", "--alpha", "--format", "--jobs"],
-}
+# (subcommand, flags it does not read, so does not accept); a case's test id
+# is its position in the flattened list, so new rows go last
+DROPPED = [
+    (("phase", "1"), ["--trials", "--jobs"]),
+    (("analyze",), ["--model", "--ell", "--seed", "--trials", "--format", "--jobs"]),
+    (("arch",), ["--n", "--epsilon", "--model", "--ell", "--seed", "--trials",
+                 "--target-bias", "--alpha", "--format", "--jobs"]),
+    (("equiv",), ["--n", "--epsilon", "--model", "--ell", "--trials", "--target-bias",
+                  "--alpha", "--format", "--jobs"]),
+    (("bench",), ["--n", "--trials", "--target-bias", "--alpha", "--format", "--jobs"]),
+    (("phase", "1"), ["--alpha"]),
+    (("phase", "2"), ["--epsilon", "--model", "--ell", "--target-bias", "--trials", "--jobs"]),
+    (("phase", "3"), ["--epsilon", "--model", "--ell", "--target-bias", "--alpha", "--trials",
+                      "--jobs"]),
+]
 FLAG_VALUES = {"--model": "binomial", "--format": "json", "--epsilon": "0.3",
                "--target-bias": "0.856", "--alpha": "0.3"}
 
 
 @pytest.mark.parametrize(
-    "command,flag", [(c, f) for c, flags in DROPPED.items() for f in flags]
+    "command,flag", [(c, f) for c, flags in DROPPED for f in flags]
 )
 def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
     out = tmp_path / "o"
@@ -206,6 +222,14 @@ def test_env_seed_default(tmp_path, monkeypatch):
     run(["pipeline", "--n", "5000", "--epsilon", "0.4", "--out", str(out)])
     ledger = json.loads(read(out / "ledger.json"))
     assert ledger["config"]["seed"] == 77
+
+
+def test_env_seed_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPINREF_SEED", "abc")
+    out = tmp_path / "o"
+    assert run(["phase", "1", "--n", "1000", "--out", str(out)]) == cli.EXIT_USAGE
+    assert "SPINREF_SEED" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_markov_model_flags(tmp_path):

@@ -28,8 +28,6 @@ def test_model_validation():
         BiasModel("binomial", 1.5)
     with pytest.raises(ValueError):
         BiasModel("markov", 0.1)  # missing ell
-    with pytest.raises(ValueError):
-        BiasModel("markov", 0.1, ell=5, threshold=1.0)
 
 
 def test_full_bias_forces_zeros():
