@@ -189,6 +189,21 @@ def _record(phase, round_index, bits, out, bias_pred, k, segments, u=None):
     )
 
 
+# rows selected per ``compress`` call: an index over every kept row of a
+# 10**7-bit round would take more memory than the round's output
+_SLICE = 1 << 16
+
+
+def _select(rows, kept):
+    """``rows.compress(kept, axis=0)``, taken ``_SLICE`` rows at a time."""
+    if len(kept) <= _SLICE:
+        return rows.compress(kept, axis=0)
+    return np.concatenate([
+        rows[i : i + _SLICE].compress(kept[i : i + _SLICE], axis=0)
+        for i in range(0, len(kept), _SLICE)
+    ])
+
+
 def _result(out, rec, segments, kept, per_segment, width):
     """``(out, rec)``, plus the per-segment output lengths (``width`` bits per
     kept row) when the call was given segments."""
@@ -211,9 +226,12 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, segments=None):
     ``bias_pred`` is the planned output bias, recorded as given."""
     bits = np.asarray(bits, dtype=np.uint8)
     rows, per_segment = _rows(bits, 2, segments)
-    a, b = rows[:, 0], rows[:, 1]
-    kept = a == b
-    out = b.compress(kept)
+    # each pair is one word, equal exactly when it is 0x0000 or 0x0101; less
+    # one, those wrap to 0xFFFF and 0x0100, the unequal 0x0001 and 0x0100 to
+    # 0x0000 and 0x00FF
+    words = np.ascontiguousarray(rows).view(np.uint16).ravel()
+    kept = words - np.uint16(1) > 255
+    out = _select(words, kept).astype(bool).view(np.uint8)
     rec = _record(1, round_index, bits, out, bias_pred, 2, segments)
     return _result(out, rec, segments, kept, per_segment, 1)
 
@@ -262,7 +280,7 @@ def phase2_round(bits, k, seed=None, bias_pred=math.nan, round_index=0, segments
     rows, per_segment = _rows(bits, k, segments, rng)
     s = rows.sum(axis=1)
     kept = (s & 1) == 0
-    out = rows[:, 1:].compress(kept, axis=0).ravel()
+    out = _select(rows[:, 1:], kept).ravel()
     u = int(np.count_nonzero(s == 1))
     rec = _record(2, round_index, bits, out, bias_pred, k, segments, u)
     return _result(out, rec, segments, kept, per_segment, k - 1)
@@ -337,7 +355,7 @@ def phase3_round(bits, k, bias_pred=math.nan, round_index=0, segments=None):
     bits = np.asarray(bits, dtype=np.uint8)
     rows, per_segment = _rows(bits, k, segments)
     kept = (rows.sum(axis=1) % 4) == 0
-    out = rows[:, 3:].compress(kept, axis=0).ravel()
+    out = _select(rows[:, 3:], kept).ravel()
     rec = _record(3, round_index, bits, out, bias_pred, k, segments)
     return _result(out, rec, segments, kept, per_segment, k - 3)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinref import analysis, cooling, perms, thermal
@@ -358,6 +358,70 @@ def test_rounds_equal_boolean_index_selection(phase):
         assert np.array_equal(out, grid[passes(grid)][:, header:].ravel()), rows
         if phase == 2:
             assert rec.u == np.count_nonzero(grid.sum(axis=1) == 1)
+
+
+def _reference_round(phase, bits, k, seed, segments):
+    """The round selected the plain way: ``a == b`` on the pair columns and
+    one ``compress`` over every row.  Returns the output, the round record
+    and the per-segment output lengths (None without segments)."""
+    header = 1 if phase < 3 else 3
+    rng = None if seed is None else np.random.default_rng(seed)
+    rows, per_segment = cooling._rows(bits, k, segments, rng)
+    sums, u = rows.sum(axis=1), None
+    if phase == 1:
+        kept = rows[:, 0] == rows[:, 1]
+        out = rows[:, 1].compress(kept)
+    else:
+        kept = (sums % (2 if phase == 2 else 4)) == 0
+        out = rows[:, header:].compress(kept, axis=0).ravel()
+    if phase == 2:
+        u = int(np.count_nonzero(sums == 1))
+    rec = cooling._record(phase, 0, bits, out, 0.5, k, segments, u)
+    if segments is None:
+        return out, rec, None
+    counts = [len(kept)] if per_segment is None else per_segment.tolist()
+    starts = np.cumsum([0] + counts)
+    lens = [int(kept[a:b].sum()) * (k - header) for a, b in zip(starts, starts[1:])]
+    return out, rec, lens
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    phase=st.sampled_from([1, 2, 3]),
+    k=st.integers(2, 9),
+    length=st.integers(0, 99),
+    big=st.booleans(),
+    step=st.sampled_from([1, 3]),
+    cuts=st.integers(0, 4),
+    shuffled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(phase=1, k=2, length=5, big=True, step=3, cuts=3, shuffled=False, seed=1)
+def test_round_kernels_equal_plain_selection(phase, k, length, big, step, cuts, shuffled, seed):
+    # word pairing and sliced selection give the plain selection's bytes, on
+    # odd lengths, strided views, segments with tails and inputs longer than
+    # one selection slice
+    k = {1: 2, 2: k, 3: max(k, 4)}[phase]
+    if big:
+        length += (cooling._SLICE + 7) * k
+    rng = np.random.default_rng(seed)
+    bits = (rng.random(length * step) < 0.4).astype(np.uint8)[::step]
+    segments = None
+    if cuts:
+        points = np.sort(rng.integers(0, length + 1, cuts - 1))
+        segments = np.diff(np.concatenate(([0], points, [length]))).tolist()
+    seed2 = seed if phase == 2 and shuffled else None
+    call = {
+        1: lambda **kw: phase1_round(bits, bias_pred=0.5, **kw),
+        2: lambda **kw: phase2_round(bits, k, seed=seed2, bias_pred=0.5, **kw),
+        3: lambda **kw: phase3_round(bits, k, bias_pred=0.5, **kw),
+    }[phase]
+    got = call() if segments is None else call(segments=segments)
+    want_out, want_rec, want_lens = _reference_round(phase, bits, k, seed2, segments)
+    assert got[0].dtype == np.uint8 and np.array_equal(got[0], want_out)
+    assert got[1] == want_rec
+    if segments is not None:
+        assert got[2].tolist() == want_lens
 
 
 def test_segment_lengths_must_cover_the_input():
