@@ -263,6 +263,12 @@ def phase3_certificate(n, delta0=None):
     all-zero-blocks survivor floor gives a conservative delta orbit;
     iteration from ``delta0`` (default the cautious level n^(-0.3)) certifies
     delta < n^(-10) within 500 rounds.
+
+    The recurrence assumes that each round's input bits are independent,
+    each a 1 with probability delta.  Parity binning's output breaks that:
+    it passes whole bin payloads, so its ones come in pairs within a row,
+    and a block holding two pairs passes with weight 4.  The pipeline
+    therefore reads phase 2's output column by column before round 0.
     """
     if n < 64:
         raise ValueError("n must be >= 64")

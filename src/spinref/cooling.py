@@ -4,7 +4,9 @@ Phase 1 (pairing) doubles the bias per round: pairs with equal bits keep
 their second bit, unequal pairs are discarded.  Phase 2 (parity binning)
 XORs each bin into its first bit and passes the remainder of the bin only
 on even parity.  Phase 3 (mod-4 counting) passes the payload of a block iff
-the block's ones-count is divisible by four.  Round counts and bin sizes
+the block's ones-count is divisible by four; the pipeline first reads phase
+2's output column by column, so no block sees both ones of a bin's pair.
+Round counts and bin sizes
 are always driven by the deterministic analytic recurrences, never by
 peeking at the data, so the machine realization stays oblivious; the
 empirical trace is recorded for validation only.  ``make_plan`` fixes them
@@ -454,6 +456,24 @@ def _arch_init_cost(n, inv):
     }
 
 
+def _transpose(bits, lens, w):
+    """Each segment, a whole number of ``w``-bit rows, read column by column;
+    and the inversion count of that permutation, C(R,2)·C(w,2) summed over
+    segments of R rows."""
+    rows = np.asarray(lens, dtype=np.int64) // w
+    inv = int(np.sum(rows * (rows - 1) // 2)) * math.comb(w, 2)
+    grid = bits.reshape(-1, w)
+    if len(rows) == 1:
+        return grid.T.ravel(), inv
+    # bit c of global row g, the (g - a)th of the R rows of a segment that
+    # starts at row a, moves from g w + c to a w + c R + (g - a)
+    first = np.repeat(np.cumsum(rows) - rows, rows)
+    dest = np.arange(w)[:, None] * np.repeat(rows, rows) + first * (w - 1) + np.arange(len(first))
+    out = np.empty_like(bits)
+    out[dest.ravel()] = grid.T.ravel()
+    return out, inv
+
+
 def _arch_gather_cost(n):
     return {"single": n * n, "two_tape": 6 * n, "two_tape_ca": n}
 
@@ -468,6 +488,11 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
     confines every phase to interaction blocks of size n^(1/3); the flat
     output of the last round is the gathered prefix.  This is the layout the
     correlated-source analysis needs.  Either way each round is one call on the flat bits.
+    When the plan has a parity-binning round, phase 3 first reads each
+    segment's phase-2 output column by column, as rows of the last bin's
+    payload width, so the bits it cuts into blocks are not the pairs of one
+    bin; this fixed transpose of the phase-2 output is charged like an
+    initial permutation of that many bits.
 
     Step totals are tracked for three cost models: ``single`` (one tape),
     ``two_tape`` (linear-time terminal gather, n^(4/3) initial permutation)
@@ -503,7 +528,13 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
         [partial(phase3_round, k=cert.k, bias_pred=1.0 - 2.0 * d) for d in cert.deltas[1:]],
     )
     records = []
-    for phase_rounds in rounds:
+    for phase, phase_rounds in enumerate(rounds, 1):
+        if phase == 3 and plan.phase2:
+            # phase 2 passes whole bin payloads, so its ones leave in pairs
+            # within a row; read by column, no mod-4 block sees both of a pair
+            bits, inv = _transpose(bits, lens, plan.phase2[-1].k - 1)
+            for arch, c in _arch_init_cost(len(bits), inv).items():
+                steps[arch] += c
         for i, round_fn in enumerate(phase_rounds):
             largest = int(lens.max())
             bits, rec, lens = round_fn(bits, round_index=i, segments=lens)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -493,6 +495,49 @@ def test_pipeline_telescoping_records():
     for prev, nxt in zip(res.records, res.records[1:]):
         assert nxt.n_in == prev.n_out
     assert res.records[-1].n_out == res.clean_bits
+
+
+def test_clean_prefix_has_no_ones_when_phase2_leaves_pairs(monkeypatch):
+    # phase 2 passes whole bin payloads, so its ones leave in pairs within a
+    # row of w = k - 1 bits; a mod-4 block that holds two pairs has weight 4
+    # and passes.  Rows 15 and 16 put two pairs, four ones in a row, inside
+    # one block's payload in each of the certified rounds.
+    n = 10**6
+    plan = cooling.make_plan(0.25, n)
+    w, cert = plan.phase2[-1].k - 1, plan.certificate
+    rows = np.zeros((4000, w), dtype=np.uint8)
+    rows[15, -2:] = rows[16, :2] = 1
+    pairs = rows.ravel()
+    cut = pairs
+    for _ in cert.deltas[1:]:
+        cut, _ = phase3_round(cut, cert.k)
+    assert cut.sum() == 4
+
+    real = cooling.phase2_round
+
+    def leaves_pairs(*args, **kwargs):
+        _, rec, _ = real(*args, **kwargs)
+        return pairs, rec, np.array([len(pairs)])
+
+    monkeypatch.setattr(cooling, "phase2_round", leaves_pairs)
+    res = pipeline(thermal.BiasModel("binomial", 0.25), n, seed=1)
+    assert [r.n_in for r in res.records if r.phase == 3][0] == len(pairs)
+    assert res.clean_bits > 0 and res.bits.sum() == 0
+
+
+@pytest.mark.parametrize("lens,w", [
+    ([6], 2), ([20], 5), ([0, 12, 6, 30], 3), ([7 * 11] * 4 + [7 * 3, 0], 7), ([2 * 1000], 2),
+])
+def test_phase3_transpose_reads_columns_and_counts_its_inversions(lens, w):
+    src, inv = cooling._transpose(np.arange(sum(lens)), lens, w)
+    start = 0
+    for length in lens:
+        grid = np.arange(start, start + length).reshape(-1, w)
+        assert src[start : start + length].tolist() == grid.T.ravel().tolist()
+        start += length
+    rows = [length // w for length in lens]
+    assert inv == sum(math.comb(r, 2) for r in rows) * math.comb(w, 2)
+    assert inv == perms.count_inversions(src)
 
 
 def test_pipeline_markov_stride_blocks_near_binomial():
