@@ -142,6 +142,9 @@ def _resolve(args):
     for key, (valid, message) in _CHECKS.items():
         if key in flags and not valid(getattr(merged, key)):
             raise ValueError(message)
+    if "mode" in flags and merged.model == "markov" and merged.mode == "binomial-direct":
+        raise ValueError("--model markov needs --mode shuffled-blocks: "
+                         "binomial-direct assumes independent bits")
     return merged
 
 

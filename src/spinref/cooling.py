@@ -482,7 +482,8 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
     """End-to-end run: sample, (permute), cool in three phases, gather.
 
     ``binomial-direct`` skips the initial permutation and runs the phases on
-    the whole population (valid when the source really is binomial).
+    the whole population; it takes a binomial source only, since a
+    correlated one leaves ones in the clean prefix.
     ``shuffled-blocks`` applies a spreading permutation (the stride
     permutation when n is a perfect cube, else a seeded uniform one) and
     confines every phase to interaction blocks of size n^(1/3); the flat
@@ -500,6 +501,8 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
     """
     if mode not in ("binomial-direct", "shuffled-blocks"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "binomial-direct" and model.kind != "binomial":
+        raise ValueError(f"binomial-direct needs a binomial source, not {model.kind!r}")
     plan = make_plan(model.epsilon, n, p1config, schedule)
     bits = thermal.sample(model, n, seed)
     steps = {"single": 0, "two_tape": 0, "two_tape_ca": 0}

@@ -232,6 +232,16 @@ def test_env_seed_must_be_an_integer(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", [[], ["--mode", "binomial-direct"]])
+def test_markov_model_rejected_in_binomial_direct(tmp_path, capsys, mode):
+    out = tmp_path / "o"
+    argv = ["pipeline", "--model", "markov", "--n", "1000000", "--seed", "1", "--out", str(out)]
+    assert run(argv + mode) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--model" in err and "--mode" in err
+    assert not out.exists()
+
+
 def test_markov_model_flags(tmp_path):
     out = tmp_path / "m"
     assert (

@@ -643,6 +643,13 @@ def test_bare_kernel_call_records_no_prediction():
     assert np.isnan(rec.bias_pred)
 
 
+def test_binomial_direct_rejects_a_correlated_source():
+    with pytest.raises(ValueError, match="binomial-direct"):
+        pipeline(thermal.BiasModel("markov", 0.25, ell=10), 10**4, seed=1)
+    res = pipeline(thermal.BiasModel("markov", 0.25, ell=10), 10**4, seed=1, mode="shuffled-blocks")
+    assert res.mode == "shuffled-blocks"
+
+
 def test_pipeline_rejects_bad_mode():
     with pytest.raises(ValueError):
         pipeline(thermal.BiasModel("binomial", 0.2), 100, 0, mode="warp")
