@@ -25,9 +25,7 @@ __all__ = [
     "phase1_overhead",
     "phase2_bounds",
     "phase2_delta_bound",
-    "phase2_region_floor",
     "phase2_stationary",
-    "phase3_recurrence",
     "phase3_certificate",
     "Phase3Certificate",
     "binomial_class_mass",
@@ -168,14 +166,6 @@ def phase2_delta_bound(delta0, k):
 REGION_FLOORS = {1: 0.532, 2: 0.75, 3: 0.899, 4: 0.96}
 
 
-def phase2_region_floor(region):
-    """Guaranteed per-region survival ratio n1/n0 (region 4: whole region)."""
-    try:
-        return REGION_FLOORS[region]
-    except KeyError:
-        raise ValueError(f"region must be 1..4, got {region}") from None
-
-
 def phase2_stationary(n):
     """(stationary point n^(-1/3) of delta -> delta^2 k, cautious level n^(-0.3)).
 
@@ -193,21 +183,6 @@ def phase2_stationary(n):
 
 def _phase3_block_size(n):
     return max(4, round(n ** (1.0 / 6.0)))
-
-
-def phase3_recurrence(delta0, n):
-    """One-round ones-fraction bound for mod-4 counting blocks of size n^(1/6).
-
-    delta1 = delta0 * (3*n^(-1/6) + 3*delta0 + C(k,3)*delta0^3); the first two
-    terms charge for header-bit pathologies of the compiled gate, the last
-    for blocks holding four 1's.
-    """
-    if not 0.0 <= delta0 < 1.0:
-        raise ValueError("delta must lie in [0, 1)")
-    if n < 64:
-        raise ValueError("n must be >= 64")
-    k = _phase3_block_size(n)
-    return delta0 * (3.0 * n ** (-1.0 / 6.0) + 3.0 * delta0 + math.comb(k, 3) * delta0**3)
 
 
 def binomial_class_mass(delta, k, residue, modulus, start=0):

@@ -47,7 +47,6 @@ __all__ = [
     "phase3_run",
     "block_segments",
     "block_size",
-    "gather_perm",
     "pipeline",
     "PipelineResult",
 ]
@@ -405,7 +404,7 @@ def make_plan(epsilon, n, p1config=None, schedule=None):
 
 
 # ---------------------------------------------------------------------------
-# blocks and gathering
+# blocks
 
 
 def block_size(n):
@@ -417,18 +416,6 @@ def block_segments(n):
     """Lengths of consecutive interaction blocks of size floor(n^(1/3))
     covering n bits; the final block may be short."""
     return np.diff(np.append(np.arange(0, n, block_size(n)), n))
-
-
-def gather_perm(live_mask):
-    """Destination map packing live cells to the prefix, order preserved."""
-    live_mask = np.asarray(live_mask, dtype=bool)
-    n = len(live_mask)
-    dest = np.empty(n, dtype=np.int64)
-    live = np.flatnonzero(live_mask)
-    dead = np.flatnonzero(~live_mask)
-    dest[live] = np.arange(len(live))
-    dest[dead] = len(live) + np.arange(len(dead))
-    return dest
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spinref import analysis
 from spinref.analysis import (
+    REGION_FLOORS,
     PolarizationParams,
     backward_orbit,
     bias_backward,
@@ -20,10 +21,8 @@ from spinref.analysis import (
     phase1_rounds,
     phase2_bounds,
     phase2_delta_bound,
-    phase2_region_floor,
     phase2_stationary,
     phase3_certificate,
-    phase3_recurrence,
     runtime_exponent,
     yield_ledger,
 )
@@ -118,15 +117,11 @@ def test_phase2_fourth_region_chain():
 
 
 def test_phase2_region_floors():
-    assert phase2_region_floor(1) == 0.532
-    assert phase2_region_floor(4) == 0.96
-    with pytest.raises(ValueError):
-        phase2_region_floor(5)
     # cross-check region 1..3 floors at the worst delta on a grid
     worst = [
-        ((0.0188, 0.072), 3, 0.532),
-        ((0.0027, 0.0188), 7, 0.75),
-        ((0.000158, 0.0027), 21, 0.899),
+        ((0.0188, 0.072), 3, REGION_FLOORS[1]),
+        ((0.0027, 0.0188), 7, REGION_FLOORS[2]),
+        ((0.000158, 0.0027), 21, REGION_FLOORS[3]),
     ]
     for (lo, hi), k, floor in worst:
         for delta in np.linspace(lo + 1e-9, hi, 50):
@@ -138,7 +133,7 @@ def test_phase2_region_floors():
         k = math.ceil(round(delta**-0.4, 9))
         prod *= (1 - delta) ** k * (k - 1) / k
         delta = phase2_delta_bound(delta, k)
-    assert prod >= 0.96
+    assert prod >= REGION_FLOORS[4]
 
 
 def test_phase2_stationary():
@@ -150,15 +145,6 @@ def test_phase2_stationary():
     for n in (2, 10, 10**4, 10**9):
         star, halt = phase2_stationary(n)
         assert star < halt
-
-
-def test_phase3_recurrence_values():
-    assert phase3_recurrence(0.0, 10**6) == 0.0
-    val = phase3_recurrence(1e-2, 10**6)
-    assert val <= 3.302e-3
-    assert val == pytest.approx(3.3012e-3, rel=1e-6)
-    with pytest.raises(ValueError):
-        phase3_recurrence(0.1, 32)
 
 
 def test_phase3_certificate_converges():

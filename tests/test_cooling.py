@@ -13,7 +13,6 @@ from spinref.cooling import (
     block_segments,
     block_size,
     choose_k,
-    gather_perm,
     phase1_round,
     phase1_run,
     phase2_plan,
@@ -434,7 +433,7 @@ def test_segment_lengths_must_cover_the_input():
 
 
 # ---------------------------------------------------------------------------
-# blocks, gather, pipeline
+# blocks, pipeline
 
 
 def test_block_segments_paper_sizes():
@@ -448,21 +447,6 @@ def test_block_segments_paper_sizes():
     assert block_size(50000) == 36
     assert lens.tolist() == [36] * 1388 + [32]
     assert int(lens.sum()) == 50000
-
-
-def test_gather_machine_cost_quadratic():
-    rng = np.random.default_rng(0)
-    for n in (27, 243, 729):
-        mask = rng.random(n) < 0.3
-        perm = gather_perm(mask)
-        cost = thermal.transposition_schedule(perm)[1]
-        assert cost <= 2.0 * n * n
-        # gathered order preserved
-        bits = rng.integers(0, 2, n, dtype=np.uint8)
-        from spinref import perms as _perms
-
-        out = _perms.apply_to(bits, perm)
-        assert np.array_equal(out[: mask.sum()], bits[mask])
 
 
 def test_pipeline_full_bias_all_zero():
