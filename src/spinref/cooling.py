@@ -6,14 +6,13 @@ XORs each bin into its first bit and passes the remainder of the bin only
 on even parity.  Phase 3 (mod-4 counting) passes the payload of a block iff
 the block's ones-count is divisible by four; the pipeline first reads phase
 2's output column by column, so no block sees both ones of a bin's pair.
-Round counts and bin sizes
-are always driven by the deterministic analytic recurrences, never by
-peeking at the data, so the machine realization stays oblivious; the
-empirical trace is recorded for validation only.  ``make_plan`` fixes them
-all in one ``Plan``, and with them each round's predicted output bias,
-which the round kernels record as given (NaN when called without a plan).
-A round runs on a flat bit array, optionally cut into segments (the
-interaction blocks) that no pair, bin or block straddles.
+Round counts and bin sizes are always driven by the deterministic analytic
+recurrences, never by peeking at the data, so the machine realization stays
+oblivious; the empirical trace is recorded for validation only.
+``make_plan`` fixes them all in one ``Plan``, and with them each round's
+predicted output bias, which the round kernels record as given (NaN when
+called without a plan).  A round runs on a flat bit array, optionally cut
+into segments (the interaction blocks) that no pair, bin or block straddles.
 
 Per-round step costs are charged from the compiled-program cost formulas
 (single-tape canonical); the pipeline additionally accumulates totals for
@@ -227,9 +226,8 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, segments=None):
     ``bias_pred`` is the planned output bias, recorded as given."""
     bits = np.asarray(bits, dtype=np.uint8)
     rows, per_segment = _rows(bits, 2, segments)
-    # each pair is one word, equal exactly when it is 0x0000 or 0x0101; less
-    # one, those wrap to 0xFFFF and 0x0100, the unequal 0x0001 and 0x0100 to
-    # 0x0000 and 0x00FF
+    # each pair is one word, equal exactly when it is 0x0000 or 0x0101: the
+    # two words still above 0x00FF once 1 is subtracted (0 wraps to 0xFFFF)
     words = np.ascontiguousarray(rows).view(np.uint16).ravel()
     kept = words - np.uint16(1) > 255
     out = _select(words, kept).astype(bool).view(np.uint8)
@@ -520,8 +518,6 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
     records = []
     for phase, phase_rounds in enumerate(rounds, 1):
         if phase == 3 and plan.phase2:
-            # phase 2 passes whole bin payloads, so its ones leave in pairs
-            # within a row; read by column, no mod-4 block sees both of a pair
             bits, inv = _transpose(bits, lens, plan.phase2[-1].k - 1)
             for arch, c in _arch_init_cost(len(bits), inv).items():
                 steps[arch] += c
