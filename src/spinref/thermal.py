@@ -19,16 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import machine, perms
-
 __all__ = [
     "BiasModel",
     "sample",
     "stride_shuffle_perm",
     "stride_inversions",
     "uniform_random_perm",
-    "transposition_schedule",
-    "apply_perm_as_transpositions",
     "write_bits_packed",
     "read_bits_packed",
     "write_bits_ascii",
@@ -154,78 +150,6 @@ def uniform_random_perm(n, seed):
     if n < 1:
         raise ValueError("n must be >= 1")
     return np.random.default_rng(seed).permutation(n)
-
-
-# ---------------------------------------------------------------------------
-# executing a permutation on the machine with head transpositions
-
-
-def _oddeven_passes(perm):
-    """Yield (swap_sites, head_travel_from, head_travel_to) per odd-even pass.
-
-    Odd-even transposition passes over the linearized ring; sites within one
-    pass are disjoint so the swaps commute.  The schedule depends only on
-    the permutation (known to the experimenter), never on the tape data, so
-    the emitted trace is data independent.
-    """
-    perm = np.asarray(perm)
-    if not perms.is_permutation(perm):
-        raise ValueError("not a permutation")
-    keys = perm.copy()
-    parity = 0
-    while np.any(keys[:-1] > keys[1:]):
-        j = np.arange(parity, len(keys) - 1, 2)
-        hot = j[keys[j] > keys[j + 1]]
-        if len(hot):
-            tmp = keys[hot].copy()
-            keys[hot] = keys[hot + 1]
-            keys[hot + 1] = tmp
-            yield hot
-        parity ^= 1
-
-
-def transposition_schedule(perm):
-    """Adjacent-transposition program realizing a destination map.
-
-    Returns (program, cost) with cost == len(program); each executed swap
-    removes exactly one adjacent inversion, so the gate count equals the
-    inversion count of the permutation and the identity costs zero.  Total
-    cost is O(n^2): at most n passes of at most 2n head moves each.
-    """
-    n = len(np.asarray(perm))
-    program = []
-    head = 0
-    swap = machine.GATES["SWAP2"]
-
-    def goto(j):
-        nonlocal head
-        dist_fwd = (j - head) % n
-        dist_back = (head - j) % n
-        if dist_fwd <= dist_back:
-            program.extend([machine.Shift(1)] * dist_fwd)
-        else:
-            program.extend([machine.Shift(-1)] * dist_back)
-        head = j
-
-    for sites in _oddeven_passes(perm):
-        for j in sites.tolist():
-            goto(j)
-            program.append(machine.Gate(swap))
-    if program:
-        goto(0)  # restore the head frame
-    return program, len(program)
-
-
-def apply_perm_as_transpositions(state, perm):
-    """Execute a destination-map permutation on the tape; returns (state, cost).
-
-    The head must start anywhere; the permutation is applied to the logical
-    tape (head-relative ordering).  Cost is O(n^2) adjacent transpositions
-    plus head travel.
-    """
-    program, cost = transposition_schedule(perm)
-    machine.execute(state, program)
-    return state, cost
 
 
 # ---------------------------------------------------------------------------

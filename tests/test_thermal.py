@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinref import cooling, machine, perms, thermal
+from spinref import compiler, cooling, machine, perms, thermal
 from spinref.thermal import (
     BiasModel,
-    apply_perm_as_transpositions,
     read_bits_ascii,
     read_bits_packed,
     sample,
     stride_inversions,
     stride_shuffle_perm,
-    transposition_schedule,
     uniform_random_perm,
     write_bits_ascii,
     write_bits_packed,
@@ -196,35 +194,20 @@ def test_uniform_perm_multinomial():
         assert abs(c - 10000) < 400
 
 
-def test_transposition_identity_and_single_swap():
-    prog, cost = transposition_schedule(np.arange(12))
-    assert cost == 0 and prog == []
-    swapped = np.arange(12)
-    swapped[0], swapped[1] = 1, 0
-    prog, cost = transposition_schedule(swapped)
-    assert cost <= 3  # O(1): no travel, one gate
-
-
-def test_apply_perm_matches_destination_map():
+def test_initial_permutation_charge_is_the_bubble_programs_step_count():
+    # the single-tape charge n^2 + inv is what the compiled deinterleave
+    # takes: n walks of n shifts, plus one swap per inversion
     rng = np.random.default_rng(7)
-    for n in (9, 27, 64):
-        pi = rng.permutation(n)
+    cubes = [(stride_shuffle_perm(m**3), stride_inversions(m**3)) for m in range(2, 7)]
+    for perm, inv in cubes + [
+        (p, perms.count_inversions(p)) for p in (rng.permutation(n) for n in (9, 27, 64))
+    ]:
+        n = len(perm)
         bits = rng.integers(0, 2, n, dtype=np.uint8)
         state = machine.new_tape(bits.copy())
-        _, cost = apply_perm_as_transpositions(state, pi)
-        assert np.array_equal(state.logical(), perms.apply_to(bits, pi))
-        assert state.steps == cost
-
-
-def test_schedule_cost_quadratic_envelope():
-    rng = np.random.default_rng(11)
-    ratios = []
-    for n in (27, 81, 243, 729):
-        pi = rng.permutation(n)
-        prog, cost = transposition_schedule(pi)
-        assert cost == len(prog)
-        ratios.append(cost / n**2)
-    assert max(ratios) < 2.0
+        machine.execute(state, compiler._emit_deinterleave(perm, n))
+        assert np.array_equal(state.logical(), perms.apply_to(bits, perm)), n
+        assert state.steps == cooling._arch_init_cost(n, inv)["single"], n
 
 
 def test_packed_roundtrip(tmp_path):
