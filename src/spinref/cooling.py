@@ -211,9 +211,13 @@ def _result(out, rec, segments, kept, per_segment, width):
         return out, rec
     if per_segment is None:
         return out, rec, np.array([len(out)], dtype=np.int64)
-    # kept rows per segment, read off a running count at segment boundaries
-    running = np.concatenate(([0], np.cumsum(kept, dtype=np.int64)))
-    return out, rec, np.diff(running[np.concatenate(([0], np.cumsum(per_segment)))]) * width
+    # kept rows per segment, summed from each segment's first row; reduceat
+    # would read one element for a segment without rows, so those stay 0
+    has = per_segment > 0
+    kept_rows = np.zeros(len(per_segment), dtype=np.int64)
+    first = (np.cumsum(per_segment) - per_segment)[has]
+    kept_rows[has] = np.add.reduceat(kept.view(np.uint8), first, dtype=np.int64)
+    return out, rec, kept_rows * width
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +473,14 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
     ``binomial-direct`` skips the initial permutation and runs the phases on
     the whole population; it takes a binomial source only, since a
     correlated one leaves ones in the clean prefix.
-    ``shuffled-blocks`` applies a spreading permutation (the stride
-    permutation when n is a perfect cube, else a seeded uniform one) and
-    confines every phase to interaction blocks of size n^(1/3); the flat
-    output of the last round is the gathered prefix.  This is the layout the
-    correlated-source analysis needs.  Either way each round is one call on the flat bits.
+    ``shuffled-blocks`` applies a spreading permutation and confines every
+    phase to interaction blocks of size n^(1/3); the flat output of the last
+    round is the gathered prefix.  When n is a perfect cube the spread is
+    the stride permutation, taken as one strided read
+    (``thermal.stride_spread``); otherwise it is a seeded uniform
+    permutation, applied through its destination map.  This is the layout
+    the correlated-source analysis needs.  Either way each round is one
+    call on the flat bits.
     When the plan has a parity-binning round, phase 3 first reads each
     segment's phase-2 output column by column, as rows of the last bin's
     payload width, so the bits it cuts into blocks are not the pairs of one
@@ -496,14 +503,14 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
         lens = np.array([n], dtype=np.int64)
     else:
         if thermal._icbrt(n) ** 3 == n:
-            perm = thermal.stride_shuffle_perm(n)
+            bits = thermal.stride_spread(bits)
             inv = thermal.stride_inversions(n)
         else:
             perm = thermal.uniform_random_perm(n, np.random.SeedSequence((seed, 0xA11CE)))
+            bits = perms.apply_to(bits, perm)
             inv = perms.count_inversions(perm)
         for arch, c in _arch_init_cost(n, inv).items():
             steps[arch] += c
-        bits = perms.apply_to(bits, perm)
         lens = block_segments(n)
 
     ss2 = np.random.SeedSequence((seed, 0x5EED2))

@@ -18,11 +18,13 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "BiasModel",
     "sample",
     "stride_shuffle_perm",
+    "stride_spread",
     "stride_inversions",
     "uniform_random_perm",
     "write_bits_packed",
@@ -130,6 +132,23 @@ def stride_shuffle_perm(n):
     idx = np.arange(n)
     r, s = idx // m, idx % m
     return ((r + s) % (m * m)) * m + s
+
+
+def stride_spread(bits):
+    """``perms.apply_to(bits, stride_shuffle_perm(len(bits)))`` as a fresh
+    array, without building the destination map.
+
+    On the m^2 x m grid, out[R, s] = bits[(R - s) mod m^2, s]: cell (R, s)
+    sits at R*m - s*(m-1) counted from the second of two back-to-back
+    copies, so one strided read with row stride m and column stride -(m-1)
+    takes every column's rotation at once.
+    """
+    bits = np.asarray(bits)
+    n = len(bits)
+    m = _cube_root(n)
+    both = np.concatenate([bits, bits])
+    step = both.itemsize
+    return as_strided(both[n:], shape=(m * m, m), strides=(m * step, -(m - 1) * step)).ravel()
 
 
 def stride_inversions(n):

@@ -393,24 +393,33 @@ def _reference_round(phase, bits, k, seed, segments):
     length=st.integers(0, 99),
     big=st.booleans(),
     step=st.sampled_from([1, 3]),
-    cuts=st.integers(0, 4),
+    cuts=st.none() | st.lists(st.integers(0, 100), max_size=60),
     shuffled=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(phase=1, k=2, length=5, big=True, step=3, cuts=3, shuffled=False, seed=1)
+@example(phase=1, k=2, length=5, big=True, step=3, cuts=[30, 70], shuffled=False, seed=1)
+# segments without a full row first, last, and everywhere
+@example(phase=3, k=6, length=60, big=False, step=1, cuts=[0, 5, 8], shuffled=False, seed=2)
+@example(phase=2, k=5, length=60, big=False, step=3, cuts=[98, 99, 100], shuffled=True, seed=3)
+@example(phase=1, k=2, length=8, big=False, step=1, cuts=list(range(0, 101, 12)),
+         shuffled=False, seed=4)
+@example(phase=3, k=4, length=0, big=True, step=1, cuts=[0, 0, 50, 100, 100], shuffled=False,
+         seed=5)
 def test_round_kernels_equal_plain_selection(phase, k, length, big, step, cuts, shuffled, seed):
-    # word pairing and sliced selection give the plain selection's bytes, on
-    # odd lengths, strided views, segments with tails and inputs longer than
-    # one selection slice
+    # word pairing, sliced selection and the per-segment counts give the
+    # plain selection's bytes, on odd lengths, strided views, dozens of
+    # segments with tails or no full row at all, and inputs longer than one
+    # selection slice
     k = {1: 2, 2: k, 3: max(k, 4)}[phase]
     if big:
         length += (cooling._SLICE + 7) * k
     rng = np.random.default_rng(seed)
     bits = (rng.random(length * step) < 0.4).astype(np.uint8)[::step]
     segments = None
-    if cuts:
-        points = np.sort(rng.integers(0, length + 1, cuts - 1))
-        segments = np.diff(np.concatenate(([0], points, [length]))).tolist()
+    if cuts is not None:
+        # cut points in percent of the input length
+        points = sorted(c * length // 100 for c in cuts)
+        segments = np.diff([0, *points, length]).tolist()
     seed2 = seed if phase == 2 and shuffled else None
     call = {
         1: lambda **kw: phase1_round(bits, bias_pred=0.5, **kw),

@@ -13,6 +13,7 @@ from spinref.thermal import (
     sample,
     stride_inversions,
     stride_shuffle_perm,
+    stride_spread,
     uniform_random_perm,
     write_bits_ascii,
     write_bits_packed,
@@ -150,6 +151,33 @@ def test_stride_perm_separates_blocks():
         for b in range(n // m):
             dests = dst[src == b]
             assert len(set(dests.tolist())) == m
+
+
+def test_stride_spread_is_the_stride_permutation_applied():
+    rng = np.random.default_rng(5)
+    for m in list(range(1, 9)) + [48]:
+        bits = rng.integers(0, 2, m**3, dtype=np.uint8)
+        out = stride_spread(bits)
+        assert out.dtype == bits.dtype
+        assert np.array_equal(out, perms.apply_to(bits, stride_shuffle_perm(m**3))), m
+
+
+def test_stride_spread_returns_a_fresh_writable_array():
+    for m in (1, 2, 5):
+        bits = np.arange(m**3, dtype=np.uint8)
+        out = stride_spread(bits)
+        assert out.flags.writeable and not np.shares_memory(out, bits)
+        out[:] = 7
+        assert np.array_equal(bits, np.arange(m**3))
+
+
+def test_stride_spread_rejects_non_cubes_like_the_permutation():
+    for n in (2, 10, 50000):
+        with pytest.raises(ValueError) as spread:
+            stride_spread(np.zeros(n, dtype=np.uint8))
+        with pytest.raises(ValueError) as perm:
+            stride_shuffle_perm(n)
+        assert str(spread.value) == str(perm.value)
 
 
 def test_stride_inversions_match_the_merge_count():
