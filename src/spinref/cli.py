@@ -10,7 +10,8 @@ Subcommands:
 * ``equiv``    -- compiled-versus-abstract equivalence suites
 * ``bench``    -- step-count scaling and fitted runtime exponents
 
-Exit codes: 0 success, 1 validation error, 2 conformance/assertion failure.
+Exit codes: 0 success, 1 validation error, 2 conformance/assertion failure
+(``pipeline``: a trial left a one in its clean prefix or yielded no bits).
 Every emitted byte is a function of (config, seed); trial parallelism
 (``--jobs``) merges results in seed order so it never changes output bytes.
 ``SPINREF_SEED`` provides the default seed and must be an integer.  Flags
@@ -209,7 +210,10 @@ def _cmd_pipeline(args, outdir):
         "ledger": results[0]["ledger"],
     }
     reports.write_text(outdir / "ledger.json", reports.to_json(summary))
-    ok = all(r["clean_bits"] <= results[0]["ledger"]["entropy_cap"] for r in results)
+    # the simulator knows the ground truth: a clean prefix that holds a one,
+    # or none at all, is a conformance failure, as is a yield over the cap
+    cap = results[0]["ledger"]["entropy_cap"]
+    ok = all(0 < r["clean_bits"] <= cap and r["ones_out"] == 0 for r in results)
     return EXIT_OK if ok else EXIT_CONFORMANCE
 
 

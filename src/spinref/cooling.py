@@ -479,8 +479,10 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
     the stride permutation, taken as one strided read
     (``thermal.stride_spread``); otherwise it is a seeded uniform
     permutation, applied through its destination map.  This is the layout
-    the correlated-source analysis needs.  Either way each round is one
-    call on the flat bits.
+    the correlated-source analysis needs, but at desk scales the blocks'
+    populations fall below the bin sizes and the yield can be 0, which
+    ``spinref pipeline`` reports with exit code 2.  Either way each round
+    is one call on the flat bits.
     When the plan has a parity-binning round, phase 3 first reads each
     segment's phase-2 output column by column, as rows of the last bin's
     payload width, so the bits it cuts into blocks are not the pairs of one

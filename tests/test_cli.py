@@ -49,6 +49,32 @@ def test_pipeline_outputs_and_determinism(tmp_path):
     assert all(t["ones_out"] == 0 for t in ledger["trials"])
 
 
+def _one_in_prefix(res):
+    res.bits = res.bits.copy()
+    res.bits[-1] = 1
+
+
+def _no_yield(res):
+    res.bits, res.clean_bits = res.bits[:0], 0
+
+
+@pytest.mark.parametrize("spoil", [_one_in_prefix, _no_yield])
+def test_pipeline_exits_2_on_a_dirty_or_empty_prefix(tmp_path, monkeypatch, spoil):
+    # the simulator knows the ground truth, so the CLI checks it
+    real = cooling.pipeline
+
+    def spoiled(*args, **kwargs):
+        res = real(*args, **kwargs)
+        spoil(res)
+        return res
+
+    args = ["pipeline", "--n", "20000", "--epsilon", "0.25", "--seed", "7", "--trials", "2"]
+    assert run(args + ["--out", str(tmp_path / "ok")]) == cli.EXIT_OK
+    monkeypatch.setattr(cooling, "pipeline", spoiled)
+    assert run(args + ["--out", str(tmp_path / "bad")]) == cli.EXIT_CONFORMANCE
+    assert (tmp_path / "bad" / "ledger.json").exists()
+
+
 def test_pipeline_repeat_identical_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["pipeline", "--n", "10000", "--epsilon", "0.3", "--seed", "5"]

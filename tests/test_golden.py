@@ -96,15 +96,17 @@ PHASE = {
 }
 
 
-def _digests(tmp_path, argv, names):
-    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK
+def _digests(tmp_path, argv, names, code=cli.EXIT_OK):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == code
     return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
 
 
 @pytest.mark.parametrize("case", sorted(PIPELINE))
 def test_pipeline_golden(tmp_path, case):
     flags, pins = PIPELINE[case]
-    assert _digests(tmp_path, ["pipeline", "--seed", "3"] + flags, pins) == pins
+    # the shuffled blocks yield no clean bits at these sizes: exit 2, bytes written
+    code = cli.EXIT_CONFORMANCE if case.startswith("blocks-") else cli.EXIT_OK
+    assert _digests(tmp_path, ["pipeline", "--seed", "3"] + flags, pins, code) == pins
 
 
 @pytest.mark.parametrize("which", sorted(PHASE))
