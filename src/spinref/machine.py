@@ -27,11 +27,17 @@ data.  ``lower`` uses that to resolve the head statically, once per program
 and tape size, and ``execute``, ``trace`` and compiled programs all run the
 lowered form through one executor loop.  The primitives above are the
 reference semantics it is tested against.
+
+A program is an iterable of instructions or ``encode``'s form of one: a
+table of its distinct instructions and one integer code per step.
+``lower``, ``trace`` and ``program_to_text`` work on that form, so each
+distinct instruction is checked and printed once, however often it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -50,6 +56,8 @@ __all__ = [
     "SwapReg",
     "Measure",
     "CA",
+    "Encoded",
+    "encode",
     "Lowered",
     "lower",
     "execute",
@@ -267,7 +275,7 @@ def swap_register(state, which):
 
 
 # ---------------------------------------------------------------------------
-# programs: a program is a list of instruction tuples
+# programs: instructions, and a program's encoded form
 
 
 @dataclass(frozen=True)
@@ -296,10 +304,83 @@ class CA:
     gate: ReversibleGate
 
 
+def _check(ins):
+    """Raise if ``ins`` is not a valid instruction on any tape.  ``lower``
+    adds the one check that needs the tape size: a pulse's spacing must
+    divide n."""
+    kind = type(ins)
+    if kind is Shift:
+        if ins.direction not in (1, -1):
+            raise ValueError("shift direction must be +1 or -1")
+    elif kind is SwapReg:
+        if ins.which not in (1, 2):
+            raise ValueError("register index must be 1 or 2")
+    elif kind is Gate or kind is CA:
+        if not isinstance(ins.gate, ReversibleGate):
+            raise TypeError(f"{ins!r} does not hold a ReversibleGate")
+        if kind is CA:
+            if ins.gate.width != 2:
+                raise ValueError("parallel pulses take a width-2 gate")
+            if ins.k == 1:
+                raise ValueError("spacing k=1 would address overlapping pairs")
+            if ins.k <= 0:
+                raise ValueError(f"spacing k={ins.k} must be positive")
+    elif kind is not Measure:
+        raise TypeError(f"unknown instruction {ins!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class Encoded:
+    """A program as ``table``, a tuple of its distinct instruction
+    instances, and ``codes``, one index into ``table`` per step.  Each
+    table entry is checked once, here.  Iterating yields the steps'
+    instructions; ``len()`` is the step count."""
+
+    table: tuple
+    codes: np.ndarray
+
+    def __post_init__(self):
+        table = tuple(self.table)
+        codes = np.asarray(self.codes, dtype=np.intp)
+        if codes.ndim != 1 or (codes.size and not 0 <= codes.min() <= codes.max() < len(table)):
+            raise ValueError("codes must be a 1-d array of table indices")
+        for ins in table:
+            _check(ins)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "codes", codes)
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __iter__(self):
+        return map(self.table.__getitem__, self.codes.tolist())
+
+
+def encode(program):
+    """``program`` as an ``Encoded``, made in one pass over an iterable of
+    instructions; an ``Encoded`` is returned as it is.  Entries are
+    distinct instances, so equal instructions that print differently (two
+    gates with one table and two names) keep their own lines."""
+    if isinstance(program, Encoded):
+        return program
+    # the table holds each instance, so an id stays unique while it is in use
+    index, table, codes = {}, [], []
+    for ins in program:
+        c = index.get(id(ins))
+        if c is None:
+            c = index[id(ins)] = len(table)
+            table.append(ins)
+        codes.append(c)
+    return Encoded(table, codes)
+
+
+@lru_cache(maxsize=64)
 def _gate_meta(gate):
     """(wires, rows) of a gate.  ``rows[i]`` is the output bit tuple for
     packed input i.  ``wires[j]`` is the input wire that output wire j
-    copies, or ``wires`` is None if the gate does more than rearrange."""
+    copies, or ``wires`` is None if the gate does more than rearrange.
+    Both depend only on the width and table, the gate's hash and equality,
+    so equal gates share one cache entry."""
     w = gate.width
     rows = tuple(tuple((o >> (w - 1 - j)) & 1 for j in range(w)) for o in gate.table)
     inputs = [tuple((i >> (w - 1 - j)) & 1 for i in range(1 << w)) for j in range(w)]
@@ -332,72 +413,89 @@ class Lowered:
         return self.steps
 
 
+# what lowering does with a step that is not a shift
+_SWAP, _LOOKUP, _RENAME, _SWAPREG, _MEASURE, _PULSE = range(6)
+
+
+def _action(ins, n):
+    """(head move, action) of one table entry on an n-cell tape.  The action
+    is a tuple led by one of the tags above, or None when the step leaves
+    nothing to lower (a shift, or a gate that keeps every wire)."""
+    kind = type(ins)
+    if kind is Shift:
+        return ins.direction, None
+    if kind is SwapReg:
+        return 0, (_SWAPREG, n + ins.which - 1)
+    if kind is Measure:
+        return 0, (_MEASURE,)
+    g = ins.gate
+    wires, rows = _gate_meta(g)
+    if kind is CA and n % ins.k:
+        raise ValueError(f"spacing k={ins.k} must divide n={n}")
+    if wires == tuple(range(g.width)):
+        return 0, None
+    if kind is CA:
+        return 0, (_PULSE, ins.k, wires, rows)
+    if wires == (1, 0):
+        return 0, (_SWAP,)
+    if wires is None or (n == 1 and wires[0] > 1):
+        # on a one-cell ring both head wires are that cell; if the first
+        # output wire takes a register bit, the cell's bit lands in two
+        # places, which no renaming holds
+        return 0, (_LOOKUP, g.width, rows)
+    return 0, (_RENAME, wires)
+
+
 def lower(instructions, n, heads=None):
-    """Lower a program for an n-cell tape in one walk, the head offset
-    tracked statically.  Bad instructions raise here, before any tape
-    changes.  If ``heads`` is a list, the head offset before each
-    instruction is appended to it."""
+    """Lower a program (instructions, or ``encode``'s form) for an n-cell
+    tape.  The head offset before each step is a cumulative sum of the
+    shifts; one walk over the other steps builds the ops.  Bad
+    instructions raise here, before any tape changes.  If ``heads`` is a
+    list, the head offset before each step is appended to it."""
+    program = encode(instructions)
+    moves, actions = [], []
+    for ins in program.table:
+        m, act = _action(ins, n)
+        moves.append(m)
+        actions.append(act)
+    codes = program.codes
+    move = np.array(moves, dtype=np.intp)[codes]
+    at = np.cumsum(move) - move
+    if heads is not None:
+        heads.extend((at % n).tolist())
+    busy = np.flatnonzero(np.array([a is not None for a in actions], dtype=bool)[codes])
     y = (n, n + 1)
     slot = list(range(n + 2))  # list slot holding each logical position's bit
     ops = []
-    meta = {}  # id(gate) -> (wires, rows, gate); holding the gate keeps its id unique
-    h = steps = 0
-    for ins in instructions:
-        if heads is not None:
-            heads.append(h)
-        steps += 1
-        kind = type(ins)
-        if kind is Shift:
-            d = ins.direction
-            if d == 1:
-                h = h + 1 if h + 1 < n else 0
-            elif d == -1:
-                h = h - 1 if h else n - 1
-            else:
-                raise ValueError("shift direction must be +1 or -1")
-        elif kind is Gate:
-            g = ins.gate
-            wires, rows, _ = meta.get(id(g)) or meta.setdefault(id(g), (*_gate_meta(g), g))
-            h1 = h + 1 if h + 1 < n else 0
-            if wires == (1, 0):
-                slot[h], slot[h1] = slot[h1], slot[h]
-            elif wires is None or (n == 1 and wires[0] > 1):
-                # on a one-cell ring both head wires are that cell; if the
-                # first output wire takes a register bit, the cell's bit
-                # lands in two places, which no renaming holds
-                ops.append((g.width, slot[h], slot[h1]) + tuple(slot[n : n + g.width - 2])
-                           + (rows,))
-            elif wires != (0, 1):
-                pos = (h, h1) + y
-                src = [slot[pos[i]] for i in wires]
-                for p, s in zip(pos, src):
-                    slot[p] = s
-        elif kind is SwapReg:
-            if ins.which not in (1, 2):
-                raise ValueError("register index must be 1 or 2")
-            r = y[ins.which - 1]
+    for c, h in zip(codes[busy].tolist(), (at[busy] % n).tolist()):
+        act = actions[c]
+        tag = act[0]
+        h1 = h + 1 if h + 1 < n else 0
+        if tag == _SWAP:
+            slot[h], slot[h1] = slot[h1], slot[h]
+        elif tag == _LOOKUP:
+            w = act[1]
+            ops.append((w, slot[h], slot[h1]) + tuple(slot[n : n + w - 2]) + (act[2],))
+        elif tag == _RENAME:
+            pos = (h, h1) + y
+            src = [slot[pos[i]] for i in act[1]]
+            for p, s in zip(pos, src):
+                slot[p] = s
+        elif tag == _SWAPREG:
+            r = act[1]
             slot[h], slot[r] = slot[r], slot[h]
-        elif kind is Measure:
+        elif tag == _MEASURE:
             ops.append((0, slot[h]))
-        elif kind is CA:
-            g, k = ins.gate, ins.k
-            if g.width != 2:
-                raise ValueError("parallel pulses take a width-2 gate")
-            if k <= 0 or n % k != 0:
-                raise ValueError(f"spacing k={k} must divide n={n}")
-            if k == 1:
-                raise ValueError("spacing k=1 would address overlapping pairs")
-            wires, rows, _ = meta.get(id(g)) or meta.setdefault(id(g), (*_gate_meta(g), g))
+        else:
+            _, k, wires, rows = act
             for first in range(h, h + n, k):
                 a, b = first % n, (first + 1) % n
-                if wires == (1, 0):
-                    slot[a], slot[b] = slot[b], slot[a]
-                elif wires is None:
+                if wires is None:
                     ops.append((2, slot[a], slot[b], rows))
-        else:
-            raise TypeError(f"unknown instruction {ins!r}")
+                else:
+                    slot[a], slot[b] = slot[b], slot[a]
     gather = None if slot == list(range(n + 2)) else itemgetter(*slot)
-    return Lowered(n, ops, gather, h, steps)
+    return Lowered(n, ops, gather, int(move.sum()) % n, len(codes))
 
 
 def _run(lowered, t):
@@ -423,8 +521,8 @@ def _run(lowered, t):
 
 
 def execute(state, program):
-    """Run a program (instructions, or ``lower``'s result for this tape
-    size) in place; returns the list of measurement results."""
+    """Run a program (instructions, ``encode``'s form, or ``lower``'s result
+    for this tape size) in place; returns the list of measurement results."""
     n = state.n
     if not isinstance(program, Lowered):
         program = lower(program, n)
@@ -442,11 +540,12 @@ def execute(state, program):
 
 def trace(state, program):
     """Execute and record the (mnemonic, head) pair before each primitive."""
-    program = list(program)
+    program = encode(program)
     heads = []
     lowered = lower(program, state.n, heads)
-    start = state.head
-    out = [(_mnemonic(ins), (start + h) % state.n) for ins, h in zip(program, heads)]
+    names = [_mnemonic(ins) for ins in program.table]
+    start, n = state.head, state.n
+    out = [(names[c], (start + h) % n) for c, h in zip(program.codes.tolist(), heads)]
     execute(state, lowered)
     return out
 
@@ -481,55 +580,59 @@ def _inverse_name(name):
 
 
 def _mnemonic(ins):
-    if isinstance(ins, Shift):
+    """The line of a checked instruction."""
+    kind = type(ins)
+    if kind is Shift:
         return f"SHIFT {'+1' if ins.direction > 0 else '-1'}"
-    if isinstance(ins, Gate):
+    if kind is Gate:
         return f"GATE {ins.gate.name}"
-    if isinstance(ins, SwapReg):
+    if kind is SwapReg:
         return f"SWAPREG {ins.which}"
-    if isinstance(ins, Measure):
+    if kind is Measure:
         return "MEASURE"
-    if isinstance(ins, CA):
-        return f"CA {ins.k} {ins.gate.name}"
-    raise TypeError(f"unknown instruction {ins!r}")
+    return f"CA {ins.k} {ins.gate.name}"
 
 
 def program_to_text(program):
-    """One primitive per line: SHIFT +1 | GATE <id> | SWAPREG 1|2 | MEASURE | CA <k> <id>."""
-    # programs repeat a few instruction instances many times; each entry
-    # holds its instruction, so an id stays unique while the cache lives
-    cache = {}
-    lines = []
-    for ins in program:
-        hit = cache.get(id(ins))
-        if hit is None:
-            hit = cache[id(ins)] = (ins, _mnemonic(ins))
-        lines.append(hit[1])
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One primitive per line: SHIFT +1 | GATE <id> | SWAPREG 1|2 | MEASURE | CA <k> <id>.
+
+    ``program`` is instructions or ``encode``'s form; each distinct
+    instruction is checked and printed once."""
+    program = encode(program)
+    lines = np.array([_mnemonic(ins) + "\n" for ins in program.table], dtype=object)
+    return "".join(lines[program.codes].tolist())
+
+
+def _parse(parts):
+    op = parts[0]
+    if op == "SHIFT":
+        return Shift({"+1": 1, "-1": -1}[parts[1]])
+    if op == "GATE":
+        return Gate(GATES[parts[1]])
+    if op == "SWAPREG":
+        return SwapReg(int(parts[1]))
+    if op == "MEASURE":
+        return Measure()
+    if op == "CA":
+        return CA(int(parts[1]), GATES[parts[2]])
+    raise KeyError(op)
 
 
 def text_to_program(text):
-    """Parse the line format back; gate ids name entries of ``GATES``."""
+    """Parse the line format back; gate ids name entries of ``GATES``.  A
+    line must be exactly the text ``program_to_text`` prints for a valid
+    instruction, apart from spacing."""
     program = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        op = parts[0]
         try:
-            if op == "SHIFT":
-                program.append(Shift(1 if parts[1] == "+1" else -1))
-            elif op == "GATE":
-                program.append(Gate(GATES[parts[1]]))
-            elif op == "SWAPREG":
-                program.append(SwapReg(int(parts[1])))
-            elif op == "MEASURE":
-                program.append(Measure())
-            elif op == "CA":
-                program.append(CA(int(parts[1]), GATES[parts[2]]))
-            else:
-                raise KeyError(op)
-        except (KeyError, IndexError) as exc:
+            ins = _parse(parts)
+            _check(ins)
+            if _mnemonic(ins).split() != parts:
+                raise ValueError("not the line this instruction prints")
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"bad trace line {lineno}: {raw!r}") from exc
+        program.append(ins)
     return program

@@ -238,6 +238,16 @@ def test_trace_text_rejects_garbage():
         text_to_program("FROB 1\n")
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["SHIFT 1", "SHIFT +2", "SHIFT", "MEASURE 7", "GATE SWAP2 junk", "SWAPREG 3",
+     "SWAPREG +1", "CA 1 SWAP2", "CA 2 PAR3", "CA 2"],
+)
+def test_trace_text_rejects_lines_no_instruction_prints(line):
+    with pytest.raises(ValueError, match="bad trace line 2"):
+        text_to_program(f"MEASURE\n{line}\nSHIFT -1\n")
+
+
 # ---------------------------------------------------------------------------
 # the lowered executor against the primitives, one step at a time
 
@@ -340,6 +350,42 @@ def test_bad_instruction_rejected_before_the_tape_changes(bad, error):
         with pytest.raises(error):
             runner(st_, program)
         assert st_.snapshot() == snap and st_.steps == 0
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (object(), TypeError),
+        (Gate("SWAP2"), TypeError),
+        (Shift(2), ValueError),
+        (Shift(0), ValueError),
+        (SwapReg(3), ValueError),
+        (CA(1, GATES["SWAP2"]), ValueError),
+        (CA(0, GATES["SWAP2"]), ValueError),
+        (CA(2, GATES["PAR3"]), ValueError),
+    ],
+)
+def test_bad_instruction_has_no_text(bad, error):
+    # what ``lower`` rejects on every tape size has no line either, so no
+    # text reads back as a different, valid program
+    program = [Shift(1), Gate(GATES["EQMARK"]), bad, Measure()]
+    for runner in (program_to_text, lambda p: machine.lower(p, 8), machine.encode):
+        with pytest.raises(error):
+            runner(program)
+
+
+def test_encoded_form_is_the_listed_program():
+    # entries are instances: the shared step is one entry, equal ones are not
+    step = Shift(1)
+    program = [step, Gate(GATES["EQMARK"]), step, SwapReg(2), Shift(-1), Measure(), Shift(-1)]
+    encoded = machine.encode(program)
+    assert len(encoded.table) == 6 and encoded.codes.tolist() == [0, 1, 0, 2, 3, 4, 5]
+    assert list(encoded) == program and len(encoded) == 7
+    assert machine.encode(encoded) is encoded
+    assert program_to_text(encoded) == program_to_text(program)
+    for codes in ([0, 6], [-1], [[0]]):
+        with pytest.raises(ValueError):
+            machine.Encoded(encoded.table, codes)
 
 
 def test_lowered_program_runs_on_its_tape_size_only():
