@@ -70,22 +70,33 @@ class LiveMap:
 
 @dataclass
 class MachineProgram:
-    """Oblivious primitive list plus the live map that reads its output."""
+    """Oblivious primitive program plus the live map that reads its output.
+
+    ``encoded`` may be given as a list of instructions; it is kept in
+    ``machine.encode``'s form, from which the step count, the text and the
+    lowered form are all taken."""
 
     name: str
     n_cells: int
-    instructions: list
+    encoded: machine.Encoded
     live_map: object
+
+    def __post_init__(self):
+        self.encoded = machine.encode(self.encoded)
+
+    @property
+    def instructions(self):
+        """The program as a list of instructions, one per step."""
+        return list(self.encoded)
 
     @property
     def steps(self):
-        return len(self.instructions)
+        return len(self.encoded)
 
     @cached_property
     def lowered(self):
-        """The instructions lowered once for ``n_cells`` and shared by every
-        run; ``instructions`` must not change after the first run."""
-        return machine.lower(self.instructions, self.n_cells)
+        """The program lowered once for ``n_cells`` and shared by every run."""
+        return machine.lower(self.encoded, self.n_cells)
 
     def run(self, bits, return_state=False):
         """Execute on a fresh tape and extract the live output bits."""
@@ -100,11 +111,15 @@ class MachineProgram:
         return out
 
     def to_text(self):
-        return machine.program_to_text(self.instructions)
+        return machine.program_to_text(self.encoded)
 
 
 # ---------------------------------------------------------------------------
 # fixed deinterleave schedules
+
+# the deinterleave's table: code 0 walks the head one cell, code 1 swaps
+_STEP, _SWAP = 0, 1
+_DEINTERLEAVE = (Shift(1), Gate(GATES["SWAP2"]))
 
 
 def _bubble_passes_needed(dest):
@@ -120,29 +135,45 @@ def _emit_deinterleave(dest, passes):
     """Fixed bubble schedule: ``passes`` full walks, swaps where scheduled.
 
     Each pass costs exactly n shifts (walk the ring once) plus one SWAP2
-    gate per executed swap; total gates equal the inversion count of
-    ``dest``.  The pass count and swap sites depend only on ``dest``.
-    Instructions are frozen, so one instance of each is shared.
+    gate before the shift at each cell j where the pass swaps; total gates
+    equal the inversion count of ``dest``.  A pass carries the running
+    maximum rightwards, swapping at j exactly when max(dest[:j+1]) >
+    dest[j+1].  So a key with larger keys before it moves one cell left in
+    each pass, and never right, until the last of them has passed it.  The
+    key starting at cell i with ``left[i]`` larger keys before it is the
+    swap at cell i - p of pass p = 1..left[i]; those are all the swaps.
+    The pass count and swap sites depend only on ``dest``.
     """
-    dest = np.asarray(dest).tolist()
+    dest = np.asarray(dest)
     n = len(dest)
-    swap, step = Gate(GATES["SWAP2"]), Shift(1)
-    program = []
-    emit = program.append
-    for _ in range(passes):
-        for j in range(n - 1):
-            if dest[j] > dest[j + 1]:
-                emit(swap)
-                dest[j], dest[j + 1] = dest[j + 1], dest[j]
-            emit(step)
-        emit(step)
-    if any(a > b for a, b in zip(dest, dest[1:])):
+    left = np.count_nonzero(np.tril(dest[:, None] < dest, -1), axis=1)
+    if left.max(initial=0) > passes:
         raise AssertionError("deinterleave pass budget too small")
-    return program
+    cell = np.repeat(np.arange(n), left)
+    p = np.arange(cell.size) - np.repeat(np.cumsum(left) - left, left) + 1
+    swaps = np.zeros((passes, n), dtype=bool)
+    swaps[p - 1, cell - p] = True
+    # one shift per cell and pass, each preceded by its swap if any: the
+    # swap of cell j in pass p lands after p*n + j shifts and the swaps
+    # before it
+    at = np.flatnonzero(swaps)
+    codes = np.full(swaps.size + at.size, _STEP, dtype=np.intp)
+    codes[at + np.arange(at.size)] = _SWAP
+    return machine.Encoded(_DEINTERLEAVE, codes)
 
 
 # ---------------------------------------------------------------------------
 # one block round
+
+
+def _block_dest(N, k, header):
+    """Destination of each cell in the block layout: B = N // k blocks'
+    payload chunks first, in block order, then their headers, then the
+    leftover cells in place."""
+    B, h = N // k, header
+    b, j = np.arange(B)[:, None], np.arange(k)
+    dest = np.where(j >= h, b * (k - h) + j - h, B * (k - h) + h * b + j)
+    return np.concatenate([dest.ravel(), np.arange(B * k, N)])
 
 
 def _round(name, N, k, header, body, keep):
@@ -154,11 +185,14 @@ def _round(name, N, k, header, body, keep):
     the bubble deinterleave needs h*B + 1 passes.
     """
     B, h = N // k, header
-    program = body * B + [Shift(1)] * (N - B * k)
-    b, j = np.arange(B)[:, None], np.arange(k)
-    dest = np.where(j >= h, b * (k - h) + j - h, B * (k - h) + h * b + j)
-    dest = np.concatenate([dest.ravel(), np.arange(B * k, N)])
-    program.extend(_emit_deinterleave(dest, h * B + 1))
+    body = machine.encode(body)
+    tail = _emit_deinterleave(_block_dest(N, k, h), h * B + 1)
+    codes = np.concatenate([
+        np.tile(body.codes + len(tail.table), B),
+        np.full(N - B * k, _STEP, dtype=np.intp),
+        tail.codes,
+    ])
+    program = machine.Encoded(tail.table + body.table, codes)
     return MachineProgram(name, N, program, LiveMap(B, k, h, keep))
 
 

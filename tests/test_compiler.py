@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinref import compiler, cooling, machine
+from spinref import compiler, cooling, machine, thermal
 from spinref.compiler import (
     compile_phase1,
     compile_phase2_round,
@@ -170,6 +170,49 @@ def test_programs_are_reversible():
         machine.execute(st, prog.instructions)
         machine.execute(st, machine.invert_program(prog.instructions))
         assert st.snapshot() == snap
+
+
+def _bubble_reference(dest, passes):
+    """The deinterleave as a per-comparison bubble loop over ``dest``."""
+    dest = list(dest)
+    swap, step = Gate(GATES["SWAP2"]), machine.Shift(1)
+    program = []
+    for _ in range(passes):
+        for j in range(len(dest) - 1):
+            if dest[j] > dest[j + 1]:
+                program.append(swap)
+                dest[j], dest[j + 1] = dest[j + 1], dest[j]
+            program.append(step)
+        program.append(step)
+    if any(a > b for a, b in zip(dest, dest[1:])):
+        raise AssertionError("deinterleave pass budget too small")
+    return program
+
+
+def _block_layouts():
+    """(dest, passes) of every round in the golden program grid."""
+    for N in (2, 3, 4, 7, 8, 9, 16, 31, 64, 100, 256):
+        ks = sorted({2, 3, 4, 5, 7, 8, 21, N})
+        rounds = [(2, 1)] + [(k, 1) for k in ks if k <= N] + [(k, 3) for k in ks if 4 <= k <= N]
+        for k, h in rounds:
+            yield compiler._block_dest(N, k, h), h * (N // k) + 1
+
+
+def test_emitted_deinterleave_matches_the_bubble_loop():
+    rng = np.random.default_rng(13)
+    dests = [rng.permutation(n) for n in range(1, 201)]
+    dests += [thermal.stride_shuffle_perm(m**3) for m in range(2, 7)]
+    cases = [(dest, compiler._bubble_passes_needed(dest)) for dest in dests]
+    for dest, passes in cases + list(_block_layouts()):
+        assert passes == compiler._bubble_passes_needed(dest)
+        emitted = compiler._emit_deinterleave(dest, passes)
+        assert list(emitted) == _bubble_reference(dest, passes), len(dest)
+        # passes - 1 walks sort; one fewer leaves an inversion
+        compiler._emit_deinterleave(dest, passes - 1)
+        if passes > 1:
+            for emit in (compiler._emit_deinterleave, _bubble_reference):
+                with pytest.raises(AssertionError):
+                    emit(dest, passes - 2)
 
 
 def test_register_clean_after_programs():

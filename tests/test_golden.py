@@ -15,7 +15,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from spinref import cli, compiler, cooling, thermal
+from spinref import cli, compiler, cooling, machine, thermal
+from spinref.machine import CA, GATES, Gate, Measure, Shift, SwapReg
 
 PIPELINE = {
     # a phase-2 k = 7 round empties the shuffled blocks
@@ -195,3 +196,28 @@ def test_compiled_programs_golden():
                 out = program.run(rng.integers(0, 2, N, dtype=np.uint8))
                 h.update(f"{len(out)}:".encode() + out.tobytes())
     assert h.hexdigest() == PROGRAM_DIGEST
+
+
+def _lowering(lowered):
+    slots = list(range(lowered.n + 2))
+    gathered = slots if lowered.gather is None else list(lowered.gather(slots))
+    return lowered.n, lowered.ops, lowered.head, lowered.steps, gathered
+
+
+def test_built_programs_lower_like_their_instruction_lists():
+    # the compiler builds its programs as step codes; the same steps lowered
+    # from a plain instruction list give the same ops, head, steps and gather
+    hand = [Shift(1), Gate(GATES["EQMARK"]), SwapReg(1), Measure(), CA(2, GATES["SWAP2"]),
+            Shift(-1), Gate(GATES["SWAP2"]), CA(2, GATES["CNOT12"]), Gate(GATES["INC4"])]
+    live = compiler.LiveMap(1, 4, 1, 0)
+    built = [compiler.MachineProgram("empty", 4, [], live), compiler.MachineProgram("hand", 4, hand, live)]
+    assert built[1].instructions == hand and built[1].steps == len(hand)
+    assert built[1].to_text() == machine.program_to_text(hand)
+    built += [program for N in PROGRAM_NS for program, _ in _programs(N)]
+    for program in built:
+        listed = list(program.instructions)
+        assert len(listed) == program.steps
+        # the parsed text holds a fresh instance per step
+        for steps in (listed, machine.text_to_program(program.to_text())):
+            want = machine.lower(steps, program.n_cells)
+            assert _lowering(program.lowered) == _lowering(want), program.name
