@@ -334,7 +334,8 @@ class Encoded:
     """A program as ``table``, a tuple of its distinct instruction
     instances, and ``codes``, one index into ``table`` per step.  Each
     table entry is checked once, here.  Iterating yields the steps'
-    instructions; ``len()`` is the step count."""
+    instructions; ``len()`` is the step count, and two programs are equal
+    when their steps are."""
 
     table: tuple
     codes: np.ndarray
@@ -354,6 +355,11 @@ class Encoded:
 
     def __iter__(self):
         return map(self.table.__getitem__, self.codes.tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, Encoded) and list(self) == list(other)
+
+    __hash__ = None
 
 
 def encode(program):

@@ -382,6 +382,8 @@ def test_encoded_form_is_the_listed_program():
     assert len(encoded.table) == 6 and encoded.codes.tolist() == [0, 1, 0, 2, 3, 4, 5]
     assert list(encoded) == program and len(encoded) == 7
     assert machine.encode(encoded) is encoded
+    assert machine.Encoded(encoded.table[::-1], 5 - encoded.codes) == encoded
+    assert machine.encode(program[:-1]) != encoded
     assert program_to_text(encoded) == program_to_text(program)
     for codes in ([0, 6], [-1], [[0]]):
         with pytest.raises(ValueError):
