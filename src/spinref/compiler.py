@@ -122,13 +122,16 @@ _STEP, _SWAP = 0, 1
 _DEINTERLEAVE = (Shift(1), Gate(GATES["SWAP2"]))
 
 
+def _larger_before(dest):
+    """For each cell, how many keys before it are larger."""
+    dest = np.asarray(dest)
+    i = np.arange(len(dest))
+    return np.count_nonzero((dest > dest[:, None]) & (i < i[:, None]), axis=1)
+
+
 def _bubble_passes_needed(dest):
     """Exact bubble-pass count: 1 + max over cells of larger-keys-before."""
-    dest = np.asarray(dest)
-    worst = 0
-    for i in range(len(dest)):
-        worst = max(worst, int(np.count_nonzero(dest[:i] > dest[i])))
-    return worst + 1
+    return int(_larger_before(dest).max(initial=0)) + 1
 
 
 def _emit_deinterleave(dest, passes):
@@ -144,20 +147,17 @@ def _emit_deinterleave(dest, passes):
     swap at cell i - p of pass p = 1..left[i]; those are all the swaps.
     The pass count and swap sites depend only on ``dest``.
     """
-    dest = np.asarray(dest)
     n = len(dest)
-    left = np.count_nonzero(np.tril(dest[:, None] < dest, -1), axis=1)
+    left = _larger_before(dest)
     if left.max(initial=0) > passes:
         raise AssertionError("deinterleave pass budget too small")
     cell = np.repeat(np.arange(n), left)
     p = np.arange(cell.size) - np.repeat(np.cumsum(left) - left, left) + 1
-    swaps = np.zeros((passes, n), dtype=bool)
-    swaps[p - 1, cell - p] = True
     # one shift per cell and pass, each preceded by its swap if any: the
-    # swap of cell j in pass p lands after p*n + j shifts and the swaps
-    # before it
-    at = np.flatnonzero(swaps)
-    codes = np.full(swaps.size + at.size, _STEP, dtype=np.intp)
+    # swap at cell j of pass p comes after (p - 1)*n + j shifts and the
+    # swaps before it
+    at = np.sort((p - 1) * n + cell - p)
+    codes = np.full(passes * n + at.size, _STEP, dtype=np.intp)
     codes[at + np.arange(at.size)] = _SWAP
     return machine.Encoded(_DEINTERLEAVE, codes)
 
