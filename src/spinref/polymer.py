@@ -129,24 +129,25 @@ class PulseSequence(list):
 
 
 def _pulse_pairs(spec, pulse):
-    """The disjoint position pairs a type pulse addresses on this ring."""
-    n = spec.ring_length
+    """The disjoint position pairs (i, i + 1 mod n) a type pulse addresses on
+    this ring, in order of i.  The ring repeats its pattern, so one period's
+    pairs, found from the pattern, are tiled over the periods."""
     want = {pulse.a, pulse.b}
     if len(want) != 2:
         raise ValueError("a pulse needs two distinct types")
-    pairs = []
-    for i in range(n):
-        j = (i + 1) % n
-        if {spec.type_at(i), spec.type_at(j)} == want:
-            pairs.append((i, j))
-    if not pairs:
+    pattern, n = spec.pattern, spec.ring_length
+    size = len(pattern)
+    # site r + 1 of the last offset is the first site of the next period
+    offsets = [r for r in range(size) if {pattern[r], pattern[(r + 1) % size]} == want]
+    if not offsets:
         raise ValueError(f"types {pulse.a}{pulse.b} are never adjacent in this ring")
-    touched = [p for pair in pairs for p in pair]
-    if len(set(touched)) != len(touched):
+    # two pairs share a site exactly when they start at neighbouring sites
+    if any((r + 1) % size in offsets for r in offsets):
         raise ValueError(
             f"pulse ({pulse.a},{pulse.b}) addresses overlapping pairs on this ring"
         )
-    return pairs
+    first = (np.arange(0, n, size)[:, None] + offsets).ravel()
+    return list(zip(first.tolist(), ((first + 1) % n).tolist()))
 
 
 def _layer_perm(spec, pulse):

@@ -9,6 +9,7 @@ from spinref.polymer import (
     PulseSequence,
     TypePulse,
     apply_sequence_to_bits,
+    ca_spec,
     cnot_layer,
     induced_permutation,
     realize_abstract_shift,
@@ -181,6 +182,49 @@ def test_pulse_validation():
     bad = PolymerSpec(("A", "B"), 3)
     with pytest.raises(ValueError):
         induced_permutation(bad, PulseSequence([("A", "B")]))
+
+
+def _pairs_site_by_site(spec, pulse):
+    """The addressed pairs found by testing every site of the ring."""
+    n = spec.ring_length
+    want = {pulse.a, pulse.b}
+    if len(want) != 2:
+        raise ValueError("a pulse needs two distinct types")
+    pairs = [(i, (i + 1) % n) for i in range(n) if {spec.type_at(i), spec.type_at(i + 1)} == want]
+    if not pairs:
+        raise ValueError(f"types {pulse.a}{pulse.b} are never adjacent in this ring")
+    touched = [p for pair in pairs for p in pair]
+    if len(set(touched)) != len(touched):
+        raise ValueError(f"pulse ({pulse.a},{pulse.b}) addresses overlapping pairs on this ring")
+    return pairs
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        single_tape_spec,
+        two_tape_spec,
+        lambda p: ca_spec(p, 1),
+        # rings where some pulses address overlapping pairs
+        lambda p: PolymerSpec(("A", "B"), p),
+        lambda p: PolymerSpec(("A", "B", "A", "C"), p),
+    ],
+)
+def test_tiled_pulse_pairs_match_the_site_by_site_search(make):
+    for periods in (1, 2, 3, 4, 5, 100):
+        spec = make(periods)
+        for a in "ABCDE":
+            for b in "ABCDE":
+                pulse = TypePulse(a, b)
+                want = _outcome(_pairs_site_by_site, spec, pulse)
+                assert _outcome(polymer._pulse_pairs, spec, pulse) == want, (spec, a, b)
 
 
 def test_head_pulse_permutation_and_bits():
