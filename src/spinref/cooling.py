@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -162,14 +162,10 @@ def _rows(bits, size, segments, rng=None):
     return bits.reshape(-1, size), full
 
 
-def _steps(phase, k, lens):
-    """Compiled step count summed over segments of these lengths, each
-    distinct length costed once; below one full pair (k = 2), bin or block
-    a segment costs nothing."""
-    if len(lens) > 1:
-        lens, counts = np.unique(lens, return_counts=True)
-        return sum(c * _steps(phase, k, [n]) for n, c in zip(lens.tolist(), counts.tolist()))
-    n = int(lens[0])
+@lru_cache(maxsize=1024)
+def _cost(phase, k, n):
+    """Compiled step count of one round on one segment of n bits; below one
+    full pair (k = 2), bin or block a segment costs nothing."""
     if n < k:
         return 0
     if phase == 1:
@@ -177,17 +173,31 @@ def _steps(phase, k, lens):
     return (compiler.phase2_round_cost if phase == 2 else compiler.phase3_round_cost)(n, k)
 
 
+def _steps(phase, k, lens):
+    """Compiled step count summed over segments of these lengths, each
+    distinct length costed once."""
+    if len(lens) > 1:
+        lens, counts = np.unique(lens, return_counts=True)
+        return sum(c * _cost(phase, k, n) for n, c in zip(lens.tolist(), counts.tolist()))
+    return _cost(phase, k, int(lens[0]))
+
+
 def _record(phase, round_index, bits, out, bias_pred, k, segments, u=None):
     """The round's trace entry; ``k`` is 2 for pairing, where it is not recorded."""
-    n_out, ones_out = len(out), int(np.count_nonzero(out))
+    n_in, n_out = len(bits), len(out)
+    ones_out = int(np.count_nonzero(out))
+    steps = _cost(phase, k, n_in) if segments is None else _steps(phase, k, segments)
     return RoundRecord(
-        phase=phase, round=round_index, n_in=len(bits), n_out=n_out,
-        ones_in=int(np.count_nonzero(bits)),
-        ones_out=ones_out, bias_emp=_bias(ones_out, n_out), bias_pred=bias_pred,
-        steps=_steps(phase, k, [len(bits)] if segments is None else segments),
-        u=u, k=None if phase == 1 else k,
+        phase, round_index, n_in, n_out, int(np.count_nonzero(bits)), ones_out,
+        _bias(ones_out, n_out), bias_pred, steps, u, None if phase == 1 else k,
     )
 
+
+# typed scalars for the kernels' comparisons: a Python int operand costs a
+# conversion on every call, most of a microsecond per small round.  Row sums
+# of uint8 bits are uint64.
+_W1, _W255 = np.uint16(1), np.uint16(255)
+_S0, _S1, _S4 = np.uint64(0), np.uint64(1), np.uint64(4)
 
 # rows selected per ``compress`` call: an index over every kept row of a
 # 10**7-bit round would take more memory than the round's output
@@ -233,7 +243,7 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, segments=None):
     # each pair is one word, equal exactly when it is 0x0000 or 0x0101: the
     # two words still above 0x00FF once 1 is subtracted (0 wraps to 0xFFFF)
     words = np.ascontiguousarray(rows).view(np.uint16).ravel()
-    kept = words - np.uint16(1) > 255
+    kept = words - _W1 > _W255
     out = _select(words, kept).astype(bool).view(np.uint8)
     rec = _record(1, round_index, bits, out, bias_pred, 2, segments)
     return _result(out, rec, segments, kept, per_segment, 1)
@@ -282,9 +292,9 @@ def phase2_round(bits, k, seed=None, bias_pred=math.nan, round_index=0, segments
     rng = None if seed is None else np.random.default_rng(seed)
     rows, per_segment = _rows(bits, k, segments, rng)
     s = rows.sum(axis=1)
-    kept = (s & 1) == 0
+    kept = (s & _S1) == _S0
     out = _select(rows[:, 1:], kept).ravel()
-    u = int(np.count_nonzero(s == 1))
+    u = int(np.count_nonzero(s == _S1))
     rec = _record(2, round_index, bits, out, bias_pred, k, segments, u)
     return _result(out, rec, segments, kept, per_segment, k - 1)
 
@@ -357,7 +367,7 @@ def phase3_round(bits, k, bias_pred=math.nan, round_index=0, segments=None):
         raise ValueError("block size must be >= 4")
     bits = np.asarray(bits, dtype=np.uint8)
     rows, per_segment = _rows(bits, k, segments)
-    kept = (rows.sum(axis=1) % 4) == 0
+    kept = (rows.sum(axis=1) % _S4) == _S0
     out = _select(rows[:, 3:], kept).ravel()
     rec = _record(3, round_index, bits, out, bias_pred, k, segments)
     return _result(out, rec, segments, kept, per_segment, k - 3)
