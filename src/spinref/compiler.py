@@ -62,10 +62,17 @@ class LiveMap:
     keep: int
 
     def extract(self, cells):
-        b, k, h = self.blocks, self.k, self.header
-        payload = cells[: b * (k - h)].reshape(b, k - h)
-        flags = cells[b * (k - h) + h - 1 : b * k : h]
-        return payload.compress(flags == self.keep, axis=0).ravel()
+        """The live payload of ``cells``, the final tape as a list in
+        logical order, as a uint8 array.  The flags and chunks are read off
+        the list: a run has a few blocks, where numpy calls cost more than
+        the reads."""
+        b, w, h, keep = self.blocks, self.k - self.header, self.header, self.keep
+        flags = cells[b * w + h - 1 : b * self.k : h]
+        out = []
+        for start, flag in zip(range(0, b * w, w), flags):
+            if flag == keep:
+                out += cells[start : start + w]
+        return np.array(out, dtype=np.uint8)
 
 
 @dataclass
@@ -100,12 +107,12 @@ class MachineProgram:
 
     def run(self, bits, return_state=False):
         """Execute on a fresh tape and extract the live output bits."""
-        bits = np.asarray(bits, dtype=np.uint8)
-        if len(bits) != self.n_cells:
-            raise ValueError(f"program expects {self.n_cells} cells, got {len(bits)}")
         state = machine.new_tape(bits)
+        if state.n != self.n_cells:
+            raise ValueError(f"program expects {self.n_cells} cells, got {state.n}")
         machine.execute(state, self.lowered)
-        out = self.live_map.extract(state.logical())
+        cells, head = state.cells.tolist(), state.head
+        out = self.live_map.extract(cells[head:] + cells[:head] if head else cells)
         if return_state:
             return out, state
         return out

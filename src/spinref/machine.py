@@ -187,12 +187,14 @@ class TapeState:
 
 def new_tape(bits):
     """Fresh state: head at 0, register (0, 0), zero steps."""
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = np.array(bits, dtype=np.uint8)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("tape needs a non-empty 1-d bit sequence")
-    if arr.max(initial=0) > 1:
+    # deleting every 0 and 1 byte leaves nothing exactly when all cells are
+    # bits; on a short tape this is several times cheaper than a reduction
+    if arr.tobytes().translate(None, b"\x00\x01"):
         raise ValueError("tape cells must be bits")
-    return TapeState(arr.copy())
+    return TapeState(arr, 0, [0, 0], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +405,26 @@ class Lowered:
     The executor runs it on a list of n + 2 ints: the n cells as seen from
     the start head, then y1 and y2 as cells n and n + 1.  Shifts are gone.
     Wire rearrangements (SWAP2 gates and pulses, SWAPREG) move no data:
-    they are folded into a renaming of list slots, undone by one ``gather``
-    at the end.  What is left in ``ops`` are table lookups on at most 4
+    they are folded into a renaming of list slots, undone at the end by
+    reading the slots in the order of ``gather``, a tuple, or None when no
+    slot moved.  What is left in ``ops`` are table lookups on at most 4
     fixed slots, ``(width, slot..., rows)``, and measurements, ``(0, slot)``.
-    ``head`` is the final head offset; ``len()`` is the step count.
+    ``head`` is the final head offset; ``len()`` is the step count.  Two
+    lowerings are equal when all of these are.
     """
 
     n: int
     ops: list
-    gather: object
+    gather: tuple | None
     head: int
     steps: int
+    # ``gather`` as one C-level read, built once: a run on a short tape pays
+    # about a third of a microsecond to build it
+    _getter: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        getter = None if self.gather is None else itemgetter(*self.gather)
+        object.__setattr__(self, "_getter", getter)
 
     def __len__(self):
         return self.steps
@@ -500,7 +511,7 @@ def lower(instructions, n, heads=None):
                     ops.append((2, slot[a], slot[b], rows))
                 else:
                     slot[a], slot[b] = slot[b], slot[a]
-    gather = None if slot == list(range(n + 2)) else itemgetter(*slot)
+    gather = None if slot == list(range(n + 2)) else tuple(slot)
     return Lowered(n, ops, gather, int(move.sum()) % n, len(codes))
 
 
@@ -521,8 +532,8 @@ def _run(lowered, t):
             t[a], t[b], t[c], t[d] = rows[t[a] << 3 | t[b] << 2 | t[c] << 1 | t[d]]
         else:
             measured.append(t[op[1]])
-    if lowered.gather is not None:
-        t = list(lowered.gather(t))
+    if lowered._getter is not None:
+        t = list(lowered._getter(t))
     return t, measured
 
 
@@ -535,10 +546,12 @@ def execute(state, program):
     elif program.n != n:
         raise ValueError(f"program lowered for {program.n} cells, tape has {n}")
     head = state.head % n
-    cells = state.cells.tolist()
-    t, measured = _run(program, cells[head:] + cells[:head] + list(state.register))
-    state.cells[:] = t[n - head : n] + t[: n - head]
+    t = state.cells.tolist()
+    if head:
+        t = t[head:] + t[:head]
+    t, measured = _run(program, t + state.register)
     state.register[:] = t[n:]
+    state.cells[:] = t[n - head : n] + t[: n - head] if head else t[:n]
     state.head = (head + program.head) % n
     state.steps += program.steps
     return measured
@@ -627,18 +640,22 @@ def _parse(parts):
 def text_to_program(text):
     """Parse the line format back; gate ids name entries of ``GATES``.  A
     line must be exactly the text ``program_to_text`` prints for a valid
-    instruction, apart from spacing."""
-    program = []
+    instruction, apart from spacing.  Equal lines share one instruction
+    instance, so the program encodes to one table entry per distinct line."""
+    program, seen = [], {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split()
+        parts = tuple(raw.split())
         if not parts:
             continue
-        try:
-            ins = _parse(parts)
-            _check(ins)
-            if _mnemonic(ins).split() != parts:
-                raise ValueError("not the line this instruction prints")
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad trace line {lineno}: {raw!r}") from exc
+        ins = seen.get(parts)
+        if ins is None:
+            try:
+                ins = _parse(parts)
+                _check(ins)
+                if tuple(_mnemonic(ins).split()) != parts:
+                    raise ValueError("not the line this instruction prints")
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise ValueError(f"bad trace line {lineno}: {raw!r}") from exc
+            seen[parts] = ins
         program.append(ins)
     return program

@@ -17,6 +17,7 @@ import pytest
 
 from spinref import cli, compiler, cooling, machine, thermal
 from spinref.machine import CA, GATES, Gate, Measure, Shift, SwapReg
+from test_machine import _reference
 
 PIPELINE = {
     # a phase-2 k = 7 round empties the shuffled blocks
@@ -198,15 +199,10 @@ def test_compiled_programs_golden():
     assert h.hexdigest() == PROGRAM_DIGEST
 
 
-def _lowering(lowered):
-    slots = list(range(lowered.n + 2))
-    gathered = slots if lowered.gather is None else list(lowered.gather(slots))
-    return lowered.n, lowered.ops, lowered.head, lowered.steps, gathered
-
-
 def test_built_programs_lower_like_their_instruction_lists():
     # the compiler builds its programs as step codes; the same steps lowered
-    # from a plain instruction list give the same ops, head, steps and gather
+    # from a plain instruction list, or from the program's parsed text, give
+    # an equal lowering: the same ops, head, steps and gather
     hand = [Shift(1), Gate(GATES["EQMARK"]), SwapReg(1), Measure(), CA(2, GATES["SWAP2"]),
             Shift(-1), Gate(GATES["SWAP2"]), CA(2, GATES["CNOT12"]), Gate(GATES["INC4"])]
     live = compiler.LiveMap(1, 4, 1, 0)
@@ -217,7 +213,48 @@ def test_built_programs_lower_like_their_instruction_lists():
     for program in built:
         listed = list(program.instructions)
         assert len(listed) == program.steps
-        # the parsed text holds a fresh instance per step
-        for steps in (listed, machine.text_to_program(program.to_text())):
-            want = machine.lower(steps, program.n_cells)
-            assert _lowering(program.lowered) == _lowering(want), program.name
+        parsed = machine.text_to_program(program.to_text())
+        # equal lines share an instance, so the parsed text encodes to no
+        # more table entries than the source has
+        assert len(machine.encode(parsed).table) <= len(program.encoded.table), program.name
+        for steps in (program.encoded, listed, parsed):
+            assert machine.lower(steps, program.n_cells) == program.lowered, program.name
+    # lowerings that differ only in their gather are unequal
+    assert machine.lower([Gate(GATES["SWAP2"])], 4) != machine.lower([Gate(GATES["ID2"])], 4)
+
+
+def _live_reference(live, cells):
+    """The live payload of a logical tape array, read with numpy."""
+    b, k, h = live.blocks, live.k, live.header
+    payload = cells[: b * (k - h)].reshape(b, k - h)
+    flags = cells[b * (k - h) + h - 1 : b * k : h]
+    return payload.compress(flags == live.keep, axis=0).ravel()
+
+
+def test_compiled_runs_match_the_primitives():
+    # ``MachineProgram.run`` checks its tape once and reads the live output
+    # off a list; run step by step with the primitives, every program must
+    # end in the same state and read the same output
+    program = compiler.compile_phase1(10)
+    for bad, message in (
+        ([0] * 9 + [2], "cells must be bits"),
+        ([0] * 9, "expects 10 cells, got 9"),
+        ([0] * 11, "expects 10 cells, got 11"),
+        ([[0] * 10], "1-d"),
+        ([[0] * 5] * 2, "1-d"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            program.run(np.array(bad, dtype=np.uint8))
+    rng = np.random.default_rng(11)
+    for N in PROGRAM_NS:
+        for program, _ in _programs(N):
+            tape = rng.integers(0, 2, N, dtype=np.uint8)
+            given = tape.copy()
+            out, got = program.run(tape, return_state=True)
+            want = machine.new_tape(tape)
+            _reference(want, program.instructions)
+            assert np.array_equal(tape, given), program.name
+            assert got.cells.dtype == np.uint8 and got.cells.tolist() == want.cells.tolist()
+            assert (got.head, got.register, got.steps) == (want.head, want.register, want.steps)
+            live = _live_reference(program.live_map, want.logical())
+            assert out.dtype == np.uint8 and out.tolist() == live.tolist(), program.name

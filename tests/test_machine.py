@@ -254,9 +254,14 @@ def test_trace_text_rejects_lines_no_instruction_prints(line):
 
 def _reference(state, program):
     """Measurements and (mnemonic, head) pairs of a step-by-step run."""
-    measured, pairs = [], []
+    measured, pairs, lines = [], [], {}
     for ins in program:
-        pairs.append((program_to_text([ins]).strip(), state.head))
+        # the line of each instance, printed once; the list keeps every
+        # instance alive, so an id names one instance throughout
+        line = lines.get(id(ins))
+        if line is None:
+            line = lines[id(ins)] = program_to_text([ins]).strip()
+        pairs.append((line, state.head))
         if isinstance(ins, Shift):
             shift(state, ins.direction)
         elif isinstance(ins, Gate):
