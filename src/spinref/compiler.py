@@ -64,8 +64,8 @@ class LiveMap:
     def extract(self, cells):
         """The live payload of ``cells``, the final tape as a list in
         logical order, as a uint8 array.  The flags and chunks are read off
-        the list: a run has a few blocks, where numpy calls cost more than
-        the reads."""
+        the list: on the few blocks of an equivalence case, numpy calls
+        would cost more than the reads."""
         b, w, h, keep = self.blocks, self.k - self.header, self.header, self.keep
         flags = cells[b * w + h - 1 : b * self.k : h]
         out = []
