@@ -92,14 +92,13 @@ TARGET_BIAS = 0.856
 
 def forward_orbit(eps0, target=TARGET_BIAS):
     """Forward orbit [eps0, ...] up to and including the first value that
-    reaches the target (to within the threshold slack)."""
-    if eps0 <= 0.0:
-        raise ValueError("a zero bias cannot be amplified")
+    reaches the target (to within the threshold slack); both lie in (0, 1],
+    so it ends within 1,078 values, the count from the smallest double."""
+    if not (0.0 < eps0 <= 1.0 and 0.0 < target <= 1.0):
+        raise ValueError(f"eps0={eps0} and target={target} must lie in (0, 1]")
     stop = target * (1.0 - THRESHOLD_RTOL)
     orbit = [eps0]
     while orbit[-1] < stop:
-        if len(orbit) > 10_000:
-            raise ValueError("bias orbit failed to reach the target")
         orbit.append(bias_forward(orbit[-1]))
     return orbit
 

@@ -54,7 +54,6 @@ _FLAGS = {
     "seed": ({"type": int}, None),  # SPINREF_SEED when resolved
     "trials": ({"type": int}, 1),
     "target_bias": ({"type": float}, cooling.Phase1Config().target_bias),
-    "alpha": ({"type": float}, cooling.Phase2Schedule().alpha),
     "format": ({"choices": ["csv", "json"]}, "csv"),
     "mode": ({"choices": ["binomial-direct", "shuffled-blocks"]}, "binomial-direct"),
     "jobs": ({"type": int}, 1),
@@ -64,7 +63,7 @@ _FLAGS = {
 # phase -> the flags ``spinref phase`` reads for it
 _PHASE_FLAGS = {
     1: ("n", "epsilon", "model", "ell", "seed", "target_bias", "format"),
-    2: ("n", "seed", "alpha", "format"),
+    2: ("n", "seed", "format"),
     3: ("n", "seed", "format"),
 }
 
@@ -72,9 +71,9 @@ _PHASE_FLAGS = {
 # declares the flags of all three phases
 _COMMANDS = {
     "pipeline": ("full cooling run", ("n", "epsilon", "model", "ell", "seed", "trials",
-                                      "target_bias", "alpha", "format", "mode", "jobs")),
+                                      "target_bias", "format", "mode", "jobs")),
     "phase": ("run a single phase", tuple(dict.fromkeys(sum(_PHASE_FLAGS.values(), ())))),
-    "analyze": ("orbits, schedules, constants", ("n", "epsilon", "target_bias", "alpha")),
+    "analyze": ("orbits, schedules, constants", ("n", "epsilon", "target_bias")),
     "arch": ("pulse-permutation verification", ()),
     "equiv": ("compiled-vs-abstract suites", ("seed",)),
     "bench": ("runtime-exponent fits", ("epsilon", "model", "ell", "seed")),
@@ -86,6 +85,8 @@ _CHECKS = {
     "trials": (lambda v: v >= 1, "--trials must be >= 1"),
     "jobs": (lambda v: v >= 1, "--jobs must be >= 1"),
     "epsilon": (lambda v: 0.0 < v <= 1.0, "--epsilon must lie in (0, 1]"),
+    "target_bias": (lambda v: 0.0 < v < 1.0, "--target-bias must lie in (0, 1)"),
+    "ell": (lambda v: v >= 1, "--ell must be >= 1"),
 }
 
 
@@ -164,8 +165,8 @@ def _records_payload(records, fmt, outdir, stem):
 
 
 def _pipeline_trial(payload):
-    model, n, seed, mode, p1config, schedule = payload
-    res = cooling.pipeline(model, n, seed, mode=mode, schedule=schedule, p1config=p1config)
+    model, n, seed, mode, p1config = payload
+    res = cooling.pipeline(model, n, seed, mode=mode, p1config=p1config)
     return {
         "seed": seed,
         "clean_bits": res.clean_bits,
@@ -186,11 +187,7 @@ def _map_trials(fn, payloads, jobs):
 def _cmd_pipeline(args, outdir):
     model = _model(args)
     p1config = cooling.Phase1Config(target_bias=args.target_bias)
-    schedule = cooling.Phase2Schedule(alpha=args.alpha)
-    payloads = [
-        (model, args.n, args.seed + t, args.mode, p1config, schedule)
-        for t in range(args.trials)
-    ]
+    payloads = [(model, args.n, args.seed + t, args.mode, p1config) for t in range(args.trials)]
     results = _map_trials(_pipeline_trial, payloads, args.jobs)
     _records_payload(results[0]["records"], args.format, outdir, "rounds")
     summary = {
@@ -232,9 +229,7 @@ def _cmd_phase(args, outdir):
     elif args.which == 2:
         delta0 = cooling.PHASE2_DELTA_MAX
         bits = _entry_bits(delta0, args.n, args.seed)
-        out, recs = cooling.phase2_run(
-            bits, args.n, cooling.Phase2Schedule(alpha=args.alpha), seed=args.seed, delta0=delta0
-        )
+        out, recs = cooling.phase2_run(bits, args.n, seed=args.seed, delta0=delta0)
     else:
         delta0 = analysis.phase3_certificate(args.n).deltas[0]
         bits = _entry_bits(delta0, args.n, args.seed)
@@ -251,8 +246,7 @@ def _cmd_phase(args, outdir):
 
 
 def _cmd_analyze(args, outdir):
-    p1, p2 = cooling.Phase1Config(args.target_bias), cooling.Phase2Schedule(args.alpha)
-    plan = cooling.make_plan(args.epsilon, args.n, p1, p2)
+    plan = cooling.make_plan(args.epsilon, args.n, cooling.Phase1Config(args.target_bias))
     reports.write_text(outdir / "bias_orbit.csv", reports.orbit_to_csv("epsilon", plan.orbit))
     back = analysis.backward_orbit(args.target_bias, max(len(plan.orbit) - 1, 7))
     reports.write_text(outdir / "bias_orbit_backward.csv", reports.orbit_to_csv("epsilon", back))

@@ -32,7 +32,6 @@ from . import analysis, compiler, perms, thermal
 __all__ = [
     "CoolingError",
     "Phase1Config",
-    "Phase2Schedule",
     "RoundRecord",
     "Plan",
     "make_plan",
@@ -72,25 +71,6 @@ class Phase1Config:
 PHASE2_REGIONS = ((0.0188, 0.072, 3), (0.0027, 0.0188, 7), (0.000158, 0.0027, 21))
 PHASE2_DELTA_MAX = max(hi for _, hi, _ in PHASE2_REGIONS)
 _POWER_EXPONENT = 0.4
-
-
-@dataclass(frozen=True)
-class Phase2Schedule:
-    """Bin-size cap for parity binning.
-
-    Bin sizes follow ``choose_k``.  Once it would exceed n**alpha the
-    remaining rounds use the whole interaction block (size n^(1/3)); rounds
-    stop when the predicted ones-fraction falls to the stationary level
-    n^(-1/3), where the mod-4 phase's per-round loss floor 1 - 4 n^(-1/6)
-    holds.  Above that level the rule gives k < n^0.134 + 1, so for alpha in
-    the validated range the whole-block branch is never entered.
-    """
-
-    alpha: float = 0.3
-
-    def __post_init__(self):
-        if not 0.2 < self.alpha <= 0.32:
-            raise ValueError("alpha must lie in (0.2, 0.32]")
 
 
 def choose_k(delta):
@@ -306,40 +286,40 @@ class PlannedRound:
     delta_out: float
 
 
-def phase2_plan(delta0, n, schedule=None):
+def phase2_plan(delta0, n):
     """Deterministic round plan: (k, predicted delta in/out) per round.
 
     Driven by the conservative one-round bound, starting from the declared
     input ones-fraction; halts when the prediction reaches the stationary
-    level n^(-1/3) (``analysis.phase2_stationary(n)[0]``).  The plan is empty
+    level n^(-1/3) (``analysis.phase2_stationary(n)[0]``), where the mod-4
+    phase's per-round loss floor 1 - 4 n^(-1/6) holds.  The plan is empty
     exactly when the input is already at or below that level.
+
+    Bin sizes follow ``choose_k`` with no cap.  A round runs only while n >
+    delta^-3, so a region's k (3, 7, 21) stays below its hi^-0.6 < n^0.2, and
+    the power rule's k < n^(2/15) + 1 < n^0.2: no bin is wider than n^0.2.
     """
-    sch = schedule or Phase2Schedule()
     if not 0.0 <= delta0 <= PHASE2_DELTA_MAX:
         raise ValueError(
             f"phase 2 needs input delta <= {PHASE2_DELTA_MAX} (bias >= {analysis.TARGET_BIAS})"
         )
     halt, _ = analysis.phase2_stationary(n)
-    k_cap = float(n) ** sch.alpha
-    k_end = max(2, block_size(n))
     plan = []
     delta = delta0
     while delta > halt:
         if len(plan) >= 200:
             raise CoolingError("parity-bin plan failed to converge")
         k = choose_k(delta)
-        if k > k_cap:
-            k = k_end
         delta_next = analysis.phase2_delta_bound(delta, k)
         plan.append(PlannedRound(k, delta, delta_next))
         delta = delta_next
     return plan
 
 
-def phase2_run(bits, n, schedule=None, seed=0, *, delta0):
+def phase2_run(bits, n, seed=0, *, delta0):
     """Run the planned parity-binning rounds with per-round reshuffles,
     entered at the declared ones-fraction ``delta0``."""
-    plan = phase2_plan(delta0, n, schedule)
+    plan = phase2_plan(delta0, n)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(len(plan)) if plan else []
     records = []
@@ -401,16 +381,16 @@ class Plan:
     certificate: analysis.Phase3Certificate
 
 
-def make_plan(epsilon, n, p1config=None, schedule=None):
+def make_plan(epsilon, n, p1config=None):
     """The ``Plan`` for declared bias ``epsilon`` in (0, 1] and population n."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon={epsilon} outside (0, 1]")
     cfg = p1config or Phase1Config()
     orbit = tuple(analysis.forward_orbit(epsilon, cfg.target_bias))
     # the orbit end sits within the threshold slack of the target; clamp the
-    # declared phase-2 entry level to the schedule's region maximum
+    # declared phase-2 entry level to the region maximum
     delta2 = min((1.0 - orbit[-1]) / 2.0, PHASE2_DELTA_MAX)
-    phase2 = tuple(phase2_plan(delta2, n, schedule))
+    phase2 = tuple(phase2_plan(delta2, n))
     cert = analysis.phase3_certificate(n, delta0=phase2[-1].delta_out if phase2 else delta2)
     return Plan(epsilon, orbit, delta2, phase2, cert)
 
@@ -477,7 +457,7 @@ def _arch_gather_cost(n):
     return {"single": n * n, "two_tape": 6 * n, "two_tape_ca": n}
 
 
-def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=None):
+def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
     """End-to-end run: sample, (permute), cool in three phases, gather.
 
     ``binomial-direct`` skips the initial permutation and runs the phases on
@@ -507,7 +487,7 @@ def pipeline(model, n, seed, mode="binomial-direct", schedule=None, p1config=Non
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "binomial-direct" and model.kind != "binomial":
         raise ValueError(f"binomial-direct needs a binomial source, not {model.kind!r}")
-    plan = make_plan(model.epsilon, n, p1config, schedule)
+    plan = make_plan(model.epsilon, n, p1config)
     bits = thermal.sample(model, n, seed)
     steps = {"single": 0, "two_tape": 0, "two_tape_ca": 0}
 

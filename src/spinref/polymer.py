@@ -129,9 +129,9 @@ class PulseSequence(list):
 
 
 def _pulse_pairs(spec, pulse):
-    """The disjoint position pairs (i, i + 1 mod n) a type pulse addresses on
-    this ring, in order of i.  The ring repeats its pattern, so one period's
-    pairs, found from the pattern, are tiled over the periods."""
+    """Index arrays (i, i + 1 mod n), in order of i, of the disjoint pairs a
+    type pulse addresses on this ring.  The ring repeats its pattern, so one
+    period's pairs, found from the pattern, are tiled over the periods."""
     want = {pulse.a, pulse.b}
     if len(want) != 2:
         raise ValueError("a pulse needs two distinct types")
@@ -147,15 +147,15 @@ def _pulse_pairs(spec, pulse):
             f"pulse ({pulse.a},{pulse.b}) addresses overlapping pairs on this ring"
         )
     first = (np.arange(0, n, size)[:, None] + offsets).ravel()
-    return list(zip(first.tolist(), ((first + 1) % n).tolist()))
+    return first, (first + 1) % n
 
 
 def _layer_perm(spec, pulse):
     n = spec.ring_length
     perm = np.arange(n)
     if isinstance(pulse, TypePulse):
-        for i, j in _pulse_pairs(spec, pulse):
-            perm[i], perm[j] = j, i
+        first, second = _pulse_pairs(spec, pulse)
+        perm[first], perm[second] = second, first
     elif isinstance(pulse, HeadPulse):
         if spec.d_site is None:
             raise ValueError("head pulses need a spec with a d_site")
@@ -210,9 +210,11 @@ def transposition_as_cnots(pair):
 def cnot_layer(spec, src, dst, bits):
     """Bit-level CNOT pulse: dst-site ^= src-site on every {src,dst} adjacency."""
     out = np.array(bits, dtype=np.uint8)
-    for i, j in _pulse_pairs(spec, TypePulse(src, dst)):
-        s, d = (i, j) if spec.type_at(i) == src else (j, i)
-        out[d] ^= out[s]
+    first, second = _pulse_pairs(spec, TypePulse(src, dst))
+    # the pairs are disjoint, so no source is another pair's target
+    from_first = np.array(spec.pattern)[first % len(spec.pattern)] == src
+    s, d = np.where(from_first, (first, second), (second, first))
+    out[d] ^= out[s]
     return out
 
 
@@ -224,8 +226,8 @@ def apply_sequence_to_bits(spec, seq, bits):
         raise ValueError("bit vector length must equal the ring length")
     for pulse in seq:
         if isinstance(pulse, TypePulse):
-            for i, j in _pulse_pairs(spec, pulse):
-                out[i], out[j] = out[j], out[i]
+            first, second = _pulse_pairs(spec, pulse)
+            out[first], out[second] = out[second], out[first]
         elif isinstance(pulse, HeadPulse):
             d = spec.d_site % n
             e = (d + 1) % n

@@ -205,6 +205,19 @@ def test_bias_backward_rejects_zero():
         bias_forward(1.5)
 
 
+@pytest.mark.parametrize("eps0,target", [(0.2, 1.5), (0.2, 0.0), (1.5, 0.856), (0.0, 0.856),
+                                         (-0.1, 0.856), (math.nan, 0.856), (0.2, math.nan)])
+def test_forward_orbit_rejects_a_bias_outside_the_unit_interval(eps0, target):
+    with pytest.raises(ValueError, match="must lie in"):
+        forward_orbit(eps0, target)
+
+
+def test_forward_orbit_is_short_for_every_valid_bias():
+    # the longest orbit starts at the smallest double and runs to target 1
+    assert len(forward_orbit(5e-324, 1.0)) == 1078
+    assert forward_orbit(1.0, 1.0) == [1.0]
+
+
 def test_polarization_validation():
     with pytest.raises(ValueError):
         PolarizationParams(mu=-1e-23, B0=1e5, T=300)

@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,19 @@ def test_epsilon_outside_unit_interval_rejected(tmp_path, capsys, command, epsil
     assert not (tmp_path / "ledger.json").exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["pipeline", "--target-bias", "1.5"], "--target-bias"),
+    (["phase", "1", "--target-bias", "0"], "--target-bias"),
+    (["pipeline", "--model", "markov", "--mode", "shuffled-blocks", "--ell", "0"], "--ell"),
+    (["bench", "--ell", "-3"], "--ell"),
+])
+def test_invalid_value_rejected_naming_its_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 # (subcommand, flags it does not read, so does not accept); a case's test id
 # is its position in the flattened list, so new rows go last
 DROPPED = [
@@ -143,6 +159,10 @@ DROPPED = [
     (("phase", "2"), ["--epsilon", "--model", "--ell", "--target-bias", "--trials", "--jobs"]),
     (("phase", "3"), ["--epsilon", "--model", "--ell", "--target-bias", "--alpha", "--trials",
                       "--jobs"]),
+    # no subcommand reads --alpha
+    (("pipeline",), ["--alpha"]),
+    (("analyze",), ["--alpha"]),
+    (("phase", "2"), ["--alpha"]),
 ]
 FLAG_VALUES = {"--model": "binomial", "--format": "json", "--epsilon": "0.3",
                "--target-bias": "0.856", "--alpha": "0.3"}
@@ -226,7 +246,8 @@ def test_bench_small(tmp_path):
 
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 10000, "epsilon": 0.3, "seed": 13}))
+    # "alpha" names a flag no subcommand reads any more, so it is ignored
+    cfg.write_text(json.dumps({"n": 10000, "epsilon": 0.3, "seed": 13, "alpha": 0.3}))
     out1 = tmp_path / "o1"
     assert (
         run(["pipeline", "--config", str(cfg), "--out", str(out1)]) == cli.EXIT_OK
@@ -277,3 +298,38 @@ def test_markov_model_flags(tmp_path):
     )
     summary = json.loads(read(out / "phase1_summary.json"))
     assert summary["rounds"] == 3
+
+
+def _readme_flag_table():
+    """README's subcommand/flags table: {"pipeline": ["--n", ...], ...},
+    with each ``{a,b}`` choice list kept after its flag."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | flags |") + 2
+    rows = {}
+    for line in lines[start:]:
+        m = re.fullmatch(r"\| `([^`]+)` \| `([^`]*)` \|", line)
+        if not m:
+            break
+        rows[m[1]] = m[2].split()
+    return rows
+
+
+def test_readme_flag_table_matches_the_parsers():
+    (sub,) = [a for a in cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    table = _readme_flag_table()
+    assert set(table) == {c for c in cli._COMMANDS if c != "phase"} | {
+        f"phase {w}" for w in cli._PHASE_FLAGS}
+    for row, words in table.items():
+        command, _, which = row.partition(" ")
+        actions = {o: a for a in sub.choices[command]._actions for o in a.option_strings}
+        if which:
+            accepted = {"--" + f.replace("_", "-") for f in cli._PHASE_FLAGS[int(which)]}
+        else:
+            accepted = set(actions) - {"-h", "--help", "--out", "--config"}
+        listed = [w for w in words if w.startswith("--")]
+        assert sorted(listed) == sorted(accepted), row
+        # a choice list, where given, is the flag's choices
+        for flag, word in zip(words, words[1:]):
+            if word.startswith("{"):
+                assert word[1:-1].split(",") == list(actions[flag].choices), (row, flag)

@@ -9,7 +9,6 @@ from spinref import analysis, cooling, perms, thermal
 from spinref.cooling import (
     CoolingError,
     Phase1Config,
-    Phase2Schedule,
     block_segments,
     block_size,
     choose_k,
@@ -208,24 +207,22 @@ def test_phase2_run_records():
         assert rec.phase == 2 and rec.u is not None
 
 
-def test_phase2_forced_endgame_is_guarded():
-    # the endgame branch (bin = whole interaction block) only triggers for
-    # alpha below the validated range; forcing it must fail loudly rather
-    # than silently diverge
-    class Loose(Phase2Schedule):
-        def __post_init__(self):
-            pass
-
-    with pytest.raises((CoolingError, ValueError)):
-        phase2_plan(0.072, 10**6, Loose(alpha=0.1))
-
-
-def test_phase2_schedule_validation():
-    with pytest.raises(ValueError):
-        Phase2Schedule(alpha=0.5)
-    with pytest.raises(ValueError):
-        Phase2Schedule(alpha=0.2)
-    Phase2Schedule(alpha=0.32)
+def test_phase2_bins_never_exceed_n_to_the_0_2():
+    # the fact that lets phase 2 run uncapped: while the plan runs, n >
+    # delta^-3, so every bin is narrower than n^0.2 < n^(1/3)
+    top = cooling.PHASE2_DELTA_MAX
+    edges = {hi for _, hi, _ in cooling.PHASE2_REGIONS}
+    levels = edges | set(np.minimum(np.logspace(-12, math.log10(top), 60), top).tolist())
+    # n just past where each region, and the power rule, first plans a round
+    sizes = {math.ceil(e**-3) + d for e in edges | {0.000158} for d in (0, 1)}
+    sizes |= {int(x) for x in np.logspace(1, 30, 300)}
+    planned = 0
+    for n in sorted(sizes):
+        for delta0 in sorted(levels):
+            for pr in phase2_plan(delta0, n):
+                assert pr.k <= n**0.2, (n, delta0, pr)
+                planned += 1
+    assert planned > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,11 @@ def _pairs_site_by_site(spec, pulse):
     return pairs
 
 
+def _zipped_pulse_pairs(spec, pulse):
+    first, second = polymer._pulse_pairs(spec, pulse)
+    return list(zip(first.tolist(), second.tolist()))
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -224,7 +229,34 @@ def test_tiled_pulse_pairs_match_the_site_by_site_search(make):
             for b in "ABCDE":
                 pulse = TypePulse(a, b)
                 want = _outcome(_pairs_site_by_site, spec, pulse)
-                assert _outcome(polymer._pulse_pairs, spec, pulse) == want, (spec, a, b)
+                assert _outcome(_zipped_pulse_pairs, spec, pulse) == want, (spec, a, b)
+
+
+@pytest.mark.parametrize(
+    "spec", [single_tape_spec(4), two_tape_spec(3), ca_spec(4, 1)], ids=["single", "two", "ca"]
+)
+def test_pulse_layers_equal_the_pair_by_pair_loops(spec):
+    n = spec.ring_length
+    bits = np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
+    checked = 0
+    for a in "ABCD":
+        for b in "ABCD":
+            pulse = TypePulse(a, b)
+            pairs = _outcome(_pairs_site_by_site, spec, pulse)
+            if isinstance(pairs, str):
+                continue
+            perm, swapped, xored = np.arange(n), bits.copy(), bits.copy()
+            for i, j in pairs:
+                perm[i], perm[j] = j, i
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                s, d = (i, j) if spec.type_at(i) == a else (j, i)
+                xored[d] ^= xored[s]
+            assert np.array_equal(polymer._layer_perm(spec, pulse), perm)
+            layer = PulseSequence([pulse])
+            assert np.array_equal(apply_sequence_to_bits(spec, layer, bits), swapped)
+            assert np.array_equal(cnot_layer(spec, a, b, bits), xored)
+            checked += 1
+    assert checked >= 6
 
 
 def test_head_pulse_permutation_and_bits():
