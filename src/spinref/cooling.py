@@ -179,19 +179,27 @@ def _record(phase, round_index, bits, out, bias_pred, k, segments, u=None):
 _W1, _W255 = np.uint16(1), np.uint16(255)
 _S0, _S1, _S4 = np.uint64(0), np.uint64(1), np.uint64(4)
 
-# rows selected per ``compress`` call: an index over every kept row of a
-# 10**7-bit round would take more memory than the round's output
+# rows decided and selected per slice: a flag, or an index, over every row
+# of a 10**7-bit round would take more memory than the round's output
 _SLICE = 1 << 16
 
 
-def _select(rows, kept):
-    """``rows.compress(kept, axis=0)``, taken ``_SLICE`` rows at a time."""
-    if len(kept) <= _SLICE:
-        return rows.compress(kept, axis=0)
-    return np.concatenate([
-        rows[i : i + _SLICE].compress(kept[i : i + _SLICE], axis=0)
-        for i in range(0, len(kept), _SLICE)
-    ])
+def _select(rows, keep, data, whole):
+    """The rows that ``keep`` passes, decided and taken ``_SLICE`` rows at a
+    time: ``keep(data[lo:hi])`` is the keep mask of rows lo:hi.  Returns them
+    and, when ``whole``, every row's mask (else None)."""
+    n = len(rows)
+    if n <= _SLICE:
+        kept = keep(data)
+        return rows.compress(kept, axis=0), kept if whole else None
+    flags = np.empty(n, dtype=bool) if whole else None
+    parts = []
+    for lo in range(0, n, _SLICE):
+        kept = keep(data[lo : lo + _SLICE])
+        if whole:
+            flags[lo : lo + _SLICE] = kept
+        parts.append(rows[lo : lo + _SLICE].compress(kept, axis=0))
+    return np.concatenate(parts), flags
 
 
 def _result(out, rec, segments, kept, per_segment, width):
@@ -222,9 +230,9 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, segments=None):
     rows, per_segment = _rows(bits, 2, segments)
     # each pair is one word, equal exactly when it is 0x0000 or 0x0101: the
     # two words still above 0x00FF once 1 is subtracted (0 wraps to 0xFFFF)
-    words = np.ascontiguousarray(rows).view(np.uint16).ravel()
-    kept = words - _W1 > _W255
-    out = _select(words, kept).astype(bool).view(np.uint8)
+    rows = np.ascontiguousarray(rows)
+    words = rows.view(np.uint16).ravel()
+    out, kept = _select(rows[:, 1], lambda w: w - _W1 > _W255, words, per_segment is not None)
     rec = _record(1, round_index, bits, out, bias_pred, 2, segments)
     return _result(out, rec, segments, kept, per_segment, 1)
 
@@ -272,8 +280,8 @@ def phase2_round(bits, k, seed=None, bias_pred=math.nan, round_index=0, segments
     rng = None if seed is None else np.random.default_rng(seed)
     rows, per_segment = _rows(bits, k, segments, rng)
     s = rows.sum(axis=1)
-    kept = (s & _S1) == _S0
-    out = _select(rows[:, 1:], kept).ravel()
+    out, kept = _select(rows[:, 1:], lambda v: (v & _S1) == _S0, s, per_segment is not None)
+    out = out.ravel()
     u = int(np.count_nonzero(s == _S1))
     rec = _record(2, round_index, bits, out, bias_pred, k, segments, u)
     return _result(out, rec, segments, kept, per_segment, k - 1)
@@ -347,8 +355,10 @@ def phase3_round(bits, k, bias_pred=math.nan, round_index=0, segments=None):
         raise ValueError("block size must be >= 4")
     bits = np.asarray(bits, dtype=np.uint8)
     rows, per_segment = _rows(bits, k, segments)
-    kept = (rows.sum(axis=1) % _S4) == _S0
-    out = _select(rows[:, 3:], kept).ravel()
+    out, kept = _select(
+        rows[:, 3:], lambda r: r.sum(axis=1) % _S4 == _S0, rows, per_segment is not None
+    )
+    out = out.ravel()
     rec = _record(3, round_index, bits, out, bias_pred, k, segments)
     return _result(out, rec, segments, kept, per_segment, k - 3)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,6 +403,17 @@ def _reference_round(phase, bits, k, seed, segments):
          shuffled=False, seed=4)
 @example(phase=3, k=4, length=0, big=True, step=1, cuts=[0, 0, 50, 100, 100], shuffled=False,
          seed=5)
+# pairing on exactly one and two selection slices of rows, and on none
+@example(phase=1, k=2, length=2 * cooling._SLICE, big=False, step=1, cuts=None, shuffled=False,
+         seed=6)
+@example(phase=1, k=2, length=2 * cooling._SLICE, big=False, step=1, cuts=[50], shuffled=False,
+         seed=6)
+@example(phase=1, k=2, length=4 * cooling._SLICE, big=False, step=1, cuts=None, shuffled=False,
+         seed=7)
+@example(phase=1, k=2, length=4 * cooling._SLICE, big=False, step=1, cuts=[50], shuffled=False,
+         seed=7)
+@example(phase=1, k=2, length=0, big=False, step=1, cuts=None, shuffled=False, seed=8)
+@example(phase=1, k=2, length=0, big=False, step=1, cuts=[50], shuffled=False, seed=8)
 def test_round_kernels_equal_plain_selection(phase, k, length, big, step, cuts, shuffled, seed):
     # word pairing, sliced selection and the per-segment counts give the
     # plain selection's bytes, on odd lengths, strided views, dozens of
@@ -478,6 +490,21 @@ def test_pipeline_deterministic():
     rows_a = [(r.phase, r.round, r.n_in, r.n_out, r.steps) for r in a.records]
     rows_b = [(r.phase, r.round, r.n_in, r.n_out, r.steps) for r in b.records]
     assert rows_a == rows_b
+
+
+def test_pipeline_direct_peak_memory_per_bit():
+    # pairing decides and selects one slice of pairs at a time, so beside
+    # the sampled bits (1 byte each) a direct run holds little more than
+    # the first round's output (about half a byte per input bit)
+    model, n = thermal.BiasModel("binomial", 0.25), 2**22
+    pipeline(model, n, seed=12)
+    tracemalloc.start()
+    try:
+        pipeline(model, n, seed=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 1.75
 
 
 def test_pipeline_telescoping_records():
