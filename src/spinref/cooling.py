@@ -301,7 +301,8 @@ def phase2_plan(delta0, n):
     input ones-fraction; halts when the prediction reaches the stationary
     level n^(-1/3) (``analysis.phase2_stationary(n)[0]``), where the mod-4
     phase's per-round loss floor 1 - 4 n^(-1/6) holds.  The plan is empty
-    exactly when the input is already at or below that level.
+    exactly when the input is already at or below that level.  Rounds grow
+    like log log n: for n up to 10^300 no plan has more than 8.
 
     Bin sizes follow ``choose_k`` with no cap.  A round runs only while n >
     delta^-3, so a region's k (3, 7, 21) stays below its hi^-0.6 < n^0.2, and
@@ -315,8 +316,6 @@ def phase2_plan(delta0, n):
     plan = []
     delta = delta0
     while delta > halt:
-        if len(plan) >= 200:
-            raise CoolingError("parity-bin plan failed to converge")
         k = choose_k(delta)
         delta_next = analysis.phase2_delta_bound(delta, k)
         plan.append(PlannedRound(k, delta, delta_next))

@@ -200,6 +200,14 @@ def test_phase2_plan_round_count_loglog():
         assert len(phase2_plan(0.072, n)) <= cap
 
 
+def test_phase2_plan_at_most_eight_rounds():
+    # the plan's loop has no round cap: over n from 10 to 10^300 and entry
+    # levels from 10^-12 to the region maximum no plan is longer than 8
+    levels = np.geomspace(1e-12, cooling.PHASE2_DELTA_MAX, 100).tolist()
+    sizes = np.logspace(1, 300, 600).tolist()
+    assert max(len(phase2_plan(delta0, n)) for n in sizes for delta0 in levels) <= 8
+
+
 def test_phase2_run_records():
     bits = thermal.sample(thermal.BiasModel("binomial", 0.9668), 10**5, seed=2)
     out, recs = phase2_run(bits, 10**5, seed=3, delta0=0.0166)
