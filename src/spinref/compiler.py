@@ -268,11 +268,14 @@ def compile_phase3_round(N, k):
     """Mod-4 counting round with fixed consecutive blocks of size k.
 
     The payload count (bits 4..k of the block) accumulates mod 4 in the
-    register pair, the pass flag (1 = count divisible by 4) is deposited
-    into the third block bit, and the counter is uncomputed.  This agrees
-    with the abstract keep-iff-count==0-mod-4 rule whenever the first three
-    block bits are 0; dirty headers perturb both routes the same way the
-    round's error recurrence already charges for.
+    register pair, the pass flag (1 = count divisible by 4) is XORed into
+    the third block bit, and the counter is uncomputed.  So the machine
+    keeps a block iff its third header bit XOR [payload count = 0 mod 4]
+    is 1.  That equals the abstract keep-iff-count = 0 mod 4 rule of
+    ``cooling.phase3_round`` only on clean headers (first three bits 0).
+    On a dirty header the two differ: here ``[0,0,1,0,0,0,0,1]`` at
+    N = k = 8 passes its payload ``[0,0,0,0,1]``, which the abstract round
+    drops (ROADMAP item 2).
     """
     if k < 4:
         raise ValueError("block size must be >= 4")

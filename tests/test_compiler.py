@@ -123,6 +123,24 @@ def test_phase3_matches_abstract_clean_headers():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("N,k", [(8, 8), (12, 4), (13, 5)])
+def test_phase3_machine_rule_on_whole_inputs(N, k):
+    # the compiled round keeps a block iff its third header bit XOR
+    # [payload count = 0 mod 4] is 1, dirty headers included
+    prog = compile_phase3_round(N, k)
+    for bits in all_inputs(N):
+        blocks = bits[: N - N % k].reshape(-1, k)
+        keep = blocks[:, 2] ^ (blocks[:, 3:].sum(axis=1) % 4 == 0)
+        assert np.array_equal(prog.run(bits), blocks[keep.astype(bool), 3:].ravel())
+
+
+def test_phase3_dirty_header_passes_weight_two_block():
+    # the rule differs from the abstract one off clean headers
+    bits = np.array([0, 0, 1, 0, 0, 0, 0, 1], dtype=np.uint8)
+    assert list(compile_phase3_round(8, 8).run(bits)) == [0, 0, 0, 0, 1]
+    assert list(cooling.phase3_round(bits, 8)[0]) == []
+
+
 def test_phase3_counter_trace_inspection():
     # after the counting walk the register pair holds the payload ones mod 4
     k = 8
