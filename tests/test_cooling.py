@@ -503,7 +503,8 @@ def test_pipeline_deterministic():
 def test_pipeline_direct_peak_memory_per_bit():
     # pairing decides and selects one slice of pairs at a time, so beside
     # the sampled bits (1 byte each) a direct run holds little more than
-    # the first round's output (about half a byte per input bit)
+    # the first round's output (a quarter byte per input bit), twice while
+    # its slices are joined
     model, n = thermal.BiasModel("binomial", 0.25), 2**22
     pipeline(model, n, seed=12)
     tracemalloc.start()
