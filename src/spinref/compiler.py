@@ -80,8 +80,8 @@ class MachineProgram:
     """Oblivious primitive program plus the live map that reads its output.
 
     ``encoded`` may be given as a list of instructions; it is kept in
-    ``machine.encode``'s form, from which the step count, the text and the
-    lowered form are all taken."""
+    ``machine.encode``'s form, from which the step count and the text are
+    taken."""
 
     name: str
     n_cells: int
@@ -102,7 +102,10 @@ class MachineProgram:
 
     @cached_property
     def lowered(self):
-        """The program lowered once for ``n_cells`` and shared by every run."""
+        """The program lowered once for ``n_cells`` and shared by every run.
+
+        A compiled round sets it when it is built, from the round's parts;
+        any other program is lowered by ``machine.lower`` on first use."""
         return machine.lower(self.encoded, self.n_cells)
 
     def run(self, bits, return_state=False):
@@ -190,17 +193,37 @@ def _round(name, N, k, header, body, keep):
     cell; one shift per leftover cell brings the head back to cell 0.  All
     h*B header cells precede the last block's payload and sort after it, so
     the bubble deinterleave needs h*B + 1 passes.
+
+    The program is lowered here from these parts, equal to what
+    ``machine.lower`` makes of its steps.  The body only looks up tables,
+    so block b's ops are the body's ops on N cells with every cell slot
+    moved b*k cells on, mod N, and the register slots n and n + 1 kept.
+    The deinterleave only renames slots, so it leaves no op, and it ends
+    with the head at 0 and each cell's bit at the cell ``_block_dest``
+    names: the gather is that map's inverse.  It is never the identity,
+    since every header cell precedes a payload cell it sorts after.
     """
     B, h = N // k, header
     body = machine.encode(body)
-    tail = _emit_deinterleave(_block_dest(N, k, h), h * B + 1)
+    dest = _block_dest(N, k, h)
+    tail = _emit_deinterleave(dest, h * B + 1)
     codes = np.concatenate([
         np.tile(body.codes + len(tail.table), B),
         np.full(N - B * k, _STEP, dtype=np.intp),
         tail.codes,
     ])
-    program = machine.Encoded(tail.table + body.table, codes)
-    return MachineProgram(name, N, program, LiveMap(B, k, h, keep))
+    program = MachineProgram(
+        name, N, machine.Encoded(tail.table + body.table, codes), LiveMap(B, k, h, keep)
+    )
+    ops = machine.lower(body, N).ops
+    cells = np.array([op[1:3] for op in ops], dtype=np.intp).reshape(-1, 2)
+    cells = (cells + k * np.arange(B)[:, None, None]) % N
+    heads = zip([op[0] for op in ops] * B, *cells.reshape(-1, 2).T.tolist())
+    ops = list(map(tuple.__add__, heads, [op[3:] for op in ops] * B))
+    gather = tuple(np.argsort(dest).tolist()) + (N, N + 1)
+    # the cached_property's slot: runs take this lowering, not machine.lower's
+    vars(program)["lowered"] = machine.Lowered(N, ops, gather, 0, len(codes))
+    return program
 
 
 def _round_cost(N, k, header, body_len):
@@ -328,6 +351,8 @@ def equivalence_check(program, abstract_fn, width, samples=None, seed=0):
     else:
         if samples is None:
             raise ValueError("width > 16 needs an explicit sample count")
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         rng = np.random.default_rng(seed)
         inputs = (rng.integers(0, 2, size=width, dtype=np.uint8) for _ in range(samples))
         cases = samples

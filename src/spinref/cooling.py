@@ -177,7 +177,7 @@ def _record(phase, round_index, bits, out, bias_pred, k, segments, u=None):
 # conversion on every call, most of a microsecond per small round.  Row sums
 # of uint8 bits are uint64.
 _W1, _W255 = np.uint16(1), np.uint16(255)
-_S0, _S1, _S4 = np.uint64(0), np.uint64(1), np.uint64(4)
+_S0, _S1, _S3 = np.uint64(0), np.uint64(1), np.uint64(3)
 
 # rows decided and selected per slice: a flag, or an index, over every row
 # of a 10**7-bit round would take more memory than the round's output
@@ -355,7 +355,7 @@ def phase3_round(bits, k, bias_pred=math.nan, round_index=0, segments=None):
     bits = np.asarray(bits, dtype=np.uint8)
     rows, per_segment = _rows(bits, k, segments)
     out, kept = _select(
-        rows[:, 3:], lambda r: r.sum(axis=1) % _S4 == _S0, rows, per_segment is not None
+        rows[:, 3:], lambda r: (r.sum(axis=1) & _S3) == _S0, rows, per_segment is not None
     )
     out = out.ravel()
     rec = _record(3, round_index, bits, out, bias_pred, k, segments)

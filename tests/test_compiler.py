@@ -233,6 +233,44 @@ def test_emitted_deinterleave_matches_the_bubble_loop():
                     emit(dest, passes - 2)
 
 
+def _every_round(N):
+    yield compile_phase1(N)
+    yield from (compile_phase2_round(N, k) for k in range(2, N + 1))
+    yield from (compile_phase3_round(N, k) for k in range(4, N + 1))
+
+
+def test_compiled_rounds_lower_like_machine_lower():
+    # each round is lowered from its body and its block layout; the steps
+    # it emits, lowered one by one, give an equal lowering
+    count = 0
+    for N in range(2, 41):
+        for program in _every_round(N):
+            assert program.lowered == machine.lower(program.encoded, N), (program.name, N)
+            count += 1
+    assert count == 1522
+
+
+def test_hand_built_program_runs_like_the_compiled_round(monkeypatch):
+    # the same steps in a program built by hand are lowered by machine.lower,
+    # on their first run; the compiled round never calls it after emission
+    lowerings = []
+    lower = machine.lower
+    monkeypatch.setattr(machine, "lower", lambda *args: lowerings.append(args[1]) or lower(*args))
+    rng = np.random.default_rng(17)
+    for program in (compile_phase1(12), compile_phase2_round(12, 5), compile_phase3_round(12, 4)):
+        hand = compiler.MachineProgram("hand", 12, program.instructions, program.live_map)
+        lowerings.clear()
+        for _ in range(4):
+            bits = rng.integers(0, 2, 12, dtype=np.uint8)
+            want, want_state = program.run(bits, return_state=True)
+            got, got_state = hand.run(bits, return_state=True)
+            assert np.array_equal(got, want), program.name
+            assert got_state.snapshot() == want_state.snapshot()
+            assert got_state.steps == want_state.steps == program.steps
+        assert lowerings == [12]
+        assert hand.lowered == program.lowered
+
+
 def test_register_clean_after_programs():
     rng = np.random.default_rng(4)
     for prog in (compile_phase1(9), compile_phase2_round(14, 7), compile_phase3_round(20, 5)):
@@ -291,6 +329,13 @@ def test_equivalence_check_enumerates_ascending_and_reports_the_first_witness():
     # a result of another length is a mismatch too
     report = equivalence_check(ident, lambda b: b[:-1] if b[0] else b, 5)
     assert report.mismatches == 16 and report.witness == [1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_equivalence_check_rejects_a_sample_count_below_one(samples):
+    # a sampled check of no cases would report a pass it never checked
+    with pytest.raises(ValueError, match="samples"):
+        equivalence_check(compile_phase1(8), lambda b: cooling.phase1_round(b)[0], 8, samples=samples)
 
 
 def test_equivalence_check_validation():

@@ -200,9 +200,10 @@ def test_compiled_programs_golden():
 
 
 def test_built_programs_lower_like_their_instruction_lists():
-    # the compiler builds its programs as step codes; the same steps lowered
-    # from a plain instruction list, or from the program's parsed text, give
-    # an equal lowering: the same ops, head, steps and gather
+    # the compiler builds its programs as step codes and lowers each round
+    # from its parts; machine.lower, the reference, gives an equal lowering
+    # (the same ops, head, steps and gather) from those codes, from a plain
+    # instruction list and from the program's parsed text
     hand = [Shift(1), Gate(GATES["EQMARK"]), SwapReg(1), Measure(), CA(2, GATES["SWAP2"]),
             Shift(-1), Gate(GATES["SWAP2"]), CA(2, GATES["CNOT12"]), Gate(GATES["INC4"])]
     live = compiler.LiveMap(1, 4, 1, 0)
