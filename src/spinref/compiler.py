@@ -197,7 +197,7 @@ def _round(name, N, k, header, body, keep):
     The program is lowered here from these parts, equal to what
     ``machine.lower`` makes of its steps.  The body only looks up tables,
     so block b's ops are the body's ops on N cells with every cell slot
-    moved b*k cells on, mod N, and the register slots n and n + 1 kept.
+    moved b*k cells on, mod N, and the register slots N and N + 1 kept.
     The deinterleave only renames slots, so it leaves no op, and it ends
     with the head at 0 and each cell's bit at the cell ``_block_dest``
     names: the gather is that map's inverse.  It is never the identity,
