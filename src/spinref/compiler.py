@@ -23,6 +23,7 @@ Step counts are exact closed forms, checked against generated programs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -80,8 +81,9 @@ class MachineProgram:
     """Oblivious primitive program plus the live map that reads its output.
 
     ``encoded`` may be given as a list of instructions; it is kept in
-    ``machine.encode``'s form, from which the step count and the text are
-    taken."""
+    ``machine.encode``'s form, from which the step count is taken.  A
+    compiled round fills ``lowered`` and ``text`` from its parts when it is
+    built; any other program derives them from ``encoded``."""
 
     name: str
     n_cells: int
@@ -120,8 +122,18 @@ class MachineProgram:
             return out, state
         return out
 
-    def to_text(self):
+    @cached_property
+    def text(self):
+        """The program's text, one line per step, as
+        ``machine.program_to_text`` prints it.
+
+        A compiled round sets it when it is built, from the round's parts;
+        any other program is printed by ``machine.program_to_text`` on first
+        use."""
         return machine.program_to_text(self.encoded)
+
+    def to_text(self):
+        return self.text
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +142,9 @@ class MachineProgram:
 # the deinterleave's table: code 0 walks the head one cell, code 1 swaps
 _STEP, _SWAP = 0, 1
 _DEINTERLEAVE = (Shift(1), Gate(GATES["SWAP2"]))
+# its text: a walk, and a swap with the walk after it
+_WALK = machine.program_to_text(_DEINTERLEAVE[:1])
+_SWAP_WALK = machine.program_to_text(_DEINTERLEAVE[::-1])
 
 
 def _larger_before(dest):
@@ -145,31 +160,43 @@ def _bubble_passes_needed(dest):
 
 
 def _emit_deinterleave(dest, passes):
-    """Fixed bubble schedule: ``passes`` full walks, swaps where scheduled.
+    """Fixed bubble schedule that sorts ``dest``: ``passes`` full walks,
+    swaps where scheduled.
 
     Each pass costs exactly n shifts (walk the ring once) plus one SWAP2
     gate before the shift at each cell j where the pass swaps; total gates
-    equal the inversion count of ``dest``.  A pass carries the running
-    maximum rightwards, swapping at j exactly when max(dest[:j+1]) >
-    dest[j+1].  So a key with larger keys before it moves one cell left in
-    each pass, and never right, until the last of them has passed it.  The
-    key starting at cell i with ``left[i]`` larger keys before it is the
-    swap at cell i - p of pass p = 1..left[i]; those are all the swaps.
-    The pass count and swap sites depend only on ``dest``.
+    equal the inversion count of ``dest``.  The swap sites depend only on
+    how many larger keys precede each cell, from which ``_bubble_swaps``
+    places them.
     """
-    n = len(dest)
     left = _larger_before(dest)
-    if left.max(initial=0) > passes:
-        raise AssertionError("deinterleave pass budget too small")
-    cell = np.repeat(np.arange(n), left)
-    p = np.arange(cell.size) - np.repeat(np.cumsum(left) - left, left) + 1
-    # one shift per cell and pass, each preceded by its swap if any: the
-    # swap at cell j of pass p comes after (p - 1)*n + j shifts and the
-    # swaps before it
-    at = np.sort((p - 1) * n + cell - p)
-    codes = np.full(passes * n + at.size, _STEP, dtype=np.intp)
-    codes[at + np.arange(at.size)] = _SWAP
+    codes = np.full(passes * len(left) + int(left.sum()), _STEP, dtype=np.intp)
+    codes[_bubble_swaps(left, passes)] = _SWAP
     return machine.Encoded(_DEINTERLEAVE, codes)
+
+
+def _bubble_swaps(left, passes):
+    """The step indices, ascending, of the swaps in ``passes`` bubble
+    passes over ``len(left)`` cells, where the key starting at cell i has
+    ``left[i]`` larger keys before it.
+
+    A pass carries the running maximum rightwards, swapping at j exactly
+    when the largest key in cells 0..j is larger than the key at j + 1.
+    So a key with larger keys before it
+    moves one cell left in each pass, and never right, until the last of
+    them has passed it.  The key at cell i is the swap at cell i - p of
+    pass p = 1..left[i]; those are all the swaps, so pass p swaps at i - p
+    for the cells i, in order, with left[i] >= p.
+    """
+    n = len(left)
+    top = int(left.max(initial=0))
+    if top > passes:
+        raise AssertionError("deinterleave pass budget too small")
+    # row p holds pass p + 1's cells i, so their flat indices p*n + i come
+    # in program order; that swap, at cell i - p - 1, follows p*n + i - p - 1
+    # shifts and the swaps before it
+    at = np.flatnonzero(left > np.arange(top)[:, None])
+    return at - at // n - 1 + np.arange(at.size)
 
 
 # ---------------------------------------------------------------------------
@@ -186,43 +213,81 @@ def _block_dest(N, k, header):
     return np.concatenate([dest.ravel(), np.arange(B * k, N)])
 
 
+def _block_left(N, k, header):
+    """``_larger_before(_block_dest(N, k, header))`` in closed form.  The
+    headers of blocks 0..b precede block b's payload and sort after it;
+    no other key sorts after a cell it precedes.  So each payload cell of
+    block b has h*(b + 1) larger keys before it, and every other cell
+    none."""
+    B, h = N // k, header
+    left = np.zeros(N, dtype=np.intp)
+    left[: B * k].reshape(B, k)[:, h:] = h * np.arange(1, B + 1)[:, None]
+    return left
+
+
+def _round_text(N, k, header, body):
+    """The text of the round ``_round`` builds from ``body``, as
+    ``machine.program_to_text`` prints it, made from the block layout.
+
+    After the B bodies come the leftover shifts and h*B + 1 deinterleave
+    passes.  Pass p swaps at cell i - p for each payload cell i of blocks
+    b..B-1, b = ceil(p/h) - 1: the blocks whose larger keys are not all
+    past yet.  So its swaps read ``block * (B - b - 1) + payload`` below,
+    from cell b*k + h - p to cell B*k - 1 - p.  The head walks N - B*k +
+    b*k + h - 1 cells to them, from the last body or the previous pass's
+    last swap.  After pass h*B's last swap it walks the rest of that pass
+    and all of the last, which only walks.
+    """
+    B, h = N // k, header
+    payload = _SWAP_WALK * (k - h)
+    block = payload + _WALK * h
+    pieces = [machine.program_to_text(body) * B]
+    for b in range(B):
+        pieces += [_WALK * (N - B * k + b * k + h - 1), block * (B - b - 1) + payload] * h
+    pieces.append(_WALK * (2 * N - B * k + h * B))
+    return "".join(pieces)
+
+
 def _round(name, N, k, header, body, keep):
     """``body`` on every block, then the deinterleave into the block layout.
 
     ``body`` walks one block from its first cell to the next block's first
     cell; one shift per leftover cell brings the head back to cell 0.  All
     h*B header cells precede the last block's payload and sort after it, so
-    the bubble deinterleave needs h*B + 1 passes.
+    the bubble deinterleave needs h*B + 1 passes.  Its swaps are placed
+    from the layout's closed-form counts, ``_block_left``.
 
-    The program is lowered here from these parts, equal to what
-    ``machine.lower`` makes of its steps.  The body only looks up tables,
-    so block b's ops are the body's ops on N cells with every cell slot
-    moved b*k cells on, mod N, and the register slots N and N + 1 kept.
-    The deinterleave only renames slots, so it leaves no op, and it ends
-    with the head at 0 and each cell's bit at the cell ``_block_dest``
-    names: the gather is that map's inverse.  It is never the identity,
-    since every header cell precedes a payload cell it sorts after.
+    The program's lowering and text are built here from these parts, equal
+    to what ``machine.lower`` and ``machine.program_to_text`` make of its
+    steps.  The body only looks up tables, so block b's ops are the body's
+    ops on N cells with every cell slot moved b*k cells on, mod N, and the
+    register slots N and N + 1 kept.  The deinterleave only renames slots,
+    so it leaves no op, and it ends with the head at 0 and each cell's bit
+    at the cell ``_block_dest`` names: the gather is that map's inverse.
+    It is never the identity, since every header cell precedes a payload
+    cell it sorts after.
     """
     B, h = N // k, header
     body = machine.encode(body)
-    dest = _block_dest(N, k, h)
-    tail = _emit_deinterleave(dest, h * B + 1)
-    codes = np.concatenate([
-        np.tile(body.codes + len(tail.table), B),
-        np.full(N - B * k, _STEP, dtype=np.intp),
-        tail.codes,
-    ])
+    # the bodies, then the leftover shifts and the deinterleave's walks
+    start = B * len(body) + N - B * k
+    swaps = _bubble_swaps(_block_left(N, k, h), h * B + 1)
+    codes = np.full(start + (h * B + 1) * N + swaps.size, _STEP, dtype=np.intp)
+    codes[: B * len(body)].reshape(B, -1)[:] = body.codes + len(_DEINTERLEAVE)
+    codes[start + swaps] = _SWAP
     program = MachineProgram(
-        name, N, machine.Encoded(tail.table + body.table, codes), LiveMap(B, k, h, keep)
+        name, N, machine.Encoded(_DEINTERLEAVE + body.table, codes), LiveMap(B, k, h, keep)
     )
     ops = machine.lower(body, N).ops
     cells = np.array([op[1:3] for op in ops], dtype=np.intp).reshape(-1, 2)
     cells = (cells + k * np.arange(B)[:, None, None]) % N
     heads = zip([op[0] for op in ops] * B, *cells.reshape(-1, 2).T.tolist())
     ops = list(map(tuple.__add__, heads, [op[3:] for op in ops] * B))
-    gather = tuple(np.argsort(dest).tolist()) + (N, N + 1)
-    # the cached_property's slot: runs take this lowering, not machine.lower's
+    gather = tuple(np.argsort(_block_dest(N, k, h)).tolist()) + (N, N + 1)
+    # the cached_properties' slots: runs and to_text take these, not
+    # machine.lower's and machine.program_to_text's
     vars(program)["lowered"] = machine.Lowered(N, ops, gather, 0, len(codes))
+    vars(program)["text"] = _round_text(N, k, h, body)
     return program
 
 
@@ -231,6 +296,29 @@ def _round_cost(N, k, header, body_len):
     deinterleave walks of N shifts, and one swap per inversion."""
     B, h = N // k, header
     return B * body_len + (N - B * k) + (h * B + 1) * N + h * (k - h) * B * (B + 1) // 2
+
+
+def _integer(name, value):
+    """``value`` through ``operator.index``, so numpy integers pass; a bool
+    or a non-integer raises a TypeError that names ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _round_size(N, k, least, unit):
+    """(N, k) as ints, checked for a round of ``unit``s of k >= ``least``
+    cells with at least one whole unit on the tape: the rounds the
+    compilers build and the cost closed forms count."""
+    N, k = _integer("N", N), _integer("k", k)
+    if k < least:
+        raise ValueError(f"{unit} size must be >= {least}, got {k}")
+    if k > N:
+        raise ValueError(f"{unit} of {k} cells exceeds the {N}-cell tape")
+    return N, k
 
 
 def _count_walk(k, header, count, deposit, uncount):
@@ -255,14 +343,14 @@ def compile_phase1(N):
     packs every second slot into the prefix and every mark into the
     trailing section, so the live prefix is the survivor sequence in order.
     """
-    if N < 2:
-        raise ValueError("need at least one pair")
+    N, _ = _round_size(N, 2, 2, "pair")
     step = Shift(1)
     return _round("phase1", N, 2, 1, [Gate(GATES["EQMARK"]), step, step], keep=0)
 
 
 def phase1_cost(N):
     """Exact step count of ``compile_phase1(N)``."""
+    N, _ = _round_size(N, 2, 2, "pair")
     return _round_cost(N, 2, 1, 3)
 
 
@@ -274,16 +362,14 @@ def compile_phase2_round(N, k):
     The decision bit lives in the tape (first bin cell, 0 = pass); y1
     returns to 0 so the head register is clean for the next bin.
     """
-    if k < 2:
-        raise ValueError("bin size must be >= 2")
-    if k > N:
-        raise ValueError("bin size exceeds the tape")
+    N, k = _round_size(N, k, 2, "bin")
     par = GATES["PAR3"]
     return _round("phase2", N, k, 1, _count_walk(k, 1, par, GATES["XDEP3"], par), keep=0)
 
 
 def phase2_round_cost(N, k):
     """Exact step count of ``compile_phase2_round(N, k)``."""
+    N, k = _round_size(N, k, 2, "bin")
     return _round_cost(N, k, 1, 5 * k - 3)
 
 
@@ -300,16 +386,14 @@ def compile_phase3_round(N, k):
     N = k = 8 passes its payload ``[0,0,0,0,1]``, which the abstract round
     drops (ROADMAP item 2).
     """
-    if k < 4:
-        raise ValueError("block size must be >= 4")
-    if k > N:
-        raise ValueError("block size exceeds the tape")
+    N, k = _round_size(N, k, 4, "block")
     body = _count_walk(k, 3, GATES["INC4"], GATES["DEP34"], GATES["DEC4"])
     return _round("phase3", N, k, 3, body, keep=1)
 
 
 def phase3_round_cost(N, k):
     """Exact step count of ``compile_phase3_round(N, k)``."""
+    N, k = _round_size(N, k, 4, "block")
     return _round_cost(N, k, 3, 5 * k - 11)
 
 
@@ -351,6 +435,7 @@ def equivalence_check(program, abstract_fn, width, samples=None, seed=0):
     else:
         if samples is None:
             raise ValueError("width > 16 needs an explicit sample count")
+        samples = _integer("samples", samples)
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         rng = np.random.default_rng(seed)

@@ -27,8 +27,9 @@ data.  ``lower`` uses that to resolve the head statically, once per program
 and tape size, and ``execute``, ``trace`` and compiled programs all run the
 lowered form through one executor loop.  The primitives above are the
 reference semantics it is tested against.  The compiler builds the
-``Lowered`` of each round from the round's parts, without a walk over its
-steps; ``lower`` is the reference that lowering is tested against.
+``Lowered`` and the text of each round from the round's parts, without a
+walk over its steps; ``lower`` and ``program_to_text`` are the references
+they are tested against.
 
 A program is an iterable of instructions or ``encode``'s form of one: a
 table of its distinct instructions and one integer code per step.

@@ -208,12 +208,12 @@ def _bubble_reference(dest, passes):
 
 
 def _block_layouts():
-    """(dest, passes) of every round in the golden program grid."""
+    """(N, k, header) of every round in the golden program grid."""
     for N in (2, 3, 4, 7, 8, 9, 16, 31, 64, 100, 256):
         ks = sorted({2, 3, 4, 5, 7, 8, 21, N})
         rounds = [(2, 1)] + [(k, 1) for k in ks if k <= N] + [(k, 3) for k in ks if 4 <= k <= N]
         for k, h in rounds:
-            yield compiler._block_dest(N, k, h), h * (N // k) + 1
+            yield N, k, h
 
 
 def test_emitted_deinterleave_matches_the_bubble_loop():
@@ -221,7 +221,8 @@ def test_emitted_deinterleave_matches_the_bubble_loop():
     dests = [rng.permutation(n) for n in range(1, 201)]
     dests += [thermal.stride_shuffle_perm(m**3) for m in range(2, 7)]
     cases = [(dest, compiler._bubble_passes_needed(dest)) for dest in dests]
-    for dest, passes in cases + list(_block_layouts()):
+    cases += [(compiler._block_dest(N, k, h), h * (N // k) + 1) for N, k, h in _block_layouts()]
+    for dest, passes in cases:
         assert passes == compiler._bubble_passes_needed(dest)
         emitted = compiler._emit_deinterleave(dest, passes)
         assert list(emitted) == _bubble_reference(dest, passes), len(dest)
@@ -231,6 +232,13 @@ def test_emitted_deinterleave_matches_the_bubble_loop():
             for emit in (compiler._emit_deinterleave, _bubble_reference):
                 with pytest.raises(AssertionError):
                     emit(dest, passes - 2)
+
+
+def test_block_layout_counts_have_a_closed_form():
+    # the rounds place their swaps from these counts, not from _larger_before
+    for N, k, h in _block_layouts():
+        want = compiler._larger_before(compiler._block_dest(N, k, h))
+        assert np.array_equal(compiler._block_left(N, k, h), want), (N, k, h)
 
 
 def _every_round(N):
@@ -248,6 +256,33 @@ def test_compiled_rounds_lower_like_machine_lower():
             assert program.lowered == machine.lower(program.encoded, N), (program.name, N)
             count += 1
     assert count == 1522
+
+
+def test_compiled_rounds_print_like_program_to_text():
+    # each round's text is built from its body and its block layout; the
+    # steps it emits, printed one by one, give the same text
+    rounds = [program for N in range(2, 41) for program in _every_round(N)]
+    rounds += [compile_phase1(256)] + [
+        compile(256, k) for compile in (compile_phase2_round, compile_phase3_round) for k in (4, 8, 21)
+    ]
+    for program in rounds:
+        text = program.to_text()
+        assert text == machine.program_to_text(program.encoded), (program.name, program.n_cells)
+        assert text.count("\n") == program.steps
+
+
+def test_hand_built_program_prints_like_the_compiled_round(monkeypatch):
+    # the same steps in a program built by hand are printed by
+    # machine.program_to_text, once, on first use; the compiled round only
+    # prints its body, when it is built
+    printed = []
+    to_text = machine.program_to_text
+    monkeypatch.setattr(machine, "program_to_text", lambda p: printed.append(len(p)) or to_text(p))
+    for program in (compile_phase1(12), compile_phase2_round(12, 5), compile_phase3_round(12, 4)):
+        hand = compiler.MachineProgram("hand", 12, program.instructions, program.live_map)
+        printed.clear()
+        assert hand.to_text() == hand.to_text() == program.to_text() == hand.text
+        assert printed == [program.steps]
 
 
 def test_hand_built_program_runs_like_the_compiled_round(monkeypatch):
@@ -341,3 +376,39 @@ def test_equivalence_check_validation():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples"):
             equivalence_check(prog, lambda b: cooling.phase1_round(b)[0], 8, samples=samples)
+    # a bool or non-integer count is refused, not reported as the case count
+    for samples in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match="^samples must be an integer"):
+            equivalence_check(prog, lambda b: cooling.phase1_round(b)[0], 8, samples=samples)
+    report = equivalence_check(prog, lambda b: cooling.phase1_round(b)[0], 8, samples=np.int64(3))
+    assert report.as_dict() == {"mode": "sampled", "cases": 3, "mismatches": 0, "witness": None}
+    assert type(report.cases) is int
+
+
+def test_costs_refuse_the_rounds_the_compilers_refuse():
+    # one check serves both, so no closed form counts a round never built
+    for build, cost, sizes in (
+        (compile_phase1, phase1_cost, [(1,), (0,), (-4,)]),
+        (compile_phase2_round, phase2_round_cost, [(4, 9), (9, 1), (9, -2)]),
+        (compile_phase3_round, phase3_round_cost, [(16, 3), (3, 4), (5, 6)]),
+    ):
+        for args in sizes:
+            for fn in (build, cost):
+                with pytest.raises(ValueError, match="size must be|exceeds the"):
+                    fn(*args)
+
+
+def test_round_sizes_must_be_integers():
+    # numpy integers pass as they are; anything else names its parameter
+    assert compile_phase2_round(np.int64(9), np.int32(3)).to_text() == compile_phase2_round(9, 3).to_text()
+    assert phase3_round_cost(np.uint16(20), np.int8(5)) == phase3_round_cost(20, 5)
+    for fn, args, name in (
+        (compile_phase1, (2.5,), "N"),
+        (phase1_cost, (2.5,), "N"),
+        (compile_phase2_round, (9, 3.0), "k"),
+        (phase2_round_cost, (9.0, 3), "N"),
+        (compile_phase3_round, (16, "8"), "k"),
+        (phase3_round_cost, (16, True), "k"),
+    ):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            fn(*args)
