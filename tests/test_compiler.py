@@ -263,7 +263,7 @@ def test_compiled_rounds_print_like_program_to_text():
     # steps it emits, printed one by one, give the same text
     rounds = [program for N in range(2, 41) for program in _every_round(N)]
     rounds += [compile_phase1(256)] + [
-        compile(256, k) for compile in (compile_phase2_round, compile_phase3_round) for k in (4, 8, 21)
+        build(256, k) for build in (compile_phase2_round, compile_phase3_round) for k in (4, 8, 21)
     ]
     for program in rounds:
         text = program.to_text()
@@ -400,7 +400,8 @@ def test_costs_refuse_the_rounds_the_compilers_refuse():
 
 def test_round_sizes_must_be_integers():
     # numpy integers pass as they are; anything else names its parameter
-    assert compile_phase2_round(np.int64(9), np.int32(3)).to_text() == compile_phase2_round(9, 3).to_text()
+    program = compile_phase2_round(np.int64(9), np.int32(3))
+    assert program.to_text() == compile_phase2_round(9, 3).to_text()
     assert phase3_round_cost(np.uint16(20), np.int8(5)) == phase3_round_cost(20, 5)
     for fn, args, name in (
         (compile_phase1, (2.5,), "N"),
