@@ -142,9 +142,9 @@ class MachineProgram:
 # the deinterleave's table: code 0 walks the head one cell, code 1 swaps
 _STEP, _SWAP = 0, 1
 _DEINTERLEAVE = (Shift(1), Gate(GATES["SWAP2"]))
-# its text: a walk, and a swap with the walk after it
-_WALK = machine.program_to_text(_DEINTERLEAVE[:1])
-_SWAP_WALK = machine.program_to_text(_DEINTERLEAVE[::-1])
+# its pieces as (text, code bytes): a walk, and a swap with the walk after it
+_WALK = (machine.program_to_text(_DEINTERLEAVE[:1]), bytes([_STEP]))
+_SWAP_WALK = (machine.program_to_text(_DEINTERLEAVE[::-1]), bytes([_SWAP, _STEP]))
 
 
 def _larger_before(dest):
@@ -161,42 +161,31 @@ def _bubble_passes_needed(dest):
 
 def _emit_deinterleave(dest, passes):
     """Fixed bubble schedule that sorts ``dest``: ``passes`` full walks,
-    swaps where scheduled.
+    swaps where scheduled.  It is the reference for any permutation; a
+    compiled round builds the same steps for its block layout from runs.
 
     Each pass costs exactly n shifts (walk the ring once) plus one SWAP2
     gate before the shift at each cell j where the pass swaps; total gates
-    equal the inversion count of ``dest``.  The swap sites depend only on
-    how many larger keys precede each cell, from which ``_bubble_swaps``
-    places them.
+    equal the inversion count of ``dest``.  A pass carries the running
+    maximum rightwards, swapping at j exactly when the largest key in
+    cells 0..j is larger than the key at j + 1.  So a key with larger keys
+    before it moves one cell left in each pass, and never right, until the
+    last of them has passed it.  The key at cell i, with ``left[i]`` larger
+    keys before it, is the swap at cell i - p of pass p = 1..left[i]; those
+    are all the swaps, so pass p swaps at i - p for the cells i, in order,
+    with left[i] >= p.
     """
     left = _larger_before(dest)
-    codes = np.full(passes * len(left) + int(left.sum()), _STEP, dtype=np.intp)
-    codes[_bubble_swaps(left, passes)] = _SWAP
-    return machine.Encoded(_DEINTERLEAVE, codes)
-
-
-def _bubble_swaps(left, passes):
-    """The step indices, ascending, of the swaps in ``passes`` bubble
-    passes over ``len(left)`` cells, where the key starting at cell i has
-    ``left[i]`` larger keys before it.
-
-    A pass carries the running maximum rightwards, swapping at j exactly
-    when the largest key in cells 0..j is larger than the key at j + 1.
-    So a key with larger keys before it
-    moves one cell left in each pass, and never right, until the last of
-    them has passed it.  The key at cell i is the swap at cell i - p of
-    pass p = 1..left[i]; those are all the swaps, so pass p swaps at i - p
-    for the cells i, in order, with left[i] >= p.
-    """
-    n = len(left)
-    top = int(left.max(initial=0))
+    n, top = len(left), int(left.max(initial=0))
     if top > passes:
         raise AssertionError("deinterleave pass budget too small")
     # row p holds pass p + 1's cells i, so their flat indices p*n + i come
     # in program order; that swap, at cell i - p - 1, follows p*n + i - p - 1
     # shifts and the swaps before it
     at = np.flatnonzero(left > np.arange(top)[:, None])
-    return at - at // n - 1 + np.arange(at.size)
+    codes = np.full(passes * n + at.size, _STEP, dtype=np.uint8)
+    codes[at - at // n - 1 + np.arange(at.size)] = _SWAP
+    return machine.Encoded(_DEINTERLEAVE, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -213,39 +202,38 @@ def _block_dest(N, k, header):
     return np.concatenate([dest.ravel(), np.arange(B * k, N)])
 
 
-def _block_left(N, k, header):
-    """``_larger_before(_block_dest(N, k, header))`` in closed form.  The
-    headers of blocks 0..b precede block b's payload and sort after it;
-    no other key sorts after a cell it precedes.  So each payload cell of
-    block b has h*(b + 1) larger keys before it, and every other cell
-    none."""
-    B, h = N // k, header
-    left = np.zeros(N, dtype=np.intp)
-    left[: B * k].reshape(B, k)[:, h:] = h * np.arange(1, B + 1)[:, None]
-    return left
+def _runs(*runs):
+    """The (text, code bytes) piece of ``runs``, (piece, count) pairs in
+    program order."""
+    return "".join(t * c for (t, _), c in runs), b"".join(s * c for (_, s), c in runs)
 
 
-def _round_text(N, k, header, body):
-    """The text of the round ``_round`` builds from ``body``, as
-    ``machine.program_to_text`` prints it, made from the block layout.
+def _round_steps(N, k, header, body):
+    """The text and the uint8 step codes of the round ``_round`` builds
+    from ``body``, an ``Encoded``, as one list of runs of pieces.
 
     After the B bodies come the leftover shifts and h*B + 1 deinterleave
-    passes.  Pass p swaps at cell i - p for each payload cell i of blocks
-    b..B-1, b = ceil(p/h) - 1: the blocks whose larger keys are not all
-    past yet.  So its swaps read ``block * (B - b - 1) + payload`` below,
-    from cell b*k + h - p to cell B*k - 1 - p.  The head walks N - B*k +
-    b*k + h - 1 cells to them, from the last body or the previous pass's
-    last swap.  After pass h*B's last swap it walks the rest of that pass
-    and all of the last, which only walks.
+    passes.  Each payload cell of block b has h*(b + 1) larger keys before
+    it and every other cell none, since the headers of blocks 0..b precede
+    block b's payload and sort after it.  So pass p swaps at cell i - p
+    for each payload cell i of blocks b..B-1, b = ceil(p/h) - 1: the blocks
+    whose larger keys are not all past yet.  Its swaps read ``block * (B -
+    b - 1) + payload`` below, from cell b*k + h - p to cell B*k - 1 - p.
+    The head walks N - B*k + b*k + h - 1 cells to them, from the last body
+    or the previous pass's last swap.  After pass h*B's last swap it walks
+    the rest of that pass and all of the last, which only walks.
     """
     B, h = N // k, header
-    payload = _SWAP_WALK * (k - h)
-    block = payload + _WALK * h
-    pieces = [machine.program_to_text(body) * B]
+    payload = _runs((_SWAP_WALK, k - h))
+    block = _runs((payload, 1), (_WALK, h))
+    # the body's codes index the table after the deinterleave's entries
+    codes = (body.codes + len(_DEINTERLEAVE)).astype(np.uint8).tobytes()
+    runs = [((machine.program_to_text(body), codes), B)]
     for b in range(B):
-        pieces += [_WALK * (N - B * k + b * k + h - 1), block * (B - b - 1) + payload] * h
-    pieces.append(_WALK * (2 * N - B * k + h * B))
-    return "".join(pieces)
+        runs += [(_WALK, N - B * k + b * k + h - 1), (block, B - b - 1), (payload, 1)] * h
+    runs.append((_WALK, 2 * N - B * k + h * B))
+    text, codes = _runs(*runs)
+    return text, np.frombuffer(codes, np.uint8)
 
 
 def _round(name, N, k, header, body, keep):
@@ -254,27 +242,24 @@ def _round(name, N, k, header, body, keep):
     ``body`` walks one block from its first cell to the next block's first
     cell; one shift per leftover cell brings the head back to cell 0.  All
     h*B header cells precede the last block's payload and sort after it, so
-    the bubble deinterleave needs h*B + 1 passes.  Its swaps are placed
-    from the layout's closed-form counts, ``_block_left``.
+    the bubble deinterleave needs h*B + 1 passes.
 
-    The program's lowering and text are built here from these parts, equal
-    to what ``machine.lower`` and ``machine.program_to_text`` make of its
-    steps.  The body only looks up tables, so block b's ops are the body's
-    ops on N cells with every cell slot moved b*k cells on, mod N, and the
-    register slots N and N + 1 kept.  The deinterleave only renames slots,
-    so it leaves no op, and it ends with the head at 0 and each cell's bit
-    at the cell ``_block_dest`` names: the gather is that map's inverse.
-    It is never the identity, since every header cell precedes a payload
-    cell it sorts after.
+    The program's codes, text and lowering are built here from these
+    parts.  One run list, ``_round_steps``, gives the codes and the text;
+    they equal ``_emit_deinterleave``'s schedule after the bodies and
+    leftover shifts, and ``machine.program_to_text``'s text of the steps.
+    The lowering equals ``machine.lower``'s.  The body only looks up
+    tables, so block b's ops are the body's ops on N cells with every cell
+    slot moved b*k cells on, mod N, and the register slots N and N + 1
+    kept.  The deinterleave only renames slots, so it leaves no op, and it
+    ends with the head at 0 and each cell's bit at the cell
+    ``_block_dest`` names: the gather is that map's inverse.  It is never
+    the identity, since every header cell precedes a payload cell it sorts
+    after.
     """
     B, h = N // k, header
     body = machine.encode(body)
-    # the bodies, then the leftover shifts and the deinterleave's walks
-    start = B * len(body) + N - B * k
-    swaps = _bubble_swaps(_block_left(N, k, h), h * B + 1)
-    codes = np.full(start + (h * B + 1) * N + swaps.size, _STEP, dtype=np.intp)
-    codes[: B * len(body)].reshape(B, -1)[:] = body.codes + len(_DEINTERLEAVE)
-    codes[start + swaps] = _SWAP
+    text, codes = _round_steps(N, k, h, body)
     program = MachineProgram(
         name, N, machine.Encoded(_DEINTERLEAVE + body.table, codes), LiveMap(B, k, h, keep)
     )
@@ -287,7 +272,7 @@ def _round(name, N, k, header, body, keep):
     # the cached_properties' slots: runs and to_text take these, not
     # machine.lower's and machine.program_to_text's
     vars(program)["lowered"] = machine.Lowered(N, ops, gather, 0, len(codes))
-    vars(program)["text"] = _round_text(N, k, h, body)
+    vars(program)["text"] = text
     return program
 
 

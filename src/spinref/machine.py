@@ -26,13 +26,15 @@ Programs are oblivious: where each primitive acts never depends on the
 data.  ``lower`` uses that to resolve the head statically, once per program
 and tape size, and ``execute``, ``trace`` and compiled programs all run the
 lowered form through one executor loop.  The primitives above are the
-reference semantics it is tested against.  The compiler builds the
-``Lowered`` and the text of each round from the round's parts, without a
-walk over its steps; ``lower`` and ``program_to_text`` are the references
-they are tested against.
+reference semantics it is tested against.  The compiler builds each
+round's ``Lowered`` from the round's parts, and its codes and text from
+one run list, without a walk over its steps; ``lower``,
+``program_to_text`` and the compiler's ``_emit_deinterleave`` are the
+references they are tested against.
 
 A program is an iterable of instructions or ``encode``'s form of one: a
-table of its distinct instructions and one integer code per step.
+table of its distinct instructions and one integer code per step (uint8
+in a compiled round).
 ``lower``, ``trace`` and ``program_to_text`` work on that form, so each
 distinct instruction is checked and printed once, however often it runs.
 """
@@ -338,18 +340,21 @@ def _check(ins):
 class Encoded:
     """A program as ``table``, a tuple of its distinct instruction
     instances, and ``codes``, one index into ``table`` per step.  Each
-    table entry is checked once, here.  Iterating yields the steps'
-    instructions; ``len()`` is the step count, and two programs are equal
-    when their steps are."""
+    table entry is checked once, here.  Integer codes keep their dtype
+    (compiled rounds hold uint8), empty ones become intp, and any other
+    dtype raises.  Iterating yields the steps' instructions; ``len()`` is
+    the step count, and two programs are equal when their steps are."""
 
     table: tuple
     codes: np.ndarray
 
     def __post_init__(self):
         table = tuple(self.table)
-        codes = np.asarray(self.codes, dtype=np.intp)
-        if codes.ndim != 1 or (codes.size and not 0 <= codes.min() <= codes.max() < len(table)):
-            raise ValueError("codes must be a 1-d array of table indices")
+        codes = np.asarray(self.codes)
+        codes = codes if codes.size else codes.astype(np.intp)
+        bad = codes.dtype.kind not in "iu" or codes.ndim != 1
+        if bad or (codes.size and not 0 <= codes.min() <= codes.max() < len(table)):
+            raise ValueError("codes must be a 1-d array of integer table indices")
         for ins in table:
             _check(ins)
         object.__setattr__(self, "table", table)

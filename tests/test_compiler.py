@@ -234,11 +234,24 @@ def test_emitted_deinterleave_matches_the_bubble_loop():
                     emit(dest, passes - 2)
 
 
-def test_block_layout_counts_have_a_closed_form():
-    # the rounds place their swaps from these counts, not from _larger_before
-    for N, k, h in _block_layouts():
-        want = compiler._larger_before(compiler._block_dest(N, k, h))
-        assert np.array_equal(compiler._block_left(N, k, h), want), (N, k, h)
+def test_round_steps_end_with_the_emitted_deinterleave():
+    # a round builds its codes from runs of the block layout; after its B
+    # bodies and N - B*k leftover shifts they are the bubble program
+    count = 0
+    for N, k, h in dict.fromkeys(_block_layouts()):
+        if h == 3:
+            rounds = [compile_phase3_round(N, k)]
+        else:
+            rounds = [compile_phase2_round(N, k)] + [compile_phase1(N)] * (k == 2)
+        want = compiler._emit_deinterleave(compiler._block_dest(N, k, h), h * (N // k) + 1)
+        tail = N % k + len(want)
+        for program in rounds:
+            codes = program.encoded.codes[-tail:]
+            assert program.encoded.table[:2] == want.table, (program.name, N, k)
+            assert not codes[: N % k].any(), (program.name, N, k)
+            assert np.array_equal(codes[N % k :], want.codes), (program.name, N, k)
+            count += 1
+    assert count == 116
 
 
 def _every_round(N):
@@ -253,6 +266,7 @@ def test_compiled_rounds_lower_like_machine_lower():
     count = 0
     for N in range(2, 41):
         for program in _every_round(N):
+            assert program.encoded.codes.dtype == np.uint8
             assert program.lowered == machine.lower(program.encoded, N), (program.name, N)
             count += 1
     assert count == 1522

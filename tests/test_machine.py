@@ -390,7 +390,11 @@ def test_encoded_form_is_the_listed_program():
     assert machine.Encoded(encoded.table[::-1], 5 - encoded.codes) == encoded
     assert machine.encode(program[:-1]) != encoded
     assert program_to_text(encoded) == program_to_text(program)
-    for codes in ([0, 6], [-1], [[0]]):
+    # integer codes keep their dtype and empty ones are intp; others raise
+    small = machine.Encoded(encoded.table, encoded.codes.astype(np.uint8))
+    assert small == encoded and small.codes.dtype == np.uint8
+    assert machine.Encoded(encoded.table, []).codes.dtype == np.intp
+    for codes in ([0, 6], [-1], [[0]], [0.7], np.array([True])):
         with pytest.raises(ValueError):
             machine.Encoded(encoded.table, codes)
 
