@@ -150,6 +150,15 @@ def _pulse_pairs(spec, pulse):
     return first, (first + 1) % n
 
 
+def _head_pair(spec):
+    """The pair (d_site, d_site + 1 mod n) a head pulse acts on."""
+    if spec.d_site is None:
+        raise ValueError("head pulses need a spec with a d_site")
+    n = spec.ring_length
+    d = spec.d_site % n
+    return d, (d + 1) % n
+
+
 def _layer_perm(spec, pulse):
     n = spec.ring_length
     perm = np.arange(n)
@@ -157,10 +166,7 @@ def _layer_perm(spec, pulse):
         first, second = _pulse_pairs(spec, pulse)
         perm[first], perm[second] = second, first
     elif isinstance(pulse, HeadPulse):
-        if spec.d_site is None:
-            raise ValueError("head pulses need a spec with a d_site")
-        d = spec.d_site % n
-        e = (d + 1) % n
+        d, e = _head_pair(spec)
         if pulse.gate == GATES["SWAP2"]:
             perm[d], perm[e] = e, d
         elif pulse.gate == GATES["ID2"]:
@@ -229,8 +235,7 @@ def apply_sequence_to_bits(spec, seq, bits):
             first, second = _pulse_pairs(spec, pulse)
             out[first], out[second] = out[second], out[first]
         elif isinstance(pulse, HeadPulse):
-            d = spec.d_site % n
-            e = (d + 1) % n
+            d, e = _head_pair(spec)
             packed = 2 * int(out[d]) + int(out[e])
             res = pulse.gate.table[packed]
             out[d], out[e] = (res >> 1) & 1, res & 1

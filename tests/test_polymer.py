@@ -274,6 +274,17 @@ def test_head_pulse_permutation_and_bits():
     assert list(out2) == [1, 0, 0, 0, 0, 0]
 
 
+def test_head_pulse_needs_a_d_site():
+    # a ring with no head site refuses head pulses at the position and the
+    # bit level alike
+    spec = two_tape_spec(3)
+    seq = PulseSequence([HeadPulse(GATES["SWAP2"])])
+    with pytest.raises(ValueError, match="d_site"):
+        induced_permutation(spec, seq)
+    with pytest.raises(ValueError, match="d_site"):
+        apply_sequence_to_bits(spec, seq, np.zeros(spec.ring_length, dtype=np.uint8))
+
+
 def test_sequence_text_roundtrip():
     seq = PulseSequence([("A", "B"), HeadPulse(GATES["SWAP2"]), ("C", "A")])
     text = sequence_to_text(seq)
