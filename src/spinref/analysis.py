@@ -125,13 +125,7 @@ def phase1_overhead(eps0, eps_target=TARGET_BIAS):
     """
     if not 0.0 < eps0 <= eps_target <= 1.0:
         raise ValueError("need 0 < eps0 <= eps_target <= 1")
-    product = 1.0
-    eps = eps0
-    stop = eps_target * (1.0 - THRESHOLD_RTOL)
-    while eps < stop:
-        product *= 1.0 + eps * eps
-        eps = bias_forward(eps)
-    return product
+    return math.prod((1.0 + e * e for e in forward_orbit(eps0, eps_target)[:-1]), start=1.0)
 
 
 # ---------------------------------------------------------------------------
