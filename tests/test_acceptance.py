@@ -362,6 +362,6 @@ def test_criterion_10_determinism(tmp_path):
         dirs.append(out)
     ok = True
     for name in ("rounds.csv", "ledger.json"):
-        blobs = [open(d / name, "rb").read() for d in dirs]
+        blobs = [(d / name).read_bytes() for d in dirs]
         ok &= blobs[0] == blobs[1] == blobs[2]
     assert report(10, ok, "(repeat runs and --jobs 3 byte-identical)")
