@@ -22,6 +22,7 @@ the two-tape and two-tape-plus-cellular-automaton cost models.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
@@ -163,12 +164,15 @@ def _steps(phase, k, lens):
 
 
 def _record(phase, round_index, bits, out, bias_pred, k, segments, u=None):
-    """The round's trace entry; ``k`` is 2 for pairing, where it is not recorded."""
-    n_in, n_out = len(bits), len(out)
+    """The round's trace entry; ``bits`` is the input, or its bit and ones
+    counts when it was streamed, and ``k`` is 2 for pairing, where it is not
+    recorded."""
+    n_in, ones_in = bits if isinstance(bits, tuple) else (len(bits), int(np.count_nonzero(bits)))
+    n_out = len(out)
     ones_out = int(np.count_nonzero(out))
     steps = _cost(phase, k, n_in) if segments is None else _steps(phase, k, segments)
     return RoundRecord(
-        phase, round_index, n_in, n_out, int(np.count_nonzero(bits)), ones_out,
+        phase, round_index, n_in, n_out, ones_in, ones_out,
         _bias(ones_out, n_out), bias_pred, steps, u, None if phase == 1 else k,
     )
 
@@ -184,22 +188,34 @@ _S0, _S1, _S3 = np.uint64(0), np.uint64(1), np.uint64(3)
 _SLICE = 1 << 16
 
 
+def _take(buf, rows, kept):
+    """Append the rows that the mask ``kept`` passes to the bytearray ``buf``."""
+    buf += rows.compress(kept, axis=0).data
+
+
+def _taken(buf, row_shape=()):
+    """The uint8 rows of shape ``row_shape`` appended to ``buf``."""
+    return np.frombuffer(buf, dtype=np.uint8).reshape(-1, *row_shape)
+
+
 def _select(rows, keep, data, whole):
     """The rows that ``keep`` passes, decided and taken ``_SLICE`` rows at a
     time: ``keep(data[lo:hi])`` is the keep mask of rows lo:hi.  Returns them
-    and, when ``whole``, every row's mask (else None)."""
+    and, when ``whole``, every row's mask (else None).  Each slice's rows are
+    appended to one growing buffer, so the selection is never held twice,
+    as parts and as their join."""
     n = len(rows)
     if n <= _SLICE:
         kept = keep(data)
         return rows.compress(kept, axis=0), kept if whole else None
     flags = np.empty(n, dtype=bool) if whole else None
-    parts = []
+    buf = bytearray()
     for lo in range(0, n, _SLICE):
         kept = keep(data[lo : lo + _SLICE])
         if whole:
             flags[lo : lo + _SLICE] = kept
-        parts.append(rows[lo : lo + _SLICE].compress(kept, axis=0))
-    return np.concatenate(parts), flags
+        _take(buf, rows[lo : lo + _SLICE], kept)
+    return _taken(buf, rows.shape[1:]), flags
 
 
 def _result(out, rec, segments, kept, per_segment, width):
@@ -222,19 +238,49 @@ def _result(out, rec, segments, kept, per_segment, width):
 # phase 1: pairing
 
 
+def _pairs(rows):
+    """Each two-bit row's second bit, and the row read as one uint16 word."""
+    rows = np.ascontiguousarray(rows)
+    return rows[:, 1], rows.view(np.uint16).ravel()
+
+
+def _equal(words):
+    """Which pair words are equal pairs: exactly 0x0000 and 0x0101, the two
+    words still above 0x00FF once 1 is subtracted (0 wraps to 0xFFFF)."""
+    return words - _W1 > _W255
+
+
 def phase1_round(bits, bias_pred=math.nan, round_index=0, segments=None):
     """One pairing round: keep the second bit of each equal pair.  Given
     ``segments``, pair within each and also return their output lengths.
-    ``bias_pred`` is the planned output bias, recorded as given."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    rows, per_segment = _rows(bits, 2, segments)
-    # each pair is one word, equal exactly when it is 0x0000 or 0x0101: the
-    # two words still above 0x00FF once 1 is subtracted (0 wraps to 0xFFFF)
-    rows = np.ascontiguousarray(rows)
-    words = rows.view(np.uint16).ravel()
-    out, kept = _select(rows[:, 1], lambda w: w - _W1 > _W255, words, per_segment is not None)
-    rec = _record(1, round_index, bits, out, bias_pred, 2, segments)
-    return _result(out, rec, segments, kept, per_segment, 1)
+    ``bias_pred`` is the planned output bias, recorded as given.
+
+    ``bits`` may also be an iterator of bit arrays, every one of even length
+    but the last (``thermal.sample_pieces``).  Each is paired as soon as it
+    arrives and only its kept bits are stored, so the whole input never
+    exists; it is one segment.
+    """
+    if not isinstance(bits, Iterator):
+        bits = np.asarray(bits, dtype=np.uint8)
+        rows, per_segment = _rows(bits, 2, segments)
+        second, words = _pairs(rows)
+        out, kept = _select(second, _equal, words, per_segment is not None)
+        rec = _record(1, round_index, bits, out, bias_pred, 2, segments)
+        return _result(out, rec, segments, kept, per_segment, 1)
+    buf, n_in, ones_in = bytearray(), 0, 0
+    for piece in bits:
+        if n_in % 2:
+            raise ValueError("only the last piece of a streamed input may have odd length")
+        piece = np.asarray(piece, dtype=np.uint8)
+        n_in += len(piece)
+        ones_in += int(np.count_nonzero(piece))
+        second, words = _pairs(piece[: len(piece) // 2 * 2].reshape(-1, 2))
+        _take(buf, second, _equal(words))
+    if segments is not None and np.asarray(segments).tolist() != [n_in]:
+        raise ValueError("a streamed input is one segment of all its bits")
+    out = _taken(buf)
+    rec = _record(1, round_index, (n_in, ones_in), out, bias_pred, 2, segments)
+    return _result(out, rec, segments, None, None, 1)
 
 
 def phase1_run(bits, config=None, *, eps0):
@@ -467,11 +513,16 @@ def _arch_gather_cost(n):
 
 
 def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
-    """End-to-end run: sample, (permute), cool in three phases, gather.
+    """End-to-end run: sample, (permute), cool in three phases, gather; a
+    direct run pairs its sample as it is drawn.
 
     ``binomial-direct`` skips the initial permutation and runs the phases on
     the whole population; it takes a binomial source only, since a
-    correlated one leaves ones in the clean prefix.
+    correlated one leaves ones in the clean prefix.  When the plan has a
+    pairing round, the sample is drawn one slice of pairs at a time
+    (``thermal.sample_pieces``) and the first round pairs each piece as it
+    is drawn, so the n sampled bits are never held at once; the bits,
+    records and steps are those of pairing the whole sample.
     ``shuffled-blocks`` applies a spreading permutation and confines every
     phase to interaction blocks of size n^(1/3); the flat output of the last
     round is the gathered prefix.  When n is a perfect cube the spread is
@@ -497,12 +548,16 @@ def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
     if mode == "binomial-direct" and model.kind != "binomial":
         raise ValueError(f"binomial-direct needs a binomial source, not {model.kind!r}")
     plan = make_plan(model.epsilon, n, p1config)
-    bits = thermal.sample(model, n, seed)
     steps = {"single": 0, "two_tape": 0, "two_tape_ca": 0}
 
     if mode == "binomial-direct":
         lens = np.array([n], dtype=np.int64)
+        if len(plan.orbit) > 1:
+            bits = thermal.sample_pieces(model, n, seed, 2 * _SLICE)
+        else:
+            bits = thermal.sample(model, n, seed)
     else:
+        bits = thermal.sample(model, n, seed)
         if thermal._icbrt(n) ** 3 == n:
             bits = thermal.stride_spread(bits)
             inv = thermal.stride_inversions(n)

@@ -9,7 +9,11 @@ Bits are 0 with probability (1+eps)/2.  Two distribution models:
   Realized as copy-with-probability-rho / refresh.
 
 All randomness is owned by the caller through explicit seeds; samplers are
-pure functions of (model, n, seed).
+pure functions of (model, n, seed).  One draw loop serves both ways of
+taking a binomial sample: ``sample`` returns it whole, and
+``sample_pieces`` hands it over piece by piece from the same PCG64 stream,
+one 64-bit word per bit, so a consumer that reads each piece at once (the
+direct pipeline's first pairing round) never holds the n bits.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from numpy.lib.stride_tricks import as_strided
 __all__ = [
     "BiasModel",
     "sample",
+    "sample_pieces",
     "stride_shuffle_perm",
     "stride_spread",
     "stride_inversions",
@@ -63,29 +68,40 @@ class BiasModel:
         return 0.1 ** (1.0 / self.ell)
 
 
-# doubles drawn per step of ``_below``: a 128 KiB buffer that stays in cache
+# doubles drawn per step of ``_pieces``: a 128 KiB buffer that stays in cache
 _CHUNK = 1 << 14
 
 
-def _below(rng, n, p):
-    """``(rng.random(n) < p)`` as uint8, drawn ``_CHUNK`` doubles at a time.
+def _pieces(rng, n, p, size):
+    """``(rng.random(n) < p)`` as uint8, yielded in consecutive pieces of
+    ``size`` flags (the last may be short), each a view of one buffer that
+    the next piece overwrites.  Every piece is drawn ``_CHUNK`` doubles at a
+    time.
 
     PCG64 spends one 64-bit word per double however the draw is split, so
     the flags and the generator state afterwards match the one-shot draw,
     without its n-element float array.
     """
-    out = np.empty(n, dtype=np.uint8)
-    flags = out.view(bool)
-    buf = np.empty(min(n, _CHUNK))
-    for start in range(0, n, _CHUNK):
-        chunk = buf[: n - start]
-        rng.random(out=chunk)
-        np.less(chunk, p, out=flags[start : start + len(chunk)])
-    return out
+    piece = np.empty(min(n, size), dtype=np.uint8)
+    flags = piece.view(bool)
+    buf = np.empty(min(n, size, _CHUNK))
+    for lo in range(0, n, size):
+        m = min(size, n - lo)
+        for start in range(0, m, _CHUNK):
+            chunk = buf[: m - start]
+            rng.random(out=chunk)
+            np.less(chunk, p, out=flags[start : start + len(chunk)])
+        yield piece[:m]
+
+
+def _below(rng, n, p):
+    """``(rng.random(n) < p)`` as uint8: the draw of ``_pieces`` in one piece."""
+    return next(_pieces(rng, n, p, n))
 
 
 def sample(model, n, seed):
-    """Draw n bits; deterministic for fixed (model, n, seed)."""
+    """Draw n bits; deterministic for fixed (model, n, seed).  A binomial
+    sample can also be drawn piece by piece (``sample_pieces``)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -99,6 +115,21 @@ def sample(model, n, seed):
     copy[0] = 0
     starts = np.flatnonzero(copy == 0)
     return np.repeat(fresh[starts], np.diff(starts, append=n))
+
+
+def sample_pieces(model, n, seed, size):
+    """The bits of ``sample(model, n, seed)`` in consecutive pieces of
+    ``size`` bits (the last may be short), drawn one piece at a time so the
+    n bits never exist at once; each piece is a view of one buffer that the
+    next draw overwrites.  Binomial sources only: a markov sample draws all
+    of its copy coins before any value."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if size < 1:
+        raise ValueError("piece size must be >= 1")
+    if model.kind != "binomial":
+        raise ValueError(f"only a binomial sample is drawn in pieces, not {model.kind!r}")
+    return _pieces(np.random.default_rng(seed), n, model.p_one, size)
 
 
 def _icbrt(x):

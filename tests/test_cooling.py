@@ -451,6 +451,58 @@ def test_round_kernels_equal_plain_selection(phase, k, length, big, step, cuts, 
         assert got[2].tolist() == want_lens
 
 
+PIECE = 2 * cooling._SLICE
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.25, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE + 5, 10**5 + 1])
+def test_streamed_round_equals_round_on_the_whole_sample(n, eps):
+    # pieces of one selection slice of pairs, the last short or odd
+    model = thermal.BiasModel("binomial", eps)
+    for seed in (0, 1, 2):
+        want_out, want_rec = phase1_round(thermal.sample(model, n, seed), bias_pred=0.5)
+        pieces = thermal.sample_pieces(model, n, seed, PIECE)
+        out, rec = phase1_round(pieces, bias_pred=0.5, round_index=0)
+        assert out.dtype == np.uint8 and np.array_equal(out, want_out)
+        assert rec == want_rec
+        # as the pipeline calls it: one segment of all n bits
+        out, rec, lens = phase1_round(thermal.sample_pieces(model, n, seed, PIECE),
+                                      bias_pred=0.5, segments=np.array([n]))
+        assert np.array_equal(out, want_out) and rec == want_rec
+        assert lens.tolist() == [len(want_out)]
+
+
+def test_streamed_round_rejects_odd_pieces_and_several_segments():
+    with pytest.raises(ValueError, match="odd length"):
+        phase1_round(iter([bits_of(0, 0, 1), bits_of(1, 1)]))
+    with pytest.raises(ValueError, match="one segment"):
+        phase1_round(iter([bits_of(0, 0, 1, 1)]), segments=[2, 2])
+
+
+def test_pipeline_streamed_first_round_equals_whole_sample(monkeypatch):
+    # the direct pipeline pairs the sample piece by piece; handing it the
+    # whole sample as one piece gives the same bits, records and steps
+    model, n, seed = thermal.BiasModel("binomial", 0.25), 3 * PIECE + 5, 4
+    got = pipeline(model, n, seed)
+    monkeypatch.setattr(thermal, "sample_pieces",
+                        lambda model, n, seed, size: iter([thermal.sample(model, n, seed)]))
+    want = pipeline(model, n, seed)
+    assert np.array_equal(got.bits, want.bits)
+    assert got.records == want.records
+    assert got.steps == want.steps and got.ledger == want.ledger
+
+
+def test_pipeline_without_pairing_round_starts_at_phase2():
+    # epsilon 0.9 is already past the phase-1 target: no pairing round, so
+    # the direct pipeline takes the whole sample into parity binning
+    model, n = thermal.BiasModel("binomial", 0.9), 10**5 + 1
+    res = pipeline(model, n, seed=3)
+    first = res.records[0]
+    assert first.phase == 2 and first.n_in == n
+    assert first.ones_in == int(thermal.sample(model, n, 3).sum())
+    assert res.clean_bits > 0 and int(res.bits.sum()) == 0
+
+
 def test_segment_lengths_must_cover_the_input():
     with pytest.raises(ValueError):
         phase1_round(np.zeros(10, dtype=np.uint8), segments=[4, 5])
@@ -501,10 +553,11 @@ def test_pipeline_deterministic():
 
 
 def test_pipeline_direct_peak_memory_per_bit():
-    # pairing decides and selects one slice of pairs at a time, so beside
-    # the sampled bits (1 byte each) a direct run holds little more than
-    # the first round's output (a quarter byte per input bit), twice while
-    # its slices are joined
+    # the first pairing round draws the sample one slice of pairs at a time
+    # and appends each slice's kept bits to one buffer, so the n sampled
+    # bits never exist: the peak is about the first round's output (a
+    # quarter byte per input bit, plus the buffer's growth) while the second
+    # round reads it
     model, n = thermal.BiasModel("binomial", 0.25), 2**22
     pipeline(model, n, seed=12)
     tracemalloc.start()
@@ -513,7 +566,7 @@ def test_pipeline_direct_peak_memory_per_bit():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 1.75
+    assert peak / n <= 0.8
 
 
 def test_pipeline_telescoping_records():

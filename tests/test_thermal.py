@@ -101,6 +101,25 @@ def test_sample_matches_whole_array_draws(n, eps, ell, seed):
     assert np.array_equal(bits, _whole_array_sample(model, n, seed))
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=sample_sizes, size=st.sampled_from([1, 7, CHUNK - 1, CHUNK, 2 * CHUNK + 3]),
+       eps=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_sample_pieces_are_the_sample_in_order(n, size, eps, seed):
+    model = BiasModel("binomial", eps)
+    pieces = [piece.copy() for piece in thermal.sample_pieces(model, n, seed, size)]
+    assert [len(p) for p in pieces] == [min(size, n - lo) for lo in range(0, n, size)]
+    assert np.array_equal(np.concatenate(pieces), sample(model, n, seed))
+
+
+def test_sample_pieces_refuse_markov_and_empty_draws():
+    with pytest.raises(ValueError, match="binomial"):
+        thermal.sample_pieces(BiasModel("markov", 0.25, ell=3), 10, 0, 4)
+    with pytest.raises(ValueError):
+        thermal.sample_pieces(BiasModel("binomial", 0.25), 0, 0, 4)
+    with pytest.raises(ValueError):
+        thermal.sample_pieces(BiasModel("binomial", 0.25), 10, 0, 0)
+
+
 def test_sample_draw_equal_to_p_one_is_a_zero():
     # the threshold is strict; a double drawn exactly at p_one, here in the
     # last partial chunk, must read 0
