@@ -121,6 +121,43 @@ def _build_parser():
     return ap
 
 
+def _config_value(key, value):
+    """A config-file value for flag ``key``, held to the flag's own type: an
+    int flag takes a JSON integer (not a bool), a float flag a JSON number,
+    stored as a float, a choice flag one of its choices, and ``out`` a
+    string."""
+    options = _FLAGS[key][0]
+    kind = options.get("type")
+    if "choices" in options:
+        ok, want = value in options["choices"], "one of " + ", ".join(options["choices"])
+    elif kind is int:
+        ok, want = type(value) is int, "an integer"
+    elif kind is float:
+        ok, want = type(value) in (int, float) and abs(value) <= sys.float_info.max, "a number"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise ValueError(f"config file: --{key.replace('_', '-')} takes {want}, "
+                         f"not {json.dumps(value)}")
+    return float(value) if kind is float else value
+
+
+def _bench_sizes(text):
+    """``bench --sizes``: at least 4 distinct integers >= 64, the smallest
+    population the phase-3 certificate takes; default 3^6..3^9."""
+    if text is None:
+        return [3**6, 3**7, 3**8, 3**9]
+    try:
+        sizes = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--sizes takes a comma list of integers, not {text!r}") from None
+    if min(sizes) < 64:
+        raise ValueError(f"--sizes must all be >= 64, got {min(sizes)}")
+    if len(sizes) < 4 or len(set(sizes)) < len(sizes):
+        raise ValueError("--sizes takes at least 4 distinct sizes to fit a slope")
+    return sizes
+
+
 def _resolve(args):
     """Config-file values fill the unset flags the subcommand reads; explicit
     flags always win.  Config keys of flags it does not read are ignored."""
@@ -136,11 +173,14 @@ def _resolve(args):
             raise ValueError("config file must hold a JSON object")
     merged = argparse.Namespace(**vars(args))
     for key in flags:
-        if getattr(merged, key) is None:
-            default = _default_seed() if key == "seed" else _FLAGS[key][1]
-            setattr(merged, key, cfg.get(key, default))
-    if "seed" in flags:
-        merged.seed = int(merged.seed)
+        if getattr(merged, key) is not None:
+            continue
+        if key in cfg:
+            setattr(merged, key, _config_value(key, cfg[key]))
+        else:
+            setattr(merged, key, _default_seed() if key == "seed" else _FLAGS[key][1])
+    if args.command == "bench":
+        merged.sizes = _bench_sizes(args.sizes)
     for key, (valid, message) in _CHECKS.items():
         if key in flags and not valid(getattr(merged, key)):
             raise ValueError(message)
@@ -338,11 +378,7 @@ def _cmd_equiv(args, outdir):
 
 
 def _cmd_bench(args, outdir):
-    sizes = (
-        [int(s) for s in args.sizes.split(",")]
-        if args.sizes
-        else [3**6, 3**7, 3**8, 3**9]
-    )
+    sizes = args.sizes
     model = _model(args)
     totals = {"single": [], "two_tape": [], "two_tape_ca": []}
     for n in sizes:

@@ -263,6 +263,42 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert ledger2["config"]["epsilon"] == 0.5
 
 
+@pytest.mark.parametrize("config,flag", [
+    ({"model": "gauss"}, "--model"),
+    ({"epsilon": "0.25"}, "--epsilon"),
+    ({"n": "1000"}, "--n"),
+    ({"n": 1000.5}, "--n"),
+    ({"n": 1000, "trials": True}, "--trials"),
+])
+def test_config_values_checked_like_flags(tmp_path, capsys, config, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run(["pipeline", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_number_flags_take_json_integers_as_floats(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2000, "epsilon": 1, "model": "binomial"}))
+    assert run(["pipeline", "--config", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_OK
+    config = json.loads(read(tmp_path / "ledger.json"))["config"]
+    assert config["epsilon"] == 1.0 and isinstance(config["epsilon"], float)
+
+
+@pytest.mark.parametrize("sizes", ["3,abc", "27", "729,2187,6561", "729,729,729,729"])
+def test_bench_sizes_checked_before_any_pipeline(tmp_path, capsys, monkeypatch, sizes):
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("bench ran a pipeline before checking --sizes")
+
+    monkeypatch.setattr(cooling, "pipeline", no_pipeline)
+    out = tmp_path / "o"
+    assert run(["bench", "--sizes", sizes, "--out", str(out)]) == cli.EXIT_USAGE
+    assert "--sizes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_env_seed_default(tmp_path, monkeypatch):
     monkeypatch.setenv("SPINREF_SEED", "77")
     out = tmp_path / "o"
