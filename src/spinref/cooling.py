@@ -258,7 +258,7 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, segments=None):
     ``bits`` may also be an iterator of bit arrays, every one of even length
     but the last (``thermal.sample_pieces``).  Each is paired as soon as it
     arrives and only its kept bits are stored, so the whole input never
-    exists; it is one segment.
+    exists; such an input counts as one segment.
     """
     if not isinstance(bits, Iterator):
         bits = np.asarray(bits, dtype=np.uint8)
