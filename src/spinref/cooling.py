@@ -116,18 +116,17 @@ def _bias(ones, n):
 
 def _rows(bits, size, segments, rng=None):
     """Each segment's full rows of ``size`` bits, stacked into one
-    (rows, size) array, and the row count per segment (None when the input is
-    one segment).  The tail beyond a segment's last full row is dropped;
-    with ``rng`` each segment is shuffled first, one draw per segment in
-    order, so the tail dropped is a random one."""
+    (rows, size) array.  The tail beyond a segment's last full row is
+    dropped; with ``rng`` each segment is shuffled first, one draw per
+    segment in order, so the tail dropped is a random one."""
     n = len(bits)
     if segments is not None and int(np.sum(segments)) != n:
         raise ValueError("segment lengths must add up to the input length")
-    if segments is None or len(segments) == 1:
+    if segments is None or len(segments) <= 1:
         m = n - n % size
         if rng is not None:
             bits = bits[rng.permutation(n)[:m]]
-        return bits[:m].reshape(-1, size), None
+        return bits[:m].reshape(-1, size)
     lens = np.asarray(segments, dtype=np.int64)
     full = lens // size
     if rng is not None:
@@ -140,7 +139,7 @@ def _rows(bits, size, segments, rng=None):
         cut = full * size
         runs = np.column_stack((cut, lens - cut)).ravel()
         bits = bits.compress(np.repeat(np.tile((True, False), len(lens)), runs))
-    return bits.reshape(-1, size), full
+    return bits.reshape(-1, size)
 
 
 @lru_cache(maxsize=1024)
@@ -157,10 +156,8 @@ def _cost(phase, k, n):
 def _steps(phase, k, lens):
     """Compiled step count summed over segments of these lengths, each
     distinct length costed once."""
-    if len(lens) > 1:
-        lens, counts = np.unique(lens, return_counts=True)
-        return sum(c * _cost(phase, k, n) for n, c in zip(lens.tolist(), counts.tolist()))
-    return _cost(phase, k, int(lens[0]))
+    lens, counts = np.unique(lens, return_counts=True)
+    return sum(c * _cost(phase, k, n) for n, c in zip(lens.tolist(), counts.tolist()))
 
 
 def _record(phase, round_index, bits, out, bias_pred, k, segments, u=None):
@@ -198,40 +195,18 @@ def _taken(buf, row_shape=()):
     return np.frombuffer(buf, dtype=np.uint8).reshape(-1, *row_shape)
 
 
-def _select(rows, keep, data, whole):
+def _select(rows, keep, data):
     """The rows that ``keep`` passes, decided and taken ``_SLICE`` rows at a
-    time: ``keep(data[lo:hi])`` is the keep mask of rows lo:hi.  Returns them
-    and, when ``whole``, every row's mask (else None).  Each slice's rows are
-    appended to one growing buffer, so the selection is never held twice,
-    as parts and as their join."""
+    time: ``keep(data[lo:hi])`` is the keep mask of rows lo:hi.  Each
+    slice's rows are appended to one growing buffer, so the selection is
+    never held twice, as parts and as their join."""
     n = len(rows)
     if n <= _SLICE:
-        kept = keep(data)
-        return rows.compress(kept, axis=0), kept if whole else None
-    flags = np.empty(n, dtype=bool) if whole else None
+        return rows.compress(keep(data), axis=0)
     buf = bytearray()
     for lo in range(0, n, _SLICE):
-        kept = keep(data[lo : lo + _SLICE])
-        if whole:
-            flags[lo : lo + _SLICE] = kept
-        _take(buf, rows[lo : lo + _SLICE], kept)
-    return _taken(buf, rows.shape[1:]), flags
-
-
-def _result(out, rec, segments, kept, per_segment, width):
-    """``(out, rec)``, plus the per-segment output lengths (``width`` bits per
-    kept row) when the call was given segments."""
-    if segments is None:
-        return out, rec
-    if per_segment is None:
-        return out, rec, np.array([len(out)], dtype=np.int64)
-    # kept rows per segment, summed from each segment's first row; reduceat
-    # would read one element for a segment without rows, so those stay 0
-    has = per_segment > 0
-    kept_rows = np.zeros(len(per_segment), dtype=np.int64)
-    first = (np.cumsum(per_segment) - per_segment)[has]
-    kept_rows[has] = np.add.reduceat(kept.view(np.uint8), first, dtype=np.int64)
-    return out, rec, kept_rows * width
+        _take(buf, rows[lo : lo + _SLICE], keep(data[lo : lo + _SLICE]))
+    return _taken(buf, rows.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +227,8 @@ def _equal(words):
 
 def phase1_round(bits, bias_pred=math.nan, round_index=0, segments=None):
     """One pairing round: keep the second bit of each equal pair.  Given
-    ``segments``, pair within each and also return their output lengths.
-    ``bias_pred`` is the planned output bias, recorded as given.
+    ``segments``, pair within each.  ``bias_pred`` is the planned output
+    bias, recorded as given.
 
     ``bits`` may also be an iterator of bit arrays, every one of even length
     but the last (``thermal.sample_pieces``).  Each is paired as soon as it
@@ -262,11 +237,9 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, segments=None):
     """
     if not isinstance(bits, Iterator):
         bits = np.asarray(bits, dtype=np.uint8)
-        rows, per_segment = _rows(bits, 2, segments)
-        second, words = _pairs(rows)
-        out, kept = _select(second, _equal, words, per_segment is not None)
-        rec = _record(1, round_index, bits, out, bias_pred, 2, segments)
-        return _result(out, rec, segments, kept, per_segment, 1)
+        second, words = _pairs(_rows(bits, 2, segments))
+        out = _select(second, _equal, words)
+        return out, _record(1, round_index, bits, out, bias_pred, 2, segments)
     buf, n_in, ones_in = bytearray(), 0, 0
     for piece in bits:
         if n_in % 2:
@@ -279,8 +252,7 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, segments=None):
     if segments is not None and np.asarray(segments).tolist() != [n_in]:
         raise ValueError("a streamed input is one segment of all its bits")
     out = _taken(buf)
-    rec = _record(1, round_index, (n_in, ones_in), out, bias_pred, 2, segments)
-    return _result(out, rec, segments, None, None, 1)
+    return out, _record(1, round_index, (n_in, ones_in), out, bias_pred, 2, segments)
 
 
 def phase1_run(bits, config=None, *, eps0):
@@ -324,13 +296,11 @@ def phase2_round(bits, k, seed=None, bias_pred=math.nan, round_index=0, segments
         raise ValueError("bin size must be >= 2")
     bits = np.asarray(bits, dtype=np.uint8)
     rng = None if seed is None else np.random.default_rng(seed)
-    rows, per_segment = _rows(bits, k, segments, rng)
+    rows = _rows(bits, k, segments, rng)
     s = rows.sum(axis=1)
-    out, kept = _select(rows[:, 1:], lambda v: (v & _S1) == _S0, s, per_segment is not None)
-    out = out.ravel()
+    out = _select(rows[:, 1:], lambda v: (v & _S1) == _S0, s).ravel()
     u = int(np.count_nonzero(s == _S1))
-    rec = _record(2, round_index, bits, out, bias_pred, k, segments, u)
-    return _result(out, rec, segments, kept, per_segment, k - 1)
+    return out, _record(2, round_index, bits, out, bias_pred, k, segments, u)
 
 
 @dataclass(frozen=True)
@@ -399,13 +369,9 @@ def phase3_round(bits, k, bias_pred=math.nan, round_index=0, segments=None):
     if k < 4:
         raise ValueError("block size must be >= 4")
     bits = np.asarray(bits, dtype=np.uint8)
-    rows, per_segment = _rows(bits, k, segments)
-    out, kept = _select(
-        rows[:, 3:], lambda r: (r.sum(axis=1) & _S3) == _S0, rows, per_segment is not None
-    )
-    out = out.ravel()
-    rec = _record(3, round_index, bits, out, bias_pred, k, segments)
-    return _result(out, rec, segments, kept, per_segment, k - 3)
+    rows = _rows(bits, k, segments)
+    out = _select(rows[:, 3:], lambda r: (r.sum(axis=1) & _S3) == _S0, rows).ravel()
+    return out, _record(3, round_index, bits, out, bias_pred, k, segments)
 
 
 def phase3_run(bits, n, *, delta0):
@@ -459,10 +425,10 @@ def block_size(n):
     return max(1, thermal._icbrt(n))
 
 
-def block_segments(n):
-    """Lengths of consecutive interaction blocks of size floor(n^(1/3))
-    covering n bits; the final block may be short."""
-    return np.diff(np.append(np.arange(0, n, block_size(n)), n))
+def block_segments(length, m):
+    """Lengths of consecutive windows of m bits covering ``length`` bits;
+    the last window may be short."""
+    return np.diff(np.append(np.arange(0, length, m), length))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +517,7 @@ def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
     steps = {"single": 0, "two_tape": 0, "two_tape_ca": 0}
 
     if mode == "binomial-direct":
-        lens = np.array([n], dtype=np.int64)
+        m = n
         if len(plan.orbit) > 1:
             bits = thermal.sample_pieces(model, n, seed, 2 * _SLICE)
         else:
@@ -567,7 +533,7 @@ def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
             inv = perms.count_inversions(perm)
         for arch, c in _arch_init_cost(n, inv).items():
             steps[arch] += c
-        lens = block_segments(n)
+        m = block_size(n)
 
     ss2 = np.random.SeedSequence((seed, 0x5EED2))
     rngs = [np.random.default_rng(c) for c in ss2.spawn(len(plan.phase2))]
@@ -578,22 +544,27 @@ def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
          for pr, rng in zip(plan.phase2, rngs)],
         [partial(phase3_round, k=cert.k, bias_pred=1.0 - 2.0 * d) for d in cert.deltas[1:]],
     )
-    records = []
+    records, length = [], n
     for phase, phase_rounds in enumerate(rounds, 1):
         if phase == 3 and plan.phase2:
-            bits, inv = _transpose(bits, lens, plan.phase2[-1].k - 1)
-            for arch, c in _arch_init_cost(len(bits), inv).items():
+            w = plan.phase2[-1].k - 1
+            bits, inv = _transpose(bits, block_segments(length, w * max(1, m // w)), w)
+            for arch, c in _arch_init_cost(length, inv).items():
                 steps[arch] += c
         for i, round_fn in enumerate(phase_rounds):
-            largest = int(lens.max())
-            bits, rec, lens = round_fn(bits, round_index=i, segments=lens)
+            if records and mode == "shuffled-blocks":
+                # regroup the survivors into fresh windows
+                for arch, c in _arch_gather_cost(length).items():
+                    steps[arch] += c
+            bits, rec = round_fn(bits, round_index=i, segments=block_segments(length, m))
             total = rec.steps + n
             steps["single"] += total
             steps["two_tape"] += total
-            # blocks run in parallel: costs grow with length, so the largest
-            # block sets the pace
-            steps["two_tape_ca"] += _steps(rec.phase, rec.k or 2, [largest])
+            # windows run in parallel: costs grow with length, so the widest
+            # window sets the pace
+            steps["two_tape_ca"] += _cost(rec.phase, rec.k or 2, min(m, length))
             records.append(replace(rec, steps=total))
+            length = len(bits)
 
     for arch, c in _arch_gather_cost(n).items():
         steps[arch] += c
