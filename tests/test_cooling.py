@@ -327,14 +327,13 @@ def test_segmented_round_equals_per_segment_calls(lens, phase, k, shuffled, seed
 
     if phase == 2:
         rng_a, rng_b = (np.random.default_rng(seed + 1) for _ in range(2))
-        out, rec, out_lens = call(bits, rng_a, segments=lens)
+        out, rec = call(bits, rng_a, segments=lens)
         want, recs = _per_segment_oracle(lambda b: call(b, rng_b), bits, lens)
     else:
-        out, rec, out_lens = call(bits, segments=lens)
+        out, rec = call(bits, segments=lens)
         want, recs = _per_segment_oracle(call, bits, lens)
 
     assert np.array_equal(out, want)
-    assert out_lens.tolist() == [r.n_out for r in recs]
     for name in ("n_in", "n_out", "ones_in", "ones_out", "steps"):
         assert getattr(rec, name) == sum(getattr(r, name) for r in recs), name
     assert rec.u == (sum(r.u for r in recs) if phase == 2 else None)
@@ -369,11 +368,11 @@ def test_rounds_equal_boolean_index_selection(phase):
 
 def _reference_round(phase, bits, k, seed, segments):
     """The round selected the plain way: ``a == b`` on the pair columns and
-    one ``compress`` over every row.  Returns the output, the round record
-    and the per-segment output lengths (None without segments)."""
+    one ``compress`` over every row.  Returns the output and the round
+    record."""
     header = 1 if phase < 3 else 3
     rng = None if seed is None else np.random.default_rng(seed)
-    rows, per_segment = cooling._rows(bits, k, segments, rng)
+    rows = cooling._rows(bits, k, segments, rng)
     sums, u = rows.sum(axis=1), None
     if phase == 1:
         kept = rows[:, 0] == rows[:, 1]
@@ -383,13 +382,7 @@ def _reference_round(phase, bits, k, seed, segments):
         out = rows[:, header:].compress(kept, axis=0).ravel()
     if phase == 2:
         u = int(np.count_nonzero(sums == 1))
-    rec = cooling._record(phase, 0, bits, out, 0.5, k, segments, u)
-    if segments is None:
-        return out, rec, None
-    counts = [len(kept)] if per_segment is None else per_segment.tolist()
-    starts = np.cumsum([0] + counts)
-    lens = [int(kept[a:b].sum()) * (k - header) for a, b in zip(starts, starts[1:])]
-    return out, rec, lens
+    return out, cooling._record(phase, 0, bits, out, 0.5, k, segments, u)
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,8 +416,8 @@ def _reference_round(phase, bits, k, seed, segments):
 @example(phase=1, k=2, length=0, big=False, step=1, cuts=None, shuffled=False, seed=8)
 @example(phase=1, k=2, length=0, big=False, step=1, cuts=[50], shuffled=False, seed=8)
 def test_round_kernels_equal_plain_selection(phase, k, length, big, step, cuts, shuffled, seed):
-    # word pairing, sliced selection and the per-segment counts give the
-    # plain selection's bytes, on odd lengths, strided views, dozens of
+    # word pairing and sliced selection give the plain selection's bytes
+    # and record, on odd lengths, strided views, dozens of
     # segments with tails or no full row at all, and inputs longer than one
     # selection slice
     k = {1: 2, 2: k, 3: max(k, 4)}[phase]
@@ -443,12 +436,10 @@ def test_round_kernels_equal_plain_selection(phase, k, length, big, step, cuts, 
         2: lambda **kw: phase2_round(bits, k, seed=seed2, bias_pred=0.5, **kw),
         3: lambda **kw: phase3_round(bits, k, bias_pred=0.5, **kw),
     }[phase]
-    got = call() if segments is None else call(segments=segments)
-    want_out, want_rec, want_lens = _reference_round(phase, bits, k, seed2, segments)
-    assert got[0].dtype == np.uint8 and np.array_equal(got[0], want_out)
-    assert got[1] == want_rec
-    if segments is not None:
-        assert got[2].tolist() == want_lens
+    out, rec = call() if segments is None else call(segments=segments)
+    want_out, want_rec = _reference_round(phase, bits, k, seed2, segments)
+    assert out.dtype == np.uint8 and np.array_equal(out, want_out)
+    assert rec == want_rec
 
 
 PIECE = 2 * cooling._SLICE
@@ -466,10 +457,9 @@ def test_streamed_round_equals_round_on_the_whole_sample(n, eps):
         assert out.dtype == np.uint8 and np.array_equal(out, want_out)
         assert rec == want_rec
         # as the pipeline calls it: one segment of all n bits
-        out, rec, lens = phase1_round(thermal.sample_pieces(model, n, seed, PIECE),
-                                      bias_pred=0.5, segments=np.array([n]))
+        out, rec = phase1_round(thermal.sample_pieces(model, n, seed, PIECE),
+                                bias_pred=0.5, segments=np.array([n]))
         assert np.array_equal(out, want_out) and rec == want_rec
-        assert lens.tolist() == [len(want_out)]
 
 
 def test_streamed_round_rejects_odd_pieces_and_several_segments():
@@ -518,13 +508,17 @@ def test_block_segments_paper_sizes():
     assert block_size(27) == 3
     assert block_size(8) == 2
     assert block_size(10**6) == 100
-    assert block_segments(27).tolist() == [3] * 9
-    assert block_segments(8).tolist() == [2] * 4
-    # blocks of floor(n^(1/3)) cover the input, the last one short
-    lens = block_segments(50000)
+    assert block_segments(27, block_size(27)).tolist() == [3] * 9
+    assert block_segments(8, block_size(8)).tolist() == [2] * 4
+    # windows of floor(n^(1/3)) cover the input, the last one short
+    lens = block_segments(50000, block_size(50000))
     assert block_size(50000) == 36
     assert lens.tolist() == [36] * 1388 + [32]
     assert int(lens.sum()) == 50000
+    # a later round cuts its shorter input into windows of the same size
+    assert block_segments(100, 36).tolist() == [36, 36, 28]
+    assert block_segments(36, 36).tolist() == [36]
+    assert block_segments(0, 36).tolist() == []
 
 
 def test_pipeline_full_bias_all_zero():
@@ -595,8 +589,8 @@ def test_clean_prefix_has_no_ones_when_phase2_leaves_pairs(monkeypatch):
     real = cooling.phase2_round
 
     def leaves_pairs(*args, **kwargs):
-        _, rec, _ = real(*args, **kwargs)
-        return pairs, rec, np.array([len(pairs)])
+        _, rec = real(*args, **kwargs)
+        return pairs, rec
 
     monkeypatch.setattr(cooling, "phase2_round", leaves_pairs)
     res = pipeline(thermal.BiasModel("binomial", 0.25), n, seed=1)
@@ -655,7 +649,9 @@ def test_shuffled_blocks_costs_the_stride_without_the_merge_count(monkeypatch):
     res = pipeline(model, n, seed=1, mode="shuffled-blocks")
     assert calls == []
     init = n * n + merge_count(thermal.stride_shuffle_perm(n))
-    assert res.steps["single"] == init + sum(r.steps for r in res.records) + n * n
+    # every round after the first regroups its input into fresh windows
+    regroup = sum(r.n_in**2 for r in res.records[1:])
+    assert res.steps["single"] == init + sum(r.steps for r in res.records) + regroup + n * n
     # the uniform permutation of a non-cube n keeps the merge count
     pipeline(model, 5000, seed=1, mode="shuffled-blocks")
     assert calls == [5000]
@@ -667,7 +663,8 @@ def test_two_tape_initial_permutation_cost_is_exact():
         n = m**3
         res = pipeline(model, n, seed=2, mode="shuffled-blocks")
         rounds = sum(r.steps for r in res.records)
-        assert res.steps["two_tape"] - rounds - 6 * n == 6 * n * m
+        regroup = sum(6 * r.n_in for r in res.records[1:])
+        assert res.steps["two_tape"] - rounds - regroup - 6 * n == 6 * n * m
     for m in (48, 81, 243, 10**6):
         assert cooling._arch_init_cost(m**3, 0)["two_tape"] == 6 * m**4
     for n in (50000, 100007, 177147, 10**7 + 1):
@@ -718,7 +715,7 @@ def test_bare_kernel_call_records_no_prediction():
     bits = thermal.sample(thermal.BiasModel("binomial", 0.5), 1000, seed=0)
     for _, rec in (phase1_round(bits), phase2_round(bits, 3), phase3_round(bits, 5)):
         assert np.isnan(rec.bias_pred)
-    _, rec, _ = phase1_round(bits, segments=[500, 500])
+    _, rec = phase1_round(bits, segments=[500, 500])
     assert np.isnan(rec.bias_pred)
 
 
