@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinref import analysis, cooling, perms, thermal
+from spinref import analysis, cli, cooling, perms, thermal
 from spinref.cooling import (
     CoolingError,
     Phase1Config,
@@ -633,6 +634,36 @@ def test_pipeline_markov_stride_blocks_near_binomial():
 
     binom = np.array([comb(8, c) * delta**c * (1 - delta) ** (8 - c) for c in range(9)])
     assert np.abs(emp - binom).sum() < 0.01
+
+
+@pytest.mark.parametrize("n", [48**3, 3**12])
+@pytest.mark.parametrize("source", ["binomial", "markov"])
+def test_shuffled_blocks_yields_the_floor_with_no_stray_ones(tmp_path, n, source):
+    # the survivors are cut into fresh windows before every round, so no
+    # round's windows shrink below its bin or block size
+    argv = ["pipeline", "--mode", "shuffled-blocks", "--n", str(n), "--model", source,
+            "--epsilon", "0.25", "--seed", "0", "--trials", "10", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "ledger.json").read_text())
+    floor = summary["ledger"]["expected_floor"]
+    assert [t["seed"] for t in summary["trials"]] == list(range(10))
+    for trial in summary["trials"]:
+        assert trial["clean_bits"] >= floor, trial["seed"]
+        assert trial["ones_out"] == 0, trial["seed"]
+
+
+def test_stride_spread_keeps_correlated_ones_out_of_the_prefix(monkeypatch):
+    # a markov source's ones come in runs; without the spread a window holds
+    # a run, and ones leave in pairs that the parity and mod-4 rounds pass
+    model, n = thermal.BiasModel("markov", 0.25, ell=10), 3**12
+
+    def strays():
+        return [int(pipeline(model, n, seed, mode="shuffled-blocks").bits.sum())
+                for seed in range(10)]
+
+    assert strays() == [0] * 10
+    monkeypatch.setattr(thermal, "stride_spread", lambda bits: bits)
+    assert all(s > 0 for s in strays())
 
 
 def test_shuffled_blocks_costs_the_stride_without_the_merge_count(monkeypatch):
