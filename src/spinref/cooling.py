@@ -12,7 +12,8 @@ oblivious; the empirical trace is recorded for validation only.
 ``make_plan`` fixes them all in one ``Plan``, and with them each round's
 predicted output bias, which the round kernels record as given (NaN when
 called without a plan).  A round runs on a flat bit array, optionally cut
-into segments (the interaction blocks) that no pair, bin or block straddles.
+into segments that no pair, bin or block straddles; the pipeline cuts the
+survivors into consecutive windows afresh before every round.
 
 Per-round step costs are charged from the compiled-program cost formulas
 (single-tape canonical); the pipeline additionally accumulates totals for
@@ -482,28 +483,30 @@ def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
     """End-to-end run: sample, (permute), cool in three phases, gather; a
     direct run pairs its sample as it is drawn.
 
-    ``binomial-direct`` skips the initial permutation and runs the phases on
-    the whole population; it takes a binomial source only, since a
-    correlated one leaves ones in the clean prefix.  When the plan has a
-    pairing round, the sample is drawn one slice of pairs at a time
+    Both modes run one round loop: before every round the current bits are
+    cut into consecutive windows of m bits (``block_segments``), the last
+    one possibly short, and the round is one call on the flat bits.
+    ``binomial-direct`` takes m = n, so one window, and skips the initial
+    permutation; it takes a binomial source only, since a correlated one
+    leaves ones in the clean prefix.  When the plan has a pairing round,
+    the sample is drawn one slice of pairs at a time
     (``thermal.sample_pieces``) and the first round pairs each piece as it
     is drawn, so the n sampled bits are never held at once; the bits,
     records and steps are those of pairing the whole sample.
-    ``shuffled-blocks`` applies a spreading permutation and confines every
-    phase to interaction blocks of size n^(1/3); the flat output of the last
+    ``shuffled-blocks`` applies a spreading permutation and takes m =
+    floor(n^(1/3)), the interaction-block size; the flat output of the last
     round is the gathered prefix.  When n is a perfect cube the spread is
     the stride permutation, taken as one strided read
     (``thermal.stride_spread``); otherwise it is a seeded uniform
-    permutation, applied through its destination map.  This is the layout
-    the correlated-source analysis needs, but at desk scales the blocks'
-    populations fall below the bin sizes and the yield can be 0, which
-    ``spinref pipeline`` reports with exit code 2.  Either way each round
-    is one call on the flat bits.
-    When the plan has a parity-binning round, phase 3 first reads each
-    segment's phase-2 output column by column, as rows of the last bin's
-    payload width, so the bits it cuts into blocks are not the pairs of one
-    bin; this fixed transpose of the phase-2 output is charged like an
-    initial permutation of that many bits.
+    permutation, applied through its destination map.  Every round after
+    the first regroups the survivors into fresh windows and is charged a
+    gather of its input; the round records do not include that charge.
+    When the plan has a parity-binning round, phase 3 first cuts the
+    phase-2 output into windows of w·max(1, m // w) bits, w the last bin's
+    payload width, and reads each window column by column as rows of w
+    bits, so the bits it cuts into blocks are not the pairs of one bin;
+    this fixed transpose is charged like an initial permutation of that
+    many bits.
 
     Step totals are tracked for three cost models: ``single`` (one tape),
     ``two_tape`` (linear-time terminal gather, n^(4/3) initial permutation)
