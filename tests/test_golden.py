@@ -28,7 +28,7 @@ PIPELINE = {
         },
     ),
     # phase 2 runs k = 3 then k = 7; at this bias the ledger's floor at 3^11
-    # is under one bit, and no mode yields any (binomial-direct neither)
+    # is under one bit, and no mode yields any, not even binomial-direct
     "blocks-3^11-eps0.01": (
         ["--mode", "shuffled-blocks", "--n", "177147", "--epsilon", "0.01"],
         {
