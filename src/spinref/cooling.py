@@ -12,8 +12,9 @@ oblivious; the empirical trace is recorded for validation only.
 ``make_plan`` fixes them all in one ``Plan``, and with them each round's
 predicted output bias, which the round kernels record as given (NaN when
 called without a plan).  A round runs on a flat bit array, optionally cut
-into segments that no pair, bin or block straddles; the pipeline cuts the
-survivors into consecutive windows afresh before every round.
+into consecutive windows of one width, the last one possibly short, that no
+pair, bin or block straddles; the pipeline cuts the survivors into windows
+afresh before every round.
 
 Per-round step costs are charged from the compiled-program cost formulas
 (single-tape canonical); the pipeline additionally accumulates totals for
@@ -45,7 +46,6 @@ __all__ = [
     "phase2_run",
     "phase3_round",
     "phase3_run",
-    "block_segments",
     "block_size",
     "pipeline",
     "PipelineResult",
@@ -112,41 +112,47 @@ def _bias(ones, n):
 
 
 # ---------------------------------------------------------------------------
-# segments: the layout every round kernel shares
+# windows: the layout every round kernel shares
 
 
-def _rows(bits, size, segments, rng=None):
-    """Each segment's full rows of ``size`` bits, stacked into one
-    (rows, size) array.  The tail beyond a segment's last full row is
-    dropped; with ``rng`` each segment is shuffled first, one draw per
-    segment in order, so the tail dropped is a random one."""
+def _split(length, window):
+    """(q, tail): ``length`` bits cut into q full windows of ``window`` bits
+    and a short last window of ``tail`` bits; (0, length) when they fit one
+    window, which they always do when ``window`` is None."""
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if window is None or length <= window:
+        return 0, length
+    return divmod(length, window)
+
+
+def _rows(bits, size, window, rng=None):
+    """Each window's full rows of ``size`` bits, stacked into one (rows,
+    size) array.  The tail beyond a window's last full row is dropped; with
+    ``rng`` each window is shuffled first, one ``permutation`` draw per
+    window in order, so the tail dropped is a random one."""
     n = len(bits)
-    if segments is not None and int(np.sum(segments)) != n:
-        raise ValueError("segment lengths must add up to the input length")
-    if segments is None or len(segments) <= 1:
-        m = n - n % size
+    q, tail = _split(n, window)
+    body, last = n - tail, tail - tail % size
+    if not q:
         if rng is not None:
-            bits = bits[rng.permutation(n)[:m]]
-        return bits[:m].reshape(-1, size)
-    lens = np.asarray(segments, dtype=np.int64)
-    full = lens // size
-    if rng is not None:
-        starts = (np.cumsum(lens) - lens).tolist()
-        bits = bits[np.concatenate([
-            start + rng.permutation(length)[: rows * size]
-            for start, length, rows in zip(starts, lens.tolist(), full.tolist())
-        ])]
-    elif (lens % size).any():
-        cut = full * size
-        runs = np.column_stack((cut, lens - cut)).ravel()
-        bits = bits.compress(np.repeat(np.tile((True, False), len(lens)), runs))
-    return bits.reshape(-1, size)
+            bits = bits[rng.permutation(n)[:last]]
+        return bits[:last].reshape(-1, size)
+    full = window - window % size
+    if rng is None:
+        rows, rest = bits[:body].reshape(q, window)[:, :full], bits[body : body + last]
+    else:
+        # the same draws as q calls of rng.permutation(window)
+        order = rng.permuted(np.tile(np.arange(window), (q, 1)), axis=1)[:, :full]
+        rows = bits[order + np.arange(0, body, window)[:, None]]
+        rest = bits[body + rng.permutation(tail)[:last]]
+    return np.concatenate((rows.reshape(-1, size), rest.reshape(-1, size)))
 
 
 @lru_cache(maxsize=1024)
 def _cost(phase, k, n):
-    """Compiled step count of one round on one segment of n bits; below one
-    full pair (k = 2), bin or block a segment costs nothing."""
+    """Compiled step count of one round on one window of n bits; below one
+    full pair (k = 2), bin or block a window costs nothing."""
     if n < k:
         return 0
     if phase == 1:
@@ -154,24 +160,23 @@ def _cost(phase, k, n):
     return (compiler.phase2_round_cost if phase == 2 else compiler.phase3_round_cost)(n, k)
 
 
-def _steps(phase, k, lens):
-    """Compiled step count summed over segments of these lengths, each
-    distinct length costed once."""
-    lens, counts = np.unique(lens, return_counts=True)
-    return sum(c * _cost(phase, k, n) for n, c in zip(lens.tolist(), counts.tolist()))
+def _steps(phase, k, length, window):
+    """Compiled step count of one round on ``length`` bits cut into windows."""
+    q, tail = _split(length, window)
+    return (q * _cost(phase, k, window) if q else 0) + _cost(phase, k, tail)
 
 
-def _record(phase, round_index, bits, out, bias_pred, k, segments, u=None):
+def _record(phase, round_index, bits, out, bias_pred, k, window, u=None):
     """The round's trace entry; ``bits`` is the input, or its bit and ones
     counts when it was streamed, and ``k`` is 2 for pairing, where it is not
     recorded."""
     n_in, ones_in = bits if isinstance(bits, tuple) else (len(bits), int(np.count_nonzero(bits)))
     n_out = len(out)
     ones_out = int(np.count_nonzero(out))
-    steps = _cost(phase, k, n_in) if segments is None else _steps(phase, k, segments)
     return RoundRecord(
         phase, round_index, n_in, n_out, ones_in, ones_out,
-        _bias(ones_out, n_out), bias_pred, steps, u, None if phase == 1 else k,
+        _bias(ones_out, n_out), bias_pred, _steps(phase, k, n_in, window), u,
+        None if phase == 1 else k,
     )
 
 
@@ -226,21 +231,21 @@ def _equal(words):
     return words - _W1 > _W255
 
 
-def phase1_round(bits, bias_pred=math.nan, round_index=0, segments=None):
-    """One pairing round: keep the second bit of each equal pair.  Given
-    ``segments``, pair within each.  ``bias_pred`` is the planned output
-    bias, recorded as given.
+def phase1_round(bits, bias_pred=math.nan, round_index=0, window=None):
+    """One pairing round: keep the second bit of each equal pair.  Given a
+    ``window`` width, pair within each window of that many bits.
+    ``bias_pred`` is the planned output bias, recorded as given.
 
     ``bits`` may also be an iterator of bit arrays, every one of even length
     but the last (``thermal.sample_pieces``).  Each is paired as soon as it
     arrives and only its kept bits are stored, so the whole input never
-    exists; such an input counts as one segment.
+    exists; such an input must fit one window.
     """
     if not isinstance(bits, Iterator):
         bits = np.asarray(bits, dtype=np.uint8)
-        second, words = _pairs(_rows(bits, 2, segments))
+        second, words = _pairs(_rows(bits, 2, window))
         out = _select(second, _equal, words)
-        return out, _record(1, round_index, bits, out, bias_pred, 2, segments)
+        return out, _record(1, round_index, bits, out, bias_pred, 2, window)
     buf, n_in, ones_in = bytearray(), 0, 0
     for piece in bits:
         if n_in % 2:
@@ -250,10 +255,10 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, segments=None):
         ones_in += int(np.count_nonzero(piece))
         second, words = _pairs(piece[: len(piece) // 2 * 2].reshape(-1, 2))
         _take(buf, second, _equal(words))
-    if segments is not None and np.asarray(segments).tolist() != [n_in]:
-        raise ValueError("a streamed input is one segment of all its bits")
+    if _split(n_in, window)[0]:
+        raise ValueError(f"a streamed input must fit one window: {n_in} bits, window {window}")
     out = _taken(buf)
-    return out, _record(1, round_index, (n_in, ones_in), out, bias_pred, 2, segments)
+    return out, _record(1, round_index, (n_in, ones_in), out, bias_pred, 2, window)
 
 
 def phase1_run(bits, config=None, *, eps0):
@@ -283,25 +288,25 @@ def phase1_run(bits, config=None, *, eps0):
 # phase 2: parity binning
 
 
-def phase2_round(bits, k, seed=None, bias_pred=math.nan, round_index=0, segments=None):
+def phase2_round(bits, k, seed=None, bias_pred=math.nan, round_index=0, window=None):
     """One parity-binning round.
 
     With a seed the bits are shuffled into bins first (the rerandomization
     belongs to the experimenter); ``seed=None`` keeps fixed consecutive
     binning, which is what the compiled program implements.  Bin bits beyond
-    the last full bin are discarded.  With ``segments`` each segment is
-    shuffled and binned on its own, in order, from one generator.
-    ``bias_pred`` is the planned output bias, recorded as given.
+    the last full bin are discarded.  With a ``window`` width each window of
+    that many bits is shuffled and binned on its own, in order, from one
+    generator.  ``bias_pred`` is the planned output bias, recorded as given.
     """
     if k < 2:
         raise ValueError("bin size must be >= 2")
     bits = np.asarray(bits, dtype=np.uint8)
     rng = None if seed is None else np.random.default_rng(seed)
-    rows = _rows(bits, k, segments, rng)
+    rows = _rows(bits, k, window, rng)
     s = rows.sum(axis=1)
     out = _select(rows[:, 1:], lambda v: (v & _S1) == _S0, s).ravel()
     u = int(np.count_nonzero(s == _S1))
-    return out, _record(2, round_index, bits, out, bias_pred, k, segments, u)
+    return out, _record(2, round_index, bits, out, bias_pred, k, window, u)
 
 
 @dataclass(frozen=True)
@@ -359,20 +364,21 @@ def phase2_run(bits, n, seed=0, *, delta0):
 # phase 3: mod-4 counting
 
 
-def phase3_round(bits, k, bias_pred=math.nan, round_index=0, segments=None):
+def phase3_round(bits, k, bias_pred=math.nan, round_index=0, window=None):
     """One mod-4 counting round on fixed consecutive blocks of size k.
 
     A block passes its payload (everything beyond the first three bits) iff
     its total ones-count is divisible by 4; the three header bits are always
-    consumed.  With ``segments`` no block straddles two segments.
-    ``bias_pred`` is the planned output bias, recorded as given.
+    consumed.  With a ``window`` width no block straddles two windows of
+    that many bits.  ``bias_pred`` is the planned output bias, recorded as
+    given.
     """
     if k < 4:
         raise ValueError("block size must be >= 4")
     bits = np.asarray(bits, dtype=np.uint8)
-    rows = _rows(bits, k, segments)
+    rows = _rows(bits, k, window)
     out = _select(rows[:, 3:], lambda r: (r.sum(axis=1) & _S3) == _S0, rows).ravel()
-    return out, _record(3, round_index, bits, out, bias_pred, k, segments)
+    return out, _record(3, round_index, bits, out, bias_pred, k, window)
 
 
 def phase3_run(bits, n, *, delta0):
@@ -426,12 +432,6 @@ def block_size(n):
     return max(1, thermal._icbrt(n))
 
 
-def block_segments(length, m):
-    """Lengths of consecutive windows of m bits covering ``length`` bits;
-    the last window may be short."""
-    return np.diff(np.append(np.arange(0, length, m), length))
-
-
 # ---------------------------------------------------------------------------
 # the full pipeline
 
@@ -457,21 +457,17 @@ def _arch_init_cost(n, inv):
     }
 
 
-def _transpose(bits, lens, w):
-    """Each segment, a whole number of ``w``-bit rows, read column by column;
-    and the inversion count of that permutation, C(R,2)·C(w,2) summed over
-    segments of R rows."""
-    rows = np.asarray(lens, dtype=np.int64) // w
-    inv = int(np.sum(rows * (rows - 1) // 2)) * math.comb(w, 2)
-    grid = bits.reshape(-1, w)
-    if len(rows) == 1:
-        return grid.T.ravel(), inv
-    # bit c of global row g, the (g - a)th of the R rows of a segment that
-    # starts at row a, moves from g w + c to a w + c R + (g - a)
-    first = np.repeat(np.cumsum(rows) - rows, rows)
-    dest = np.arange(w)[:, None] * np.repeat(rows, rows) + first * (w - 1) + np.arange(len(first))
-    out = np.empty_like(bits)
-    out[dest.ravel()] = grid.T.ravel()
+def _transpose(bits, w, window):
+    """The bits, a whole number of ``w``-bit rows, cut into windows of
+    ``window`` bits, a multiple of w, each window's rows read column by
+    column; and the inversion count of that permutation, C(R,2)·C(w,2)
+    summed over windows of R rows."""
+    q, tail = _split(len(bits), window)
+    body = len(bits) - tail
+    inv = (q * math.comb(window // w, 2) + math.comb(tail // w, 2)) * math.comb(w, 2)
+    out = bits[body:].reshape(-1, w).T.ravel()
+    if q:
+        out = np.concatenate((bits[:body].reshape(q, -1, w).transpose(0, 2, 1).ravel(), out))
     return out, inv
 
 
@@ -483,9 +479,9 @@ def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
     """End-to-end run: sample, (permute), cool in three phases, gather; a
     direct run pairs its sample as it is drawn.
 
-    Both modes run one round loop: before every round the current bits are
-    cut into consecutive windows of m bits (``block_segments``), the last
-    one possibly short, and the round is one call on the flat bits.
+    Both modes run one round loop: every round is one call on the flat
+    bits with window width m, so no pair, bin or block straddles two
+    consecutive windows of m bits, the last one possibly short.
     ``binomial-direct`` takes m = n, so one window, and skips the initial
     permutation; it takes a binomial source only, since a correlated one
     leaves ones in the clean prefix.  When the plan has a pairing round,
@@ -551,7 +547,7 @@ def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
     for phase, phase_rounds in enumerate(rounds, 1):
         if phase == 3 and plan.phase2:
             w = plan.phase2[-1].k - 1
-            bits, inv = _transpose(bits, block_segments(length, w * max(1, m // w)), w)
+            bits, inv = _transpose(bits, w, w * max(1, m // w))
             for arch, c in _arch_init_cost(length, inv).items():
                 steps[arch] += c
         for i, round_fn in enumerate(phase_rounds):
@@ -559,7 +555,7 @@ def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
                 # regroup the survivors into fresh windows
                 for arch, c in _arch_gather_cost(length).items():
                     steps[arch] += c
-            bits, rec = round_fn(bits, round_index=i, segments=block_segments(length, m))
+            bits, rec = round_fn(bits, round_index=i, window=m)
             total = rec.steps + n
             steps["single"] += total
             steps["two_tape"] += total

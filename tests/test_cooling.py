@@ -11,7 +11,6 @@ from spinref import analysis, cli, cooling, perms, thermal
 from spinref.cooling import (
     CoolingError,
     Phase1Config,
-    block_segments,
     block_size,
     choose_k,
     phase1_round,
@@ -283,43 +282,64 @@ def test_phase3_zero_ones_loses_only_headers():
 
 
 # ---------------------------------------------------------------------------
-# segmented rounds
+# windowed rounds
 
 
-# segment lengths: zero-length and trailing empty segments, odd tails, and a
-# single segment all occur
-segment_lengths = st.lists(
-    st.one_of(st.just(0), st.integers(1, 12), st.integers(13, 60)), min_size=1, max_size=12
-)
+@st.composite
+def layouts(draw):
+    """(length, window): a window of 1 to 60 bits, and a length shorter than
+    most rows, of one window, of whole windows, or with a short last
+    window."""
+    window = draw(st.integers(1, 60))
+    q = draw(st.integers(2, 12))
+    length = draw(st.sampled_from([
+        draw(st.integers(0, min(window, 8))),
+        window,
+        q * window,
+        q * window + draw(st.integers(1, window)) % window,
+    ]))
+    return length, window
 
 
-def _per_segment_oracle(call, bits, lens):
-    """The per-block semantics: one whole-input call per segment, outputs
+def _windows(bits, window):
+    """The bits cut into consecutive windows of ``window`` bits by plain
+    slicing, the last one possibly short."""
+    return [bits[i : i + window] for i in range(0, len(bits), window)]
+
+
+def _per_window_oracle(call, bits, window):
+    """The per-block semantics: one whole-input call per window, outputs
     concatenated and records summed."""
-    outs, recs, start = [], [], 0
-    for length in lens:
-        out, rec = call(bits[start : start + length])
+    outs, recs = [np.zeros(0, dtype=np.uint8)], []
+    for piece in _windows(bits, window):
+        out, rec = call(piece)
         outs.append(out)
         recs.append(rec)
-        start += length
     return np.concatenate(outs), recs
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    lens=segment_lengths,
+    layout=layouts(),
     phase=st.sampled_from([1, 2, 3]),
     k=st.integers(2, 9),
     shuffled=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_segmented_round_equals_per_segment_calls(lens, phase, k, shuffled, seed):
-    bits = np.random.default_rng(seed).integers(0, 2, sum(lens), dtype=np.uint8)
+@example(layout=(0, 5), phase=2, k=3, shuffled=True, seed=0)
+@example(layout=(2, 7), phase=3, k=4, shuffled=False, seed=1)
+@example(layout=(7, 7), phase=2, k=3, shuffled=True, seed=2)
+@example(layout=(12 * 60, 60), phase=1, k=2, shuffled=False, seed=3)
+@example(layout=(5 * 9 + 4, 9), phase=2, k=5, shuffled=True, seed=4)
+@example(layout=(3 * 6 + 1, 6), phase=3, k=6, shuffled=False, seed=5)
+def test_segmented_round_equals_per_segment_calls(layout, phase, k, shuffled, seed):
+    length, window = layout
+    bits = np.random.default_rng(seed).integers(0, 2, length, dtype=np.uint8)
     if phase == 1:
         def call(b, **kw):
             return phase1_round(b, bias_pred=0.8, **kw)
     elif phase == 2:
-        # one generator drawn from in segment order, as the blocks were
+        # one generator drawn from in window order, as the blocks were
         def call(b, rng, **kw):
             return phase2_round(b, k, seed=rng if shuffled else None, bias_pred=0.99, **kw)
     else:
@@ -328,18 +348,18 @@ def test_segmented_round_equals_per_segment_calls(lens, phase, k, shuffled, seed
 
     if phase == 2:
         rng_a, rng_b = (np.random.default_rng(seed + 1) for _ in range(2))
-        out, rec = call(bits, rng_a, segments=lens)
-        want, recs = _per_segment_oracle(lambda b: call(b, rng_b), bits, lens)
+        out, rec = call(bits, rng_a, window=window)
+        want, recs = _per_window_oracle(lambda b: call(b, rng_b), bits, window)
     else:
-        out, rec = call(bits, segments=lens)
-        want, recs = _per_segment_oracle(call, bits, lens)
+        out, rec = call(bits, window=window)
+        want, recs = _per_window_oracle(call, bits, window)
 
-    assert np.array_equal(out, want)
+    assert out.dtype == np.uint8 and np.array_equal(out, want)
     for name in ("n_in", "n_out", "ones_in", "ones_out", "steps"):
         assert getattr(rec, name) == sum(getattr(r, name) for r in recs), name
     assert rec.u == (sum(r.u for r in recs) if phase == 2 else None)
-    # a whole-input call is the same round as a one-segment call
-    if len(lens) == 1 and not (phase == 2 and shuffled):
+    # a whole-input call is the same round as a one-window call
+    if length <= window and not (phase == 2 and shuffled):
         whole_out, whole_rec = call(bits, np.random.default_rng(0)) if phase == 2 else call(bits)
         assert np.array_equal(whole_out, out) and whole_rec == rec
 
@@ -367,13 +387,19 @@ def test_rounds_equal_boolean_index_selection(phase):
             assert rec.u == np.count_nonzero(grid.sum(axis=1) == 1)
 
 
-def _reference_round(phase, bits, k, seed, segments):
-    """The round selected the plain way: ``a == b`` on the pair columns and
-    one ``compress`` over every row.  Returns the output and the round
+def _reference_round(phase, bits, k, seed, window):
+    """The round selected the plain way: each window cut by slicing (and
+    shuffled by one ``permutation`` draw), ``a == b`` on the pair columns
+    and one ``compress`` over every row.  Returns the output and the round
     record."""
     header = 1 if phase < 3 else 3
     rng = None if seed is None else np.random.default_rng(seed)
-    rows = cooling._rows(bits, k, segments, rng)
+    pieces = _windows(bits, window or max(len(bits), 1))
+    if rng is not None:
+        pieces = [piece[rng.permutation(len(piece))] for piece in pieces]
+    rows = np.concatenate([np.zeros((0, k), dtype=np.uint8)] + [
+        piece[: len(piece) // k * k].reshape(-1, k) for piece in pieces
+    ])
     sums, u = rows.sum(axis=1), None
     if phase == 1:
         kept = rows[:, 0] == rows[:, 1]
@@ -383,62 +409,72 @@ def _reference_round(phase, bits, k, seed, segments):
         out = rows[:, header:].compress(kept, axis=0).ravel()
     if phase == 2:
         u = int(np.count_nonzero(sums == 1))
-    return out, cooling._record(phase, 0, bits, out, 0.5, k, segments, u)
+    ones_out = int(np.count_nonzero(out))
+    return out, cooling.RoundRecord(
+        phase, 0, len(bits), len(out), int(np.count_nonzero(bits)), ones_out,
+        1.0 - 2.0 * ones_out / len(out) if len(out) else 1.0, 0.5,
+        sum(cooling._cost(phase, k, len(piece)) for piece in pieces), u,
+        None if phase == 1 else k,
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     phase=st.sampled_from([1, 2, 3]),
     k=st.integers(2, 9),
-    length=st.integers(0, 99),
+    layout=layouts(),
+    one_window=st.booleans(),
     big=st.booleans(),
     step=st.sampled_from([1, 3]),
-    cuts=st.none() | st.lists(st.integers(0, 100), max_size=60),
     shuffled=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(phase=1, k=2, length=5, big=True, step=3, cuts=[30, 70], shuffled=False, seed=1)
-# segments without a full row first, last, and everywhere
-@example(phase=3, k=6, length=60, big=False, step=1, cuts=[0, 5, 8], shuffled=False, seed=2)
-@example(phase=2, k=5, length=60, big=False, step=3, cuts=[98, 99, 100], shuffled=True, seed=3)
-@example(phase=1, k=2, length=8, big=False, step=1, cuts=list(range(0, 101, 12)),
+@example(phase=1, k=2, layout=(5, 60), one_window=False, big=True, step=3, shuffled=False,
+         seed=1)
+# windows without a full row, a short last window, and windows of one row
+@example(phase=3, k=6, layout=(12 * 5, 5), one_window=False, big=False, step=1,
+         shuffled=False, seed=2)
+@example(phase=2, k=5, layout=(4 * 13 + 3, 13), one_window=False, big=False, step=3,
+         shuffled=True, seed=3)
+@example(phase=1, k=2, layout=(8 * 12, 2), one_window=False, big=False, step=1,
          shuffled=False, seed=4)
-@example(phase=3, k=4, length=0, big=True, step=1, cuts=[0, 0, 50, 100, 100], shuffled=False,
+@example(phase=3, k=4, layout=(0, 1), one_window=False, big=True, step=1, shuffled=False,
          seed=5)
 # pairing on exactly one and two selection slices of rows, and on none
-@example(phase=1, k=2, length=2 * cooling._SLICE, big=False, step=1, cuts=None, shuffled=False,
-         seed=6)
-@example(phase=1, k=2, length=2 * cooling._SLICE, big=False, step=1, cuts=[50], shuffled=False,
-         seed=6)
-@example(phase=1, k=2, length=4 * cooling._SLICE, big=False, step=1, cuts=None, shuffled=False,
-         seed=7)
-@example(phase=1, k=2, length=4 * cooling._SLICE, big=False, step=1, cuts=[50], shuffled=False,
-         seed=7)
-@example(phase=1, k=2, length=0, big=False, step=1, cuts=None, shuffled=False, seed=8)
-@example(phase=1, k=2, length=0, big=False, step=1, cuts=[50], shuffled=False, seed=8)
-def test_round_kernels_equal_plain_selection(phase, k, length, big, step, cuts, shuffled, seed):
-    # word pairing and sliced selection give the plain selection's bytes
-    # and record, on odd lengths, strided views, dozens of
-    # segments with tails or no full row at all, and inputs longer than one
+@example(phase=1, k=2, layout=(2 * cooling._SLICE, 50), one_window=True, big=False, step=1,
+         shuffled=False, seed=6)
+@example(phase=1, k=2, layout=(2 * cooling._SLICE, 50), one_window=False, big=False, step=1,
+         shuffled=False, seed=6)
+@example(phase=1, k=2, layout=(4 * cooling._SLICE, 50), one_window=True, big=False, step=1,
+         shuffled=False, seed=7)
+@example(phase=1, k=2, layout=(4 * cooling._SLICE, 50), one_window=False, big=False, step=1,
+         shuffled=False, seed=7)
+@example(phase=1, k=2, layout=(0, 50), one_window=True, big=False, step=1, shuffled=False,
+         seed=8)
+@example(phase=1, k=2, layout=(0, 50), one_window=False, big=False, step=1, shuffled=False,
+         seed=8)
+def test_round_kernels_equal_plain_selection(phase, k, layout, one_window, big, step, shuffled,
+                                            seed):
+    # word pairing, sliced selection and the window layout give the plain
+    # selection's bytes and record, on odd lengths, strided views, dozens of
+    # windows with tails or no full row at all, and inputs longer than one
     # selection slice
     k = {1: 2, 2: k, 3: max(k, 4)}[phase]
+    length, window = layout
     if big:
         length += (cooling._SLICE + 7) * k
+    if one_window:
+        window = None
     rng = np.random.default_rng(seed)
     bits = (rng.random(length * step) < 0.4).astype(np.uint8)[::step]
-    segments = None
-    if cuts is not None:
-        # cut points in percent of the input length
-        points = sorted(c * length // 100 for c in cuts)
-        segments = np.diff([0, *points, length]).tolist()
     seed2 = seed if phase == 2 and shuffled else None
     call = {
         1: lambda **kw: phase1_round(bits, bias_pred=0.5, **kw),
         2: lambda **kw: phase2_round(bits, k, seed=seed2, bias_pred=0.5, **kw),
         3: lambda **kw: phase3_round(bits, k, bias_pred=0.5, **kw),
     }[phase]
-    out, rec = call() if segments is None else call(segments=segments)
-    want_out, want_rec = _reference_round(phase, bits, k, seed2, segments)
+    out, rec = call() if window is None else call(window=window)
+    want_out, want_rec = _reference_round(phase, bits, k, seed2, window)
     assert out.dtype == np.uint8 and np.array_equal(out, want_out)
     assert rec == want_rec
 
@@ -457,17 +493,15 @@ def test_streamed_round_equals_round_on_the_whole_sample(n, eps):
         out, rec = phase1_round(pieces, bias_pred=0.5, round_index=0)
         assert out.dtype == np.uint8 and np.array_equal(out, want_out)
         assert rec == want_rec
-        # as the pipeline calls it: one segment of all n bits
+        # as the pipeline calls it: one window of all n bits
         out, rec = phase1_round(thermal.sample_pieces(model, n, seed, PIECE),
-                                bias_pred=0.5, segments=np.array([n]))
+                                bias_pred=0.5, window=n)
         assert np.array_equal(out, want_out) and rec == want_rec
 
 
-def test_streamed_round_rejects_odd_pieces_and_several_segments():
+def test_streamed_round_rejects_odd_pieces():
     with pytest.raises(ValueError, match="odd length"):
         phase1_round(iter([bits_of(0, 0, 1), bits_of(1, 1)]))
-    with pytest.raises(ValueError, match="one segment"):
-        phase1_round(iter([bits_of(0, 0, 1, 1)]), segments=[2, 2])
 
 
 def test_pipeline_streamed_first_round_equals_whole_sample(monkeypatch):
@@ -494,32 +528,41 @@ def test_pipeline_without_pairing_round_starts_at_phase2():
     assert res.clean_bits > 0 and int(res.bits.sum()) == 0
 
 
-def test_segment_lengths_must_cover_the_input():
-    with pytest.raises(ValueError):
-        phase1_round(np.zeros(10, dtype=np.uint8), segments=[4, 5])
-    with pytest.raises(ValueError):
-        phase3_round(np.zeros(10, dtype=np.uint8), 4, segments=[9])
+def test_window_must_be_positive_and_hold_a_stream():
+    bits = np.zeros(10, dtype=np.uint8)
+    for window in (0, -1):
+        for call in (lambda: phase1_round(bits, window=window),
+                     lambda: phase1_round(iter([bits]), window=window),
+                     lambda: phase2_round(bits, 3, seed=1, window=window),
+                     lambda: phase3_round(bits, 4, window=window)):
+            with pytest.raises(ValueError, match="window must be >= 1"):
+                call()
+    # a streamed input is paired as it arrives, so it must fit one window
+    with pytest.raises(ValueError, match="fit one window"):
+        phase1_round(iter([bits_of(0, 0, 1, 1), bits_of(1, 1)]), window=5)
+    out, rec = phase1_round(iter([bits_of(0, 0, 1, 1), bits_of(1, 1)]), window=6)
+    assert out.tolist() == [0, 1, 1] and rec.n_in == 6
 
 
 # ---------------------------------------------------------------------------
 # blocks, pipeline
 
 
-def test_block_segments_paper_sizes():
+def test_block_size_and_windows_paper_sizes():
     assert block_size(27) == 3
     assert block_size(8) == 2
     assert block_size(10**6) == 100
-    assert block_segments(27, block_size(27)).tolist() == [3] * 9
-    assert block_segments(8, block_size(8)).tolist() == [2] * 4
+    # (full windows, short last window); bits that fit one window are one
+    assert cooling._split(27, block_size(27)) == (9, 0)
+    assert cooling._split(8, block_size(8)) == (4, 0)
     # windows of floor(n^(1/3)) cover the input, the last one short
-    lens = block_segments(50000, block_size(50000))
     assert block_size(50000) == 36
-    assert lens.tolist() == [36] * 1388 + [32]
-    assert int(lens.sum()) == 50000
+    assert cooling._split(50000, 36) == (1388, 32)
     # a later round cuts its shorter input into windows of the same size
-    assert block_segments(100, 36).tolist() == [36, 36, 28]
-    assert block_segments(36, 36).tolist() == [36]
-    assert block_segments(0, 36).tolist() == []
+    assert cooling._split(100, 36) == (2, 28)
+    assert cooling._split(36, 36) == (0, 36)
+    assert cooling._split(0, 36) == (0, 0)
+    assert cooling._split(100, None) == (0, 100)
 
 
 def test_pipeline_full_bias_all_zero():
@@ -599,19 +642,22 @@ def test_clean_prefix_has_no_ones_when_phase2_leaves_pairs(monkeypatch):
     assert res.clean_bits > 0 and res.bits.sum() == 0
 
 
+# (the window lengths the bits are cut into, w); the window is the first
 @pytest.mark.parametrize("lens,w", [
-    ([6], 2), ([20], 5), ([0, 12, 6, 30], 3), ([7 * 11] * 4 + [7 * 3, 0], 7), ([2 * 1000], 2),
+    ([6], 2), ([20], 5), ([12, 12, 12, 9], 3), ([7 * 11] * 4 + [7 * 3], 7), ([2 * 1000], 2),
+    ([4, 4, 4], 4), ([12, 12, 12, 12], 3),
 ])
 def test_phase3_transpose_reads_columns_and_counts_its_inversions(lens, w):
-    src, inv = cooling._transpose(np.arange(sum(lens)), lens, w)
-    start = 0
-    for length in lens:
-        grid = np.arange(start, start + length).reshape(-1, w)
-        assert src[start : start + length].tolist() == grid.T.ravel().tolist()
-        start += length
-    rows = [length // w for length in lens]
-    assert inv == sum(math.comb(r, 2) for r in rows) * math.comb(w, 2)
+    length, window = sum(lens), lens[0]
+    pieces = _windows(np.arange(length), window)
+    assert [len(piece) for piece in pieces] == lens
+    src, inv = cooling._transpose(np.arange(length), w, window)
+    assert src.tolist() == [i for piece in pieces for i in piece.reshape(-1, w).T.ravel()]
+    assert inv == sum(math.comb(n // w, 2) for n in lens) * math.comb(w, 2)
     assert inv == perms.count_inversions(src)
+    # bits that fit one window: a wider window reads the same
+    if len(lens) == 1:
+        assert cooling._transpose(np.arange(length), w, 3 * window)[0].tolist() == src.tolist()
 
 
 def test_pipeline_markov_stride_blocks_near_binomial():
@@ -636,7 +682,7 @@ def test_pipeline_markov_stride_blocks_near_binomial():
     assert np.abs(emp - binom).sum() < 0.01
 
 
-@pytest.mark.parametrize("n", [48**3, 3**12])
+@pytest.mark.parametrize("n", [48**3, 3**12, 3**15])
 @pytest.mark.parametrize("source", ["binomial", "markov"])
 def test_shuffled_blocks_yields_the_floor_with_no_stray_ones(tmp_path, n, source):
     # the survivors are cut into fresh windows before every round, so no
@@ -746,7 +792,7 @@ def test_bare_kernel_call_records_no_prediction():
     bits = thermal.sample(thermal.BiasModel("binomial", 0.5), 1000, seed=0)
     for _, rec in (phase1_round(bits), phase2_round(bits, 3), phase3_round(bits, 5)):
         assert np.isnan(rec.bias_pred)
-    _, rec = phase1_round(bits, segments=[500, 500])
+    _, rec = phase1_round(bits, window=500)
     assert np.isnan(rec.bias_pred)
 
 
