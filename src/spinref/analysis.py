@@ -27,6 +27,7 @@ __all__ = [
     "phase2_delta_bound",
     "phase2_stationary",
     "phase3_certificate",
+    "PHASE3_MIN_N",
     "Phase3Certificate",
     "binomial_class_mass",
     "binary_entropy",
@@ -174,6 +175,10 @@ def phase2_stationary(n):
 # phase 3: mod-4 counting
 
 
+# the smallest population the mod-4 certificate takes
+PHASE3_MIN_N = 64
+
+
 def _phase3_block_size(n):
     return max(4, round(n ** (1.0 / 6.0)))
 
@@ -238,8 +243,8 @@ def phase3_certificate(n, delta0=None):
     and a block holding two pairs passes with weight 4.  The pipeline
     therefore reads phase 2's output column by column before round 0.
     """
-    if n < 64:
-        raise ValueError("n must be >= 64")
+    if n < PHASE3_MIN_N:
+        raise ValueError(f"n must be >= {PHASE3_MIN_N}")
     k = _phase3_block_size(n)
     if delta0 is None:
         delta0 = phase2_stationary(n)[1]

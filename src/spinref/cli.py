@@ -79,14 +79,25 @@ _COMMANDS = {
     "bench": ("runtime-exponent fits", ("epsilon", "model", "ell", "seed")),
 }
 
-# flag -> (valid value test, message), checked in this order when read
+# phase -> the smallest --n it plans for: the parity plan's stationary level
+# needs 2 bits and the mod-4 certificate analysis.PHASE3_MIN_N; pipeline and
+# analyze plan all three phases
+_LEAST_N = {
+    1: (1, ""),
+    2: (2, " for the parity-binning plan"),
+    3: (analysis.PHASE3_MIN_N, " for the mod-4 certificate"),
+}
+
+# flag -> (valid value test, message), checked in this order when read, after
+# --n; --periods and --tol belong to arch and bench alone
 _CHECKS = {
-    "n": (lambda v: v >= 1, "--n must be >= 1"),
     "trials": (lambda v: v >= 1, "--trials must be >= 1"),
     "jobs": (lambda v: v >= 1, "--jobs must be >= 1"),
     "epsilon": (lambda v: 0.0 < v <= 1.0, "--epsilon must lie in (0, 1]"),
     "target_bias": (lambda v: 0.0 < v < 1.0, "--target-bias must lie in (0, 1)"),
     "ell": (lambda v: v >= 1, "--ell must be >= 1"),
+    "periods": (lambda v: v >= 1, "--periods must be >= 1"),
+    "tol": (lambda v: v >= 0.0, "--tol must be a number >= 0"),  # nan fails too
 }
 
 
@@ -143,16 +154,16 @@ def _config_value(key, value):
 
 
 def _bench_sizes(text):
-    """``bench --sizes``: at least 4 distinct integers >= 64, the smallest
-    population the phase-3 certificate takes; default 3^6..3^9."""
+    """``bench --sizes``: at least 4 distinct integers, none below the
+    smallest population the phase-3 certificate takes; default 3^6..3^9."""
     if text is None:
         return [3**6, 3**7, 3**8, 3**9]
     try:
         sizes = [int(s) for s in text.split(",")]
     except ValueError:
         raise ValueError(f"--sizes takes a comma list of integers, not {text!r}") from None
-    if min(sizes) < 64:
-        raise ValueError(f"--sizes must all be >= 64, got {min(sizes)}")
+    if min(sizes) < analysis.PHASE3_MIN_N:
+        raise ValueError(f"--sizes must all be >= {analysis.PHASE3_MIN_N}, got {min(sizes)}")
     if len(sizes) < 4 or len(set(sizes)) < len(sizes):
         raise ValueError("--sizes takes at least 4 distinct sizes to fit a slope")
     return sizes
@@ -181,8 +192,13 @@ def _resolve(args):
             setattr(merged, key, _default_seed() if key == "seed" else _FLAGS[key][1])
     if args.command == "bench":
         merged.sizes = _bench_sizes(args.sizes)
+    if "n" in flags:
+        least, purpose = _LEAST_N[args.which if args.command == "phase" else 3]
+        if merged.n < least:
+            raise ValueError(f"--n must be >= {least}{purpose}")
+    checked = flags + {"arch": ("periods",), "bench": ("tol",)}.get(args.command, ())
     for key, (valid, message) in _CHECKS.items():
-        if key in flags and not valid(getattr(merged, key)):
+        if key in checked and not valid(getattr(merged, key)):
             raise ValueError(message)
     if "mode" in flags and merged.model == "markov" and merged.mode == "binomial-direct":
         raise ValueError("--model markov needs --mode shuffled-blocks: "

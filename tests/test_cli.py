@@ -145,6 +145,36 @@ def test_invalid_value_rejected_naming_its_flag(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+# values that the library would reject in its own terms ("n must be >= 64"),
+# or that bench would take and then fail as a conformance failure
+@pytest.mark.parametrize("argv,message", [
+    (["pipeline", "--n", "1"], "--n must be >= 64 for the mod-4 certificate"),
+    (["pipeline", "--n", "2", "--mode", "shuffled-blocks"],
+     "--n must be >= 64 for the mod-4 certificate"),
+    (["phase", "2", "--n", "1"], "--n must be >= 2 for the parity-binning plan"),
+    (["phase", "3", "--n", "10"], "--n must be >= 64 for the mod-4 certificate"),
+    (["arch", "--periods", "0"], "--periods must be >= 1"),
+    (["bench", "--tol", "-1"], "--tol must be a number >= 0"),
+    (["bench", "--tol", "nan"], "--tol must be a number >= 0"),
+])
+def test_out_of_range_value_rejected_naming_its_flag(tmp_path, capsys, monkeypatch, argv,
+                                                     message):
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("a pipeline ran before the flags were checked")
+
+    monkeypatch.setattr(cooling, "pipeline", no_pipeline)
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"spinref: {message}\n"
+    assert not out.exists()
+
+
+def test_smallest_n_each_run_takes_is_accepted(tmp_path):
+    for argv in (["phase", "2", "--n", "2"], ["phase", "3", "--n", "64"],
+                 ["analyze", "--n", "64"]):
+        assert run(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK, argv
+
+
 # (subcommand, flags it does not read, so does not accept); a case's test id
 # is its position in the flattened list, so new rows go last
 DROPPED = [
