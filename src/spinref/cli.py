@@ -279,9 +279,14 @@ def _cmd_phase(args, outdir):
     # phases 2 and 3 take bits already at the level their plan enters at
     if args.which == 1:
         bits = thermal.sample(_model(args), args.n, args.seed)
-        out, recs = cooling.phase1_run(
-            bits, cooling.Phase1Config(target_bias=args.target_bias), eps0=args.epsilon
-        )
+        try:
+            out, recs = cooling.phase1_run(
+                bits, cooling.Phase1Config(target_bias=args.target_bias), eps0=args.epsilon
+            )
+        except cooling.CoolingError as exc:
+            # the bits the pairing rounds need depend on the draw, so a too
+            # small --n shows only when they run out
+            raise ValueError(f"--n {args.n} is too small: {exc}") from exc
     elif args.which == 2:
         delta0 = cooling.PHASE2_DELTA_MAX
         bits = _entry_bits(delta0, args.n, args.seed)

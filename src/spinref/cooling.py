@@ -14,7 +14,10 @@ predicted output bias, which the round kernels record as given (NaN when
 called without a plan).  A round runs on a flat bit array, optionally cut
 into consecutive windows of one width, the last one possibly short, that no
 pair, bin or block straddles; the pipeline cuts the survivors into windows
-afresh before every round.
+afresh before every round.  A round of at most ``_FEW`` rows (pairs, bins
+or blocks), such as each case of an equivalence check, is decided row by
+row on Python lists, where numpy's fixed cost per call would dominate; it
+gives the same bytes and record as the numpy kernels.
 
 Per-round step costs are charged from the compiled-program cost formulas
 (single-tape canonical); the pipeline additionally accumulates totals for
@@ -215,6 +218,23 @@ def _select(rows, keep, data):
     return _taken(buf, rows.shape[1:])
 
 
+# rounds of at most this many rows are decided row by row on Python lists:
+# at that size numpy's fixed cost per call is most of a round's time, and
+# above it (32 rows measured) the numpy kernels are faster
+_FEW = 16
+
+
+def _few(rows, keep, head):
+    """``r[head:]`` of each row ``r`` that ``keep(r)`` passes, as one flat
+    uint8 array: the selection of the numpy kernels, for at most ``_FEW``
+    rows, with each row read as a list of ints."""
+    out = []
+    for r in rows.tolist():
+        if keep(r):
+            out += r[head:]
+    return np.array(out, dtype=np.uint8)
+
+
 # ---------------------------------------------------------------------------
 # phase 1: pairing
 
@@ -243,8 +263,12 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, window=None):
     """
     if not isinstance(bits, Iterator):
         bits = np.asarray(bits, dtype=np.uint8)
-        second, words = _pairs(_rows(bits, 2, window))
-        out = _select(second, _equal, words)
+        rows = _rows(bits, 2, window)
+        if len(rows) <= _FEW:
+            out = _few(rows, lambda r: r[0] == r[1], 1)
+        else:
+            second, words = _pairs(rows)
+            out = _select(second, _equal, words)
         return out, _record(1, round_index, bits, out, bias_pred, 2, window)
     buf, n_in, ones_in = bytearray(), 0, 0
     for piece in bits:
@@ -303,9 +327,13 @@ def phase2_round(bits, k, seed=None, bias_pred=math.nan, round_index=0, window=N
     bits = np.asarray(bits, dtype=np.uint8)
     rng = None if seed is None else np.random.default_rng(seed)
     rows = _rows(bits, k, window, rng)
-    s = rows.sum(axis=1)
-    out = _select(rows[:, 1:], lambda v: (v & _S1) == _S0, s).ravel()
-    u = int(np.count_nonzero(s == _S1))
+    if len(rows) <= _FEW:
+        out = _few(rows, lambda r: not sum(r) & 1, 1)
+        u = [sum(r) for r in rows.tolist()].count(1)
+    else:
+        s = rows.sum(axis=1)
+        out = _select(rows[:, 1:], lambda v: (v & _S1) == _S0, s).ravel()
+        u = int(np.count_nonzero(s == _S1))
     return out, _record(2, round_index, bits, out, bias_pred, k, window, u)
 
 
@@ -377,7 +405,10 @@ def phase3_round(bits, k, bias_pred=math.nan, round_index=0, window=None):
         raise ValueError("block size must be >= 4")
     bits = np.asarray(bits, dtype=np.uint8)
     rows = _rows(bits, k, window)
-    out = _select(rows[:, 3:], lambda r: (r.sum(axis=1) & _S3) == _S0, rows).ravel()
+    if len(rows) <= _FEW:
+        out = _few(rows, lambda r: not sum(r) & 3, 3)
+    else:
+        out = _select(rows[:, 3:], lambda r: (r.sum(axis=1) & _S3) == _S0, rows).ravel()
     return out, _record(3, round_index, bits, out, bias_pred, k, window)
 
 

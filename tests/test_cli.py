@@ -175,6 +175,15 @@ def test_smallest_n_each_run_takes_is_accepted(tmp_path):
         assert run(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK, argv
 
 
+@pytest.mark.parametrize("n,rounds", [(1, 0), (5, 2), (20, 2)])
+def test_phase_1_too_few_bits_names_n(tmp_path, capsys, n, rounds):
+    argv = ["phase", "1", "--n", str(n), "--seed", "3", "--out", str(tmp_path)]
+    assert run(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        f"spinref: --n {n} is too small: population exhausted after {rounds} pairing rounds;"
+    )
+
+
 # (subcommand, flags it does not read, so does not accept); a case's test id
 # is its position in the flattened list, so new rows go last
 DROPPED = [

@@ -453,6 +453,25 @@ def _reference_round(phase, bits, k, seed, window):
          seed=8)
 @example(phase=1, k=2, layout=(0, 50), one_window=False, big=False, step=1, shuffled=False,
          seed=8)
+# exactly _FEW rows, decided on lists, and _FEW + 1, decided by numpy: in one
+# window, and in eight windows of 7 bits, two bins each, then a last window
+# of 2 bits (no bin) or 3 (one bin)
+@example(phase=1, k=2, layout=(2 * cooling._FEW + 1, 60), one_window=True, big=False, step=3,
+         shuffled=False, seed=9)
+@example(phase=1, k=2, layout=(2 * cooling._FEW + 2, 60), one_window=True, big=False, step=3,
+         shuffled=False, seed=9)
+@example(phase=2, k=3, layout=(3 * cooling._FEW, 60), one_window=True, big=False, step=1,
+         shuffled=False, seed=10)
+@example(phase=2, k=3, layout=(3 * cooling._FEW + 3, 60), one_window=True, big=False, step=1,
+         shuffled=False, seed=10)
+@example(phase=2, k=3, layout=(8 * 7 + 2, 7), one_window=False, big=False, step=1,
+         shuffled=True, seed=11)
+@example(phase=2, k=3, layout=(8 * 7 + 3, 7), one_window=False, big=False, step=1,
+         shuffled=True, seed=11)
+@example(phase=3, k=5, layout=(5 * cooling._FEW + 4, 60), one_window=True, big=False, step=1,
+         shuffled=False, seed=12)
+@example(phase=3, k=5, layout=(5 * cooling._FEW + 5, 60), one_window=True, big=False, step=1,
+         shuffled=False, seed=12)
 def test_round_kernels_equal_plain_selection(phase, k, layout, one_window, big, step, shuffled,
                                             seed):
     # word pairing, sliced selection and the window layout give the plain
@@ -682,20 +701,54 @@ def test_pipeline_markov_stride_blocks_near_binomial():
     assert np.abs(emp - binom).sum() < 0.01
 
 
-@pytest.mark.parametrize("n", [48**3, 3**12, 3**15])
+BLOCKS_N = [48**3, 3**12, 3**15]
+
+
+@pytest.fixture(scope="module")
+def blocks_ledger(tmp_path_factory):
+    """``ledger(n, source)``: the ledger.json of a shuffled-blocks pipeline
+    at eps 0.25 over seeds 0-9, run once per module for each (n, source)."""
+    ledgers = {}
+
+    def ledger(n, source):
+        if (n, source) not in ledgers:
+            out = tmp_path_factory.mktemp("blocks")
+            argv = ["pipeline", "--mode", "shuffled-blocks", "--n", str(n), "--model", source,
+                    "--epsilon", "0.25", "--seed", "0", "--trials", "10", "--out", str(out)]
+            assert cli.main(argv) == cli.EXIT_OK
+            ledgers[n, source] = json.loads((out / "ledger.json").read_text())
+        return ledgers[n, source]
+
+    return ledger
+
+
+@pytest.mark.parametrize("n", BLOCKS_N)
 @pytest.mark.parametrize("source", ["binomial", "markov"])
-def test_shuffled_blocks_yields_the_floor_with_no_stray_ones(tmp_path, n, source):
+def test_shuffled_blocks_yields_the_floor_with_no_stray_ones(blocks_ledger, n, source):
     # the survivors are cut into fresh windows before every round, so no
     # round's windows shrink below its bin or block size
-    argv = ["pipeline", "--mode", "shuffled-blocks", "--n", str(n), "--model", source,
-            "--epsilon", "0.25", "--seed", "0", "--trials", "10", "--out", str(tmp_path)]
-    assert cli.main(argv) == cli.EXIT_OK
-    summary = json.loads((tmp_path / "ledger.json").read_text())
+    summary = blocks_ledger(n, source)
     floor = summary["ledger"]["expected_floor"]
     assert [t["seed"] for t in summary["trials"]] == list(range(10))
     for trial in summary["trials"]:
         assert trial["clean_bits"] >= floor, trial["seed"]
         assert trial["ones_out"] == 0, trial["seed"]
+
+
+@pytest.mark.parametrize("source", ["binomial", "markov"])
+def test_shuffled_blocks_clean_fraction_does_not_fall_with_n(blocks_ledger, source):
+    # criterion 11's rule on the runs above: from one size to the next the
+    # mean clean fraction over the 10 seeds may not fall by more than 3
+    # sigma, sigma the standard error of the difference of the two means
+    # (measured: binomial 3.59e-3, 6.64e-3, 1.207e-2; markov 3.74e-3, 6.59e-3,
+    # 1.206e-2)
+    means, sems = [], []
+    for n in BLOCKS_N:
+        fracs = np.array([t["clean_bits"] / n for t in blocks_ledger(n, source)["trials"]])
+        means.append(fracs.mean())
+        sems.append(fracs.std(ddof=1) / math.sqrt(len(fracs)))
+    for i in range(len(BLOCKS_N) - 1):
+        assert means[i + 1] >= means[i] - 3.0 * math.hypot(sems[i], sems[i + 1]), means
 
 
 def test_stride_spread_keeps_correlated_ones_out_of_the_prefix(monkeypatch):
