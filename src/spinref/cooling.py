@@ -14,10 +14,10 @@ predicted output bias, which the round kernels record as given (NaN when
 called without a plan).  A round runs on a flat bit array, optionally cut
 into consecutive windows of one width, the last one possibly short, that no
 pair, bin or block straddles; the pipeline cuts the survivors into windows
-afresh before every round.  A round of at most ``_FEW`` rows (pairs, bins
-or blocks), such as each case of an equivalence check, is decided row by
-row on Python lists, where numpy's fixed cost per call would dominate; it
-gives the same bytes and record as the numpy kernels.
+afresh before every round.  One kernel, ``_round``, runs every round of
+the three phases, on an array or on a stream of pieces; a piece of at most
+``_FEW`` rows, such as each case of an equivalence check, is decided row
+by row on Python lists, where numpy's fixed cost per call would dominate.
 
 Per-round step costs are charged from the compiled-program cost formulas
 (single-tape canonical); the pipeline additionally accumulates totals for
@@ -163,27 +163,14 @@ def _cost(phase, k, n):
     return (compiler.phase2_round_cost if phase == 2 else compiler.phase3_round_cost)(n, k)
 
 
+@lru_cache(maxsize=1024)
 def _steps(phase, k, length, window):
     """Compiled step count of one round on ``length`` bits cut into windows."""
     q, tail = _split(length, window)
     return (q * _cost(phase, k, window) if q else 0) + _cost(phase, k, tail)
 
 
-def _record(phase, round_index, bits, out, bias_pred, k, window, u=None):
-    """The round's trace entry; ``bits`` is the input, or its bit and ones
-    counts when it was streamed, and ``k`` is 2 for pairing, where it is not
-    recorded."""
-    n_in, ones_in = bits if isinstance(bits, tuple) else (len(bits), int(np.count_nonzero(bits)))
-    n_out = len(out)
-    ones_out = int(np.count_nonzero(out))
-    return RoundRecord(
-        phase, round_index, n_in, n_out, ones_in, ones_out,
-        _bias(ones_out, n_out), bias_pred, _steps(phase, k, n_in, window), u,
-        None if phase == 1 else k,
-    )
-
-
-# typed scalars for the kernels' comparisons: a Python int operand costs a
+# typed scalars for the numpy comparisons: a Python int operand costs a
 # conversion on every call, most of a microsecond per small round.  Row sums
 # of uint8 bits are uint64.
 _W1, _W255 = np.uint16(1), np.uint16(255)
@@ -193,50 +180,10 @@ _S0, _S1, _S3 = np.uint64(0), np.uint64(1), np.uint64(3)
 # of a 10**7-bit round would take more memory than the round's output
 _SLICE = 1 << 16
 
-
-def _take(buf, rows, kept):
-    """Append the rows that the mask ``kept`` passes to the bytearray ``buf``."""
-    buf += rows.compress(kept, axis=0).data
-
-
-def _taken(buf, row_shape=()):
-    """The uint8 rows of shape ``row_shape`` appended to ``buf``."""
-    return np.frombuffer(buf, dtype=np.uint8).reshape(-1, *row_shape)
-
-
-def _select(rows, keep, data):
-    """The rows that ``keep`` passes, decided and taken ``_SLICE`` rows at a
-    time: ``keep(data[lo:hi])`` is the keep mask of rows lo:hi.  Each
-    slice's rows are appended to one growing buffer, so the selection is
-    never held twice, as parts and as their join."""
-    n = len(rows)
-    if n <= _SLICE:
-        return rows.compress(keep(data), axis=0)
-    buf = bytearray()
-    for lo in range(0, n, _SLICE):
-        _take(buf, rows[lo : lo + _SLICE], keep(data[lo : lo + _SLICE]))
-    return _taken(buf, rows.shape[1:])
-
-
-# rounds of at most this many rows are decided row by row on Python lists:
+# pieces of at most this many rows are decided row by row on Python lists:
 # at that size numpy's fixed cost per call is most of a round's time, and
-# above it (32 rows measured) the numpy kernels are faster
+# from 24 rows on (measured) the numpy slices are faster
 _FEW = 16
-
-
-def _few(rows, keep, head):
-    """``r[head:]`` of each row ``r`` that ``keep(r)`` passes, as one flat
-    uint8 array: the selection of the numpy kernels, for at most ``_FEW``
-    rows, with each row read as a list of ints."""
-    out = []
-    for r in rows.tolist():
-        if keep(r):
-            out += r[head:]
-    return np.array(out, dtype=np.uint8)
-
-
-# ---------------------------------------------------------------------------
-# phase 1: pairing
 
 
 def _pairs(rows):
@@ -251,6 +198,65 @@ def _equal(words):
     return words - _W1 > _W255
 
 
+def _round(phase, pieces, k, window, rng, bias_pred, round_index):
+    """One round of ``phase`` on the bits of ``pieces``, an iterable of bit
+    arrays, and its record.
+
+    Every phase is one rule: cut each piece into rows of k bits (``_rows``)
+    and keep a row's payload, all but its h header bits, iff the row's
+    ones-count is a multiple of 2 (pairing, k = 2, and parity binning: h =
+    1) or of 4 (mod-4 counting: h = 3).  A piece of at most ``_FEW`` rows is
+    decided on Python lists; a longer one ``_SLICE`` rows at a time, pairs
+    read as uint16 words and other rows by their sums.  Every kept payload
+    is appended to one buffer as it is decided, so a streamed input is never
+    held whole, and only the last piece may end in a part row.  ``u``,
+    the count of rows holding exactly one 1, is recorded in phase 2 only.
+    """
+    h, mask, mask64 = (3, 3, _S3) if phase == 3 else (1, 1, _S1)
+    buf = bytearray()
+    n_in = ones_in = ones_out = u = 0
+    for piece in pieces:
+        if n_in % k:
+            raise ValueError("only the last piece of a streamed input may have odd length")
+        piece = np.asarray(piece, np.uint8)
+        n_in += len(piece)
+        ones_in += int(np.count_nonzero(piece))
+        rows = _rows(piece, k, window, rng)
+        if len(rows) <= _FEW:
+            for r in rows.tolist():
+                s = sum(r)
+                if phase == 2 and s == 1:
+                    u += 1
+                if not s & mask:
+                    payload = r[h:]
+                    buf.extend(payload)
+                    ones_out += sum(payload)
+            continue
+        if phase == 1:
+            second, words = _pairs(rows)
+        for lo in range(0, len(rows), _SLICE):
+            if phase == 1:
+                kept = second[lo : lo + _SLICE].compress(_equal(words[lo : lo + _SLICE]))
+            else:
+                part = rows[lo : lo + _SLICE]
+                s = part.sum(axis=1)
+                kept = part[:, h:].compress((s & mask64) == _S0, axis=0)
+                if phase == 2:
+                    u += int(np.count_nonzero(s == _S1))
+            buf += kept.data
+            ones_out += int(np.count_nonzero(kept))
+            del kept  # held into the next slice, it would raise a direct run's peak
+    n_out = len(buf)
+    return np.frombuffer(buf, np.uint8), RoundRecord(
+        phase, round_index, n_in, n_out, ones_in, ones_out, _bias(ones_out, n_out), bias_pred,
+        _steps(phase, k, n_in, window), u if phase == 2 else None, None if phase == 1 else k,
+    )
+
+
+# ---------------------------------------------------------------------------
+# phase 1: pairing
+
+
 def phase1_round(bits, bias_pred=math.nan, round_index=0, window=None):
     """One pairing round: keep the second bit of each equal pair.  Given a
     ``window`` width, pair within each window of that many bits.
@@ -261,28 +267,11 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, window=None):
     arrives and only its kept bits are stored, so the whole input never
     exists; such an input must fit one window.
     """
-    if not isinstance(bits, Iterator):
-        bits = np.asarray(bits, dtype=np.uint8)
-        rows = _rows(bits, 2, window)
-        if len(rows) <= _FEW:
-            out = _few(rows, lambda r: r[0] == r[1], 1)
-        else:
-            second, words = _pairs(rows)
-            out = _select(second, _equal, words)
-        return out, _record(1, round_index, bits, out, bias_pred, 2, window)
-    buf, n_in, ones_in = bytearray(), 0, 0
-    for piece in bits:
-        if n_in % 2:
-            raise ValueError("only the last piece of a streamed input may have odd length")
-        piece = np.asarray(piece, dtype=np.uint8)
-        n_in += len(piece)
-        ones_in += int(np.count_nonzero(piece))
-        second, words = _pairs(piece[: len(piece) // 2 * 2].reshape(-1, 2))
-        _take(buf, second, _equal(words))
-    if _split(n_in, window)[0]:
-        raise ValueError(f"a streamed input must fit one window: {n_in} bits, window {window}")
-    out = _taken(buf)
-    return out, _record(1, round_index, (n_in, ones_in), out, bias_pred, 2, window)
+    stream = isinstance(bits, Iterator)
+    out, rec = _round(1, bits if stream else (bits,), 2, window, None, bias_pred, round_index)
+    if stream and _split(rec.n_in, window)[0]:
+        raise ValueError(f"a streamed input must fit one window: {rec.n_in} bits, window {window}")
+    return out, rec
 
 
 def phase1_run(bits, config=None, *, eps0):
@@ -324,17 +313,8 @@ def phase2_round(bits, k, seed=None, bias_pred=math.nan, round_index=0, window=N
     """
     if k < 2:
         raise ValueError("bin size must be >= 2")
-    bits = np.asarray(bits, dtype=np.uint8)
     rng = None if seed is None else np.random.default_rng(seed)
-    rows = _rows(bits, k, window, rng)
-    if len(rows) <= _FEW:
-        out = _few(rows, lambda r: not sum(r) & 1, 1)
-        u = [sum(r) for r in rows.tolist()].count(1)
-    else:
-        s = rows.sum(axis=1)
-        out = _select(rows[:, 1:], lambda v: (v & _S1) == _S0, s).ravel()
-        u = int(np.count_nonzero(s == _S1))
-    return out, _record(2, round_index, bits, out, bias_pred, k, window, u)
+    return _round(2, (bits,), k, window, rng, bias_pred, round_index)
 
 
 @dataclass(frozen=True)
@@ -403,13 +383,7 @@ def phase3_round(bits, k, bias_pred=math.nan, round_index=0, window=None):
     """
     if k < 4:
         raise ValueError("block size must be >= 4")
-    bits = np.asarray(bits, dtype=np.uint8)
-    rows = _rows(bits, k, window)
-    if len(rows) <= _FEW:
-        out = _few(rows, lambda r: not sum(r) & 3, 3)
-    else:
-        out = _select(rows[:, 3:], lambda r: (r.sum(axis=1) & _S3) == _S0, rows).ravel()
-    return out, _record(3, round_index, bits, out, bias_pred, k, window)
+    return _round(3, (bits,), k, window, None, bias_pred, round_index)
 
 
 def phase3_run(bits, n, *, delta0):
