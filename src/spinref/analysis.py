@@ -122,10 +122,8 @@ def phase1_overhead(eps0, eps_target=TARGET_BIAS):
 
     The square of this product (times the target term for the inclusive
     reading) is the multiplicative bit-loss over the ideal factor 4^k.
-    Empty orbit (eps0 == eps_target) gives 1.
+    An eps0 at or past the target has an empty orbit below it, so gives 1.
     """
-    if not 0.0 < eps0 <= eps_target <= 1.0:
-        raise ValueError("need 0 < eps0 <= eps_target <= 1")
     return math.prod((1.0 + e * e for e in forward_orbit(eps0, eps_target)[:-1]), start=1.0)
 
 

@@ -14,8 +14,8 @@ Exit codes: 0 success, 1 validation error, 2 conformance/assertion failure
 (``pipeline``: a trial left a one in its clean prefix or yielded no bits).
 Every emitted byte is a function of (config, seed); trial parallelism
 (``--jobs``) merges results in seed order so it never changes output bytes.
-``SPINREF_SEED`` provides the default seed and must be an integer.  Flags
-are matched exactly, never by prefix.
+``SPINREF_SEED`` provides the default seed and must be an integer >= 0.
+Flags are matched exactly, never by prefix.
 """
 
 from __future__ import annotations
@@ -39,9 +39,12 @@ EXIT_CONFORMANCE = 2
 def _default_seed():
     value = os.environ.get("SPINREF_SEED", "0")
     try:
-        return int(value)
+        seed = int(value)
+        if seed >= 0:
+            return seed
     except ValueError:
-        raise ValueError(f"SPINREF_SEED must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"SPINREF_SEED must be an integer >= 0, got {value!r}")
 
 
 # flag -> (add_argument options, default); a flag left unset takes the
@@ -89,13 +92,15 @@ _LEAST_N = {
 }
 
 # flag -> (valid value test, message), checked in this order when read, after
-# --n; --periods and --tol belong to arch and bench alone
+# --n; --pattern, --periods and --tol belong to arch and bench alone
 _CHECKS = {
     "trials": (lambda v: v >= 1, "--trials must be >= 1"),
     "jobs": (lambda v: v >= 1, "--jobs must be >= 1"),
     "epsilon": (lambda v: 0.0 < v <= 1.0, "--epsilon must lie in (0, 1]"),
     "target_bias": (lambda v: 0.0 < v < 1.0, "--target-bias must lie in (0, 1)"),
     "ell": (lambda v: v >= 1, "--ell must be >= 1"),
+    "seed": (lambda v: v >= 0, "--seed must be >= 0"),
+    "pattern": (lambda v: v.upper() in ("ABC", "ABCD"), "--pattern must be ABC or ABCD"),
     "periods": (lambda v: v >= 1, "--periods must be >= 1"),
     "tol": (lambda v: v >= 0.0, "--tol must be a number >= 0"),  # nan fails too
 }
@@ -196,7 +201,7 @@ def _resolve(args):
         least, purpose = _LEAST_N[args.which if args.command == "phase" else 3]
         if merged.n < least:
             raise ValueError(f"--n must be >= {least}{purpose}")
-    checked = flags + {"arch": ("periods",), "bench": ("tol",)}.get(args.command, ())
+    checked = flags + {"arch": ("pattern", "periods"), "bench": ("tol",)}.get(args.command, ())
     for key, (valid, message) in _CHECKS.items():
         if key in checked and not valid(getattr(merged, key)):
             raise ValueError(message)
@@ -356,7 +361,7 @@ def _cmd_arch(args, outdir):
             }
         )
         ok = fixed and adv
-    elif pattern == ("A", "B", "C"):
+    else:
         spec = polymer.single_tape_spec(args.periods)
         rs = polymer.realize_abstract_shift(spec)
         n = spec.ring_length
@@ -373,8 +378,6 @@ def _cmd_arch(args, outdir):
             }
         )
         ok = closes
-    else:
-        raise ValueError("arch verification supports patterns ABC and ABCD")
     reports.write_text(outdir / "arch.json", reports.to_json(payload))
     return EXIT_OK if ok else EXIT_CONFORMANCE
 
@@ -429,8 +432,6 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         args = _resolve(args)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         handler = {
             "pipeline": _cmd_pipeline,
             "phase": _cmd_phase,
@@ -439,8 +440,8 @@ def main(argv=None):
             "equiv": _cmd_equiv,
             "bench": _cmd_bench,
         }[args.command]
-        return handler(args, outdir)
-    except (ValueError, OSError, cooling.CoolingError) as exc:
+        return handler(args, Path(args.out))
+    except (ValueError, OSError) as exc:
         print(f"spinref: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,6 +7,7 @@ repr-stable formatting, JSON with sorted keys and no whitespace drift.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 # the round-trace columns, in order, of both rounds.csv and the JSON rows
 ROUND_FIELDS = (
@@ -43,5 +44,7 @@ def orbit_to_csv(name, values):
 
 
 def write_text(path, text):
+    """Write ``text`` to ``path``, making its directory first if need be."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(text)

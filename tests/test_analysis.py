@@ -93,6 +93,7 @@ def test_phase1_overhead_constants():
     # low-bias region contributes almost nothing
     assert phase1_overhead(1e-6, 0.02) ** 2 < 1.0017
     assert phase1_overhead(0.3, 0.3) == 1.0
+    assert phase1_overhead(0.9, 0.856) == 1.0
 
 
 def test_phase2_bounds_worked_example():

@@ -156,6 +156,11 @@ def test_invalid_value_rejected_naming_its_flag(tmp_path, capsys, argv, flag):
     (["arch", "--periods", "0"], "--periods must be >= 1"),
     (["bench", "--tol", "-1"], "--tol must be a number >= 0"),
     (["bench", "--tol", "nan"], "--tol must be a number >= 0"),
+    (["pipeline", "--seed", "-1"], "--seed must be >= 0"),
+    (["phase", "2", "--seed", "-1"], "--seed must be >= 0"),
+    (["equiv", "--seed", "-1"], "--seed must be >= 0"),
+    (["bench", "--seed", "-1"], "--seed must be >= 0"),
+    (["arch", "--pattern", "ABCDE"], "--pattern must be ABC or ABCD"),
 ])
 def test_out_of_range_value_rejected_naming_its_flag(tmp_path, capsys, monkeypatch, argv,
                                                      message):
@@ -177,11 +182,13 @@ def test_smallest_n_each_run_takes_is_accepted(tmp_path):
 
 @pytest.mark.parametrize("n,rounds", [(1, 0), (5, 2), (20, 2)])
 def test_phase_1_too_few_bits_names_n(tmp_path, capsys, n, rounds):
-    argv = ["phase", "1", "--n", str(n), "--seed", "3", "--out", str(tmp_path)]
+    out = tmp_path / "o"
+    argv = ["phase", "1", "--n", str(n), "--seed", "3", "--out", str(out)]
     assert run(argv) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith(
         f"spinref: --n {n} is too small: population exhausted after {rounds} pairing rounds;"
     )
+    assert not out.exists()
 
 
 # (subcommand, flags it does not read, so does not accept); a case's test id
@@ -246,6 +253,15 @@ def test_analyze_paper_orbit(tmp_path):
     assert len(orbit) == 9  # header + 8 orbit points
 
 
+@pytest.mark.parametrize("epsilon", ["0.9", "1"])
+def test_analyze_at_or_past_the_target_bias(tmp_path, epsilon):
+    # no pairing round is planned, so phase 1 costs no bits
+    argv = ["analyze", "--epsilon", epsilon, "--n", "64", "--out", str(tmp_path)]
+    assert run(argv) == cli.EXIT_OK
+    payload = json.loads(read(tmp_path / "analysis.json"))
+    assert payload["phase1_rounds"] == 0 and payload["phase1_overhead_sq"] == 1.0
+
+
 def test_arch_two_tape(tmp_path):
     assert (
         run(["arch", "--pattern", "ABCD", "--periods", "3", "--out", str(tmp_path)])
@@ -308,6 +324,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     ({"n": "1000"}, "--n"),
     ({"n": 1000.5}, "--n"),
     ({"n": 1000, "trials": True}, "--trials"),
+    ({"n": 1000, "seed": -1}, "--seed"),
 ])
 def test_config_values_checked_like_flags(tmp_path, capsys, config, flag):
     cfg = tmp_path / "cfg.json"
@@ -346,8 +363,9 @@ def test_env_seed_default(tmp_path, monkeypatch):
     assert ledger["config"]["seed"] == 77
 
 
-def test_env_seed_must_be_an_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SPINREF_SEED", "abc")
+@pytest.mark.parametrize("value", ["abc", "-2"])
+def test_env_seed_must_be_an_integer(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("SPINREF_SEED", value)
     out = tmp_path / "o"
     assert run(["phase", "1", "--n", "1000", "--out", str(out)]) == cli.EXIT_USAGE
     assert "SPINREF_SEED" in capsys.readouterr().err
