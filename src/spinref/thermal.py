@@ -6,7 +6,8 @@ Bits are 0 with probability (1+eps)/2.  Two distribution models:
 * ``markov``   -- a stationary two-state chain whose +/-1 spin encoding has
   Pearson autocorrelation rho**d at lag d, with rho = (1/10)**(1/ell), so
   the correlation at the declared distance ell equals the threshold 1/10.
-  Realized as copy-with-probability-rho / refresh.
+  Realized as copy-with-probability-rho / refresh: each refresh starts a
+  run that repeats its fresh value, filled 64 cells per uint64 word.
 
 All randomness is owned by the caller through explicit seeds; samplers are
 pure functions of (model, n, seed).  One draw loop serves both ways of
@@ -109,12 +110,55 @@ def sample(model, n, seed):
         return _below(rng, n, model.p_one)
     # markov: X_t copies X_{t-1} with prob rho, else refreshes from the
     # stationary marginal; draw order is the copy coins first, then values.
-    # Each refresh starts a run that repeats its fresh value.
+    # Each refresh starts a run that repeats its fresh value (``_fill_runs``).
     copy = _below(rng, n, model.rho)
     fresh = _below(rng, n, model.p_one)
     copy[0] = 0
-    starts = np.flatnonzero(copy == 0)
-    return np.repeat(fresh[starts], np.diff(starts, append=n))
+    return _fill_runs(copy, fresh)
+
+
+# typed scalars for the word arithmetic: numpy before 2.0 casts uint64 with
+# a Python int operand to float64
+_ONE, _B63, _ALL = np.uint64(1), np.int64(63), ~np.uint64(0)
+
+
+def _words(flags):
+    """0/1 flags packed little-endian, 64 to a uint64 word, zero-padded."""
+    packed = np.packbits(flags, bitorder="little")
+    words = np.zeros(-(-len(packed) // 8), "<u8")
+    words.view(np.uint8)[: len(packed)] = packed
+    return words
+
+
+def _fill_runs(copy, fresh):
+    """out[t] = fresh[t] where copy[t] is 0 (a start), else out[t - 1];
+    copy[0] must be 0.  Computed 64 cells per uint64 word, so the cost
+    grows with n but not with the number of runs.
+
+    In a word, with U the copy bits, S = ~U the starts and V = S & fresh
+    the starts of value 1, a cell is 1 iff it is in V or it is a copy
+    behind a 1-start: x = V | ((U + (V << 1)) ^ U) & U.  The carry that
+    ``V << 1`` puts on the cell after a 1-start runs up through the ones
+    of U, the copies, and stops at the first zero of U, which is the next
+    start; a 0-start adds no carry, so the copies behind it stay 0.  A
+    carry out of bit 63 is dropped.  Across words, a word's leading
+    copies, (S & -S) - 1 (all ones when the word has no start), take the
+    value of the last cell, bit 63, of the nearest earlier word that has a
+    start.
+    """
+    u = _words(copy)
+    s = ~u
+    v = s & _words(fresh)
+    x = v | (((u + (v << _ONE)) ^ u) & u)
+    has = s != 0
+    # the nearest word at or before each one that has a start (word 0 has
+    # one, cell 0 being a start), and its bit 63 spread over the word
+    last = np.maximum.accumulate(np.where(has, np.arange(len(s)), 0))
+    fill = np.zeros(len(x), np.int64)
+    fill[1:] = x.view(np.int64)[last[:-1]] >> _B63
+    lead = np.where(has, (s & (~s + _ONE)) - _ONE, _ALL)
+    x |= lead & fill.view(np.uint64)
+    return np.unpackbits(x.astype("<u8", copy=False).view(np.uint8), count=len(copy), bitorder="little")
 
 
 def sample_pieces(model, n, seed, size):

@@ -111,6 +111,55 @@ def test_sample_pieces_are_the_sample_in_order(n, size, eps, seed):
     assert np.array_equal(np.concatenate(pieces), sample(model, n, seed))
 
 
+def _run_length_fill(copy, fresh):
+    """The run-length fill ``thermal._fill_runs`` replaced: each start's
+    fresh value repeated up to the next start."""
+    starts = np.flatnonzero(copy == 0)
+    return np.repeat(fresh[starts], np.diff(starts, append=len(copy)))
+
+
+def _all_words(n):
+    """Every n-bit 0/1 pattern, one per row."""
+    return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+
+def test_fill_runs_equals_the_run_length_fill_on_every_small_input():
+    # every (copy, fresh) pair with copy[0] = 0 up to n = 9: each alone up to
+    # n = 6, and all of one n as consecutive segments of one input, whose
+    # fill is the fills of its segments since a start opens each one
+    for n in range(1, 10):
+        cells = _all_words(n)
+        copies, fresh = np.repeat(cells[::2], len(cells), axis=0), np.tile(cells, (len(cells) // 2, 1))
+        if n <= 6:
+            for c, f in zip(copies, fresh):
+                assert np.array_equal(thermal._fill_runs(c, f), _run_length_fill(c, f)), (c, f)
+        c, f = copies.ravel(), fresh.ravel()
+        assert np.array_equal(thermal._fill_runs(c, f), _run_length_fill(c, f)), n
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 4095, 4096, 4097])
+@pytest.mark.parametrize("rate", [0.0, 0.3, 0.8, 0.97, 1.0])
+def test_fill_runs_equals_the_run_length_fill_across_words(n, rate):
+    rng = np.random.default_rng([n, int(100 * rate)])
+    for _ in range(4):
+        copy = (rng.random(n) < rate).astype(np.uint8)
+        copy[0] = 0
+        fresh = (rng.random(n) < 0.5).astype(np.uint8)
+        out = thermal._fill_runs(copy, fresh)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, _run_length_fill(copy, fresh))
+
+
+@pytest.mark.parametrize("ell", [1, 10, 1000])
+def test_markov_sample_is_the_run_length_fill_of_its_draws(ell):
+    model, n, seed = BiasModel("markov", 0.25, ell=ell), 10**5 + 3, 11
+    rng = np.random.default_rng(seed)
+    copy = (rng.random(n) < model.rho).astype(np.uint8)
+    fresh = (rng.random(n) < model.p_one).astype(np.uint8)
+    copy[0] = 0
+    assert np.array_equal(sample(model, n, seed), _run_length_fill(copy, fresh))
+
+
 def test_sample_pieces_refuse_markov_and_empty_draws():
     with pytest.raises(ValueError, match="binomial"):
         thermal.sample_pieces(BiasModel("markov", 0.25, ell=3), 10, 0, 4)
