@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -170,11 +170,9 @@ def _steps(phase, k, length, window):
     return (q * _cost(phase, k, window) if q else 0) + _cost(phase, k, tail)
 
 
-# typed scalars for the numpy comparisons: a Python int operand costs a
-# conversion on every call, most of a microsecond per small round.  Row sums
-# of uint8 bits are uint64.
+# typed scalars for the pair-word test: a Python int operand costs a
+# conversion on every call, most of a microsecond per small round
 _W1, _W255 = np.uint16(1), np.uint16(255)
-_S0, _S1, _S3 = np.uint64(0), np.uint64(1), np.uint64(3)
 
 # rows decided and selected per slice: a flag, or an index, over every row
 # of a 10**7-bit round would take more memory than the round's output
@@ -207,12 +205,14 @@ def _round(phase, pieces, k, window, rng, bias_pred, round_index):
     ones-count is a multiple of 2 (pairing, k = 2, and parity binning: h =
     1) or of 4 (mod-4 counting: h = 3).  A piece of at most ``_FEW`` rows is
     decided on Python lists; a longer one ``_SLICE`` rows at a time, pairs
-    read as uint16 words and other rows by their sums.  Every kept payload
-    is appended to one buffer as it is decided, so a streamed input is never
-    held whole, and only the last piece may end in a part row.  ``u``,
+    read as uint16 words and other rows by their sums, taken with
+    ``np.einsum`` in the smallest unsigned type that holds k, so a sum is
+    exact at any k.  Every kept payload is appended to one buffer as it is
+    decided, so a streamed input is never held whole, and only the last
+    piece may end in a part row.  ``u``,
     the count of rows holding exactly one 1, is recorded in phase 2 only.
     """
-    h, mask, mask64 = (3, 3, _S3) if phase == 3 else (1, 1, _S1)
+    h, mask = (3, 3) if phase == 3 else (1, 1)
     buf = bytearray()
     n_in = ones_in = ones_out = u = 0
     for piece in pieces:
@@ -234,15 +234,17 @@ def _round(phase, pieces, k, window, rng, bias_pred, round_index):
             continue
         if phase == 1:
             second, words = _pairs(rows)
+        else:
+            acc = np.min_scalar_type(k)
         for lo in range(0, len(rows), _SLICE):
             if phase == 1:
                 kept = second[lo : lo + _SLICE].compress(_equal(words[lo : lo + _SLICE]))
             else:
                 part = rows[lo : lo + _SLICE]
-                s = part.sum(axis=1)
-                kept = part[:, h:].compress((s & mask64) == _S0, axis=0)
+                s = np.einsum("ij->i", part, dtype=acc)
+                kept = part[:, h:].compress((s & mask) == 0, axis=0)
                 if phase == 2:
-                    u += int(np.count_nonzero(s == _S1))
+                    u += int(np.count_nonzero(s == 1))
             buf += kept.data
             ones_out += int(np.count_nonzero(kept))
             del kept  # held into the next slice, it would raise a direct run's peak
@@ -561,13 +563,13 @@ def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
                 for arch, c in _arch_gather_cost(length).items():
                     steps[arch] += c
             bits, rec = round_fn(bits, round_index=i, window=m)
-            total = rec.steps + n
-            steps["single"] += total
-            steps["two_tape"] += total
+            rec.steps += n
+            steps["single"] += rec.steps
+            steps["two_tape"] += rec.steps
             # windows run in parallel: costs grow with length, so the widest
             # window sets the pace
             steps["two_tape_ca"] += _cost(rec.phase, rec.k or 2, min(m, length))
-            records.append(replace(rec, steps=total))
+            records.append(rec)
             length = len(bits)
 
     for arch, c in _arch_gather_cost(n).items():

@@ -156,6 +156,29 @@ def test_phase2_round_records_u():
     assert rec.k == 3
 
 
+def _wide_rows(k, weights, filler, seed):
+    """Rows of k bits with the given ones-counts at random places, then
+    ``filler`` all-zero rows: few rows take the list path, many numpy's."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((len(weights) + filler, k), np.uint8)
+    for r, w in zip(rows, weights):
+        r[rng.permutation(k)[:w]] = 1
+    return rows
+
+
+@pytest.mark.parametrize("filler", [0, 2 * cooling._FEW])
+def test_phase2_counts_bins_wider_than_255_by_exact_sums(filler):
+    # a bin of 257 ones is odd and holds more than one 1; a sum kept in
+    # uint8 would read it as 1
+    k = 300
+    rows = _wide_rows(k, [257, 1, 256, 0], filler, seed=filler)
+    out, rec = phase2_round(rows.ravel(), k, seed=None)
+    assert rec.u == 1
+    kept = [r[1:] for r in rows if r.sum() % 2 == 0]
+    assert np.array_equal(out, np.concatenate(kept))
+    assert rec.ones_out == 256 - int(rows[2, 0])
+
+
 def test_phase2_remainder_discarded():
     out, rec = phase2_round(bits_of(0, 0, 0, 1, 1), 3, seed=None)
     assert list(out) == [0, 0]
@@ -264,6 +287,16 @@ def test_phase3_pass_predicate_exhaustive_small():
         ]
         flat = [b for chunk in expected for b in chunk]
         assert np.array_equal(out, np.array(flat, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("filler", [0, 2 * cooling._FEW])
+def test_phase3_keeps_blocks_wider_than_255_by_exact_sums(filler):
+    k = 300
+    rows = _wide_rows(k, [256, 258, 4], filler, seed=filler)
+    out, rec = phase3_round(rows.ravel(), k)
+    kept = [r[3:] for i, r in enumerate(rows) if i != 1]
+    assert np.array_equal(out, np.concatenate(kept))
+    assert rec.ones_out == 260 - int(rows[0, :3].sum() + rows[2, :3].sum())
 
 
 def test_phase3_run_certified_rounds():
