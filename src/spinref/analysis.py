@@ -9,7 +9,7 @@ ledger, and log-log runtime-exponent fits.  No sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -311,7 +311,8 @@ class YieldLedger:
     within_entropy_cap: bool = False
 
     def as_dict(self):
-        return asdict(self)
+        # flat: no field holds a dataclass, so asdict's recursive copy is waste
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def yield_ledger(eps, n, clean_bits):
