@@ -117,14 +117,9 @@ def sample(model, n, seed):
     return _fill_runs(copy, fresh)
 
 
-# typed scalars for the word arithmetic: numpy before 2.0 casts uint64 with
-# a Python int operand to float64
-_ONE, _B63, _ALL = np.uint64(1), np.int64(63), ~np.uint64(0)
-
-
 def _words(flags):
-    """0/1 flags packed little-endian, 64 to a uint64 word, zero-padded."""
-    packed = np.packbits(flags, bitorder="little")
+    """0/1 uint8 flags packed little-endian, 64 to a uint64 word, zero-padded."""
+    packed = np.packbits(flags.view(bool), bitorder="little")
     words = np.zeros(-(-len(packed) // 8), "<u8")
     words.view(np.uint8)[: len(packed)] = packed
     return words
@@ -132,8 +127,18 @@ def _words(flags):
 
 def _fill_runs(copy, fresh):
     """out[t] = fresh[t] where copy[t] is 0 (a start), else out[t - 1];
-    copy[0] must be 0.  Computed 64 cells per uint64 word, so the cost
-    grows with n but not with the number of runs.
+    copy[0] must be 0.  Computed 64 cells per uint64 word (``_fill_words``),
+    so the cost grows with n but not with the number of runs.  The word
+    temporaries are gone before the n-byte output is made, so the peak is
+    about an eighth of a byte per cell above the inputs and the output.
+    """
+    x = _fill_words(_words(copy), _words(fresh))
+    return np.unpackbits(x.astype("<u8", copy=False).view(np.uint8), count=len(copy), bitorder="little")
+
+
+def _fill_words(u, fresh):
+    """``_fill_runs`` on packed words: u the copy words, ``fresh`` the
+    fresh words (overwritten).
 
     In a word, with U the copy bits, S = ~U the starts and V = S & fresh
     the starts of value 1, a cell is 1 iff it is in V or it is a copy
@@ -144,21 +149,29 @@ def _fill_runs(copy, fresh):
     carry out of bit 63 is dropped.  Across words, a word's leading
     copies, (S & -S) - 1 (all ones when the word has no start), take the
     value of the last cell, bit 63, of the nearest earlier word that has a
-    start.
+    start.  The arithmetic runs in place: at 3^15 cells a fresh array per
+    step measured 10-25% slower.
     """
-    u = _words(copy)
     s = ~u
-    v = s & _words(fresh)
-    x = v | (((u + (v << _ONE)) ^ u) & u)
-    has = s != 0
+    v = fresh
+    v &= s
+    x = v << 1
+    x += u
+    x ^= u
+    x &= u
+    x |= v
     # the nearest word at or before each one that has a start (word 0 has
-    # one, cell 0 being a start), and its bit 63 spread over the word
-    last = np.maximum.accumulate(np.where(has, np.arange(len(s)), 0))
-    fill = np.zeros(len(x), np.int64)
-    fill[1:] = x.view(np.int64)[last[:-1]] >> _B63
-    lead = np.where(has, (s & (~s + _ONE)) - _ONE, _ALL)
-    x |= lead & fill.view(np.uint64)
-    return np.unpackbits(x.astype("<u8", copy=False).view(np.uint8), count=len(copy), bitorder="little")
+    # one, cell 0 being a start), and its bit 63 spread over a word
+    last = np.arange(len(x))
+    last *= s != 0
+    np.maximum.accumulate(last, out=last)
+    carry = (x.view(np.int64)[last[:-1]] >> 63).view(np.uint64)
+    lead = np.negative(s)
+    lead &= s
+    lead -= 1
+    carry &= lead[1:]
+    x[1:] |= carry
+    return x
 
 
 def sample_pieces(model, n, seed, size):
