@@ -118,17 +118,12 @@ def _run_length_fill(copy, fresh):
     return np.repeat(fresh[starts], np.diff(starts, append=len(copy)))
 
 
-def _all_words(n):
-    """Every n-bit 0/1 pattern, one per row."""
-    return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-
-
 def test_fill_runs_equals_the_run_length_fill_on_every_small_input():
     # every (copy, fresh) pair with copy[0] = 0 up to n = 9: each alone up to
     # n = 6, and all of one n as consecutive segments of one input, whose
     # fill is the fills of its segments since a start opens each one
     for n in range(1, 10):
-        cells = _all_words(n)
+        cells = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
         copies, fresh = np.repeat(cells[::2], len(cells), axis=0), np.tile(cells, (len(cells) // 2, 1))
         if n <= 6:
             for c, f in zip(copies, fresh):
