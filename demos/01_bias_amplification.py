@@ -32,7 +32,7 @@ def main():
     # watch one Monte Carlo run track the recurrence
     n, eps = 10**6, 0.2
     bits = thermal.sample(thermal.BiasModel("binomial", eps), n, seed=1)
-    out, recs = cooling.phase1_run(bits, eps0=eps)
+    out, recs = cooling.run_rounds(bits, cooling.plan_rounds(analysis.forward_orbit(eps)))
     print(f"\nempirical run at n={n}, eps={eps}:")
     for r in recs:
         print(

@@ -2,8 +2,8 @@
 
 Everything here is pure arithmetic: the bias-doubling recurrence of the
 pairing phase and its exact inverse, the parity-binning bounds, the mod-4
-counting recurrence, polarization and entropy formulas, the bit-yield
-ledger, and log-log runtime-exponent fits.  No sampling.
+counting recurrence, entropy formulas, the bit-yield ledger, and log-log
+runtime-exponent fits.  No sampling.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 __all__ = [
-    "PolarizationParams",
     "TARGET_BIAS",
-    "epsilon_thermal",
     "bias_forward",
     "bias_backward",
     "forward_orbit",
@@ -39,28 +37,6 @@ __all__ = [
     "LEDGER_FACTORS",
     "ledger_constant",
 ]
-
-
-# ---------------------------------------------------------------------------
-# polarization
-
-
-@dataclass(frozen=True)
-class PolarizationParams:
-    """CGS inputs for the thermal polarization: moment, field, temperature."""
-
-    mu: float
-    B0: float
-    T: float
-
-    def __post_init__(self):
-        if min(self.mu, self.B0, self.T) < 0 or min(self.mu, self.T) == 0:
-            raise ValueError("polarization parameters must be positive (B0 may be 0)")
-
-
-def epsilon_thermal(params):
-    """Equilibrium orientation bias eps = mu*B0/(kB*T), kB = 1e-16 erg/K."""
-    return params.mu * params.B0 / (1e-16 * params.T)
 
 
 # ---------------------------------------------------------------------------

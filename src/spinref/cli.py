@@ -56,7 +56,7 @@ _FLAGS = {
     "ell": ({"type": int}, 10),
     "seed": ({"type": int}, None),  # SPINREF_SEED when resolved
     "trials": ({"type": int}, 1),
-    "target_bias": ({"type": float}, cooling.Phase1Config().target_bias),
+    "target_bias": ({"type": float}, analysis.TARGET_BIAS),
     "format": ({"choices": ["csv", "json"]}, "csv"),
     "mode": ({"choices": ["binomial-direct", "shuffled-blocks"]}, "binomial-direct"),
     "jobs": ({"type": int}, 1),
@@ -226,8 +226,8 @@ def _records_payload(records, fmt, outdir, stem):
 
 
 def _pipeline_trial(payload):
-    model, n, seed, mode, p1config = payload
-    res = cooling.pipeline(model, n, seed, mode=mode, p1config=p1config)
+    model, n, seed, mode, target_bias = payload
+    res = cooling.pipeline(model, n, seed, mode=mode, target_bias=target_bias)
     return {
         "seed": seed,
         "clean_bits": res.clean_bits,
@@ -247,8 +247,8 @@ def _map_trials(fn, payloads, jobs):
 
 def _cmd_pipeline(args, outdir):
     model = _model(args)
-    p1config = cooling.Phase1Config(target_bias=args.target_bias)
-    payloads = [(model, args.n, args.seed + t, args.mode, p1config) for t in range(args.trials)]
+    payloads = [(model, args.n, args.seed + t, args.mode, args.target_bias)
+                for t in range(args.trials)]
     results = _map_trials(_pipeline_trial, payloads, args.jobs)
     _records_payload(results[0]["records"], args.format, outdir, "rounds")
     summary = {
@@ -284,22 +284,24 @@ def _cmd_phase(args, outdir):
     # phases 2 and 3 take bits already at the level their plan enters at
     if args.which == 1:
         bits = thermal.sample(_model(args), args.n, args.seed)
-        try:
-            out, recs = cooling.phase1_run(
-                bits, cooling.Phase1Config(target_bias=args.target_bias), eps0=args.epsilon
-            )
-        except cooling.CoolingError as exc:
-            # the bits the pairing rounds need depend on the draw, so a too
-            # small --n shows only when they run out
-            raise ValueError(f"--n {args.n} is too small: {exc}") from exc
+        rounds = cooling.plan_rounds(analysis.forward_orbit(args.epsilon, args.target_bias))
     elif args.which == 2:
         delta0 = cooling.PHASE2_DELTA_MAX
         bits = _entry_bits(delta0, args.n, args.seed)
-        out, recs = cooling.phase2_run(bits, args.n, seed=args.seed, delta0=delta0)
+        rounds = cooling.plan_rounds(phase2=cooling.phase2_plan(delta0, args.n),
+                                     seed=np.random.SeedSequence(args.seed))
     else:
-        delta0 = analysis.phase3_certificate(args.n).deltas[0]
-        bits = _entry_bits(delta0, args.n, args.seed)
-        out, recs = cooling.phase3_run(bits, args.n, delta0=delta0)
+        cert = analysis.phase3_certificate(args.n)
+        bits = _entry_bits(cert.deltas[0], args.n, args.seed)
+        rounds = cooling.plan_rounds(certificate=cert)
+    out, recs = cooling.run_rounds(bits, rounds)
+    short = [rec.round for rec in recs if rec.phase == 1 and rec.n_in < 2]
+    if short:
+        # the bits the pairing rounds need depend on the draw, so a too
+        # small --n shows only when they run out
+        raise ValueError(f"--n {args.n} is too small: population exhausted after {short[0]} "
+                         f"pairing rounds; {len(recs) - short[0]} more needed to reach bias "
+                         f"{args.target_bias}")
     _records_payload(recs, args.format, outdir, f"phase{args.which}_rounds")
     summary = {
         "n_in": int(args.n),
@@ -312,7 +314,7 @@ def _cmd_phase(args, outdir):
 
 
 def _cmd_analyze(args, outdir):
-    plan = cooling.make_plan(args.epsilon, args.n, cooling.Phase1Config(args.target_bias))
+    plan = cooling.make_plan(args.epsilon, args.n, args.target_bias)
     reports.write_text(outdir / "bias_orbit.csv", reports.orbit_to_csv("epsilon", plan.orbit))
     back = analysis.backward_orbit(args.target_bias, max(len(plan.orbit) - 1, 7))
     reports.write_text(outdir / "bias_orbit_backward.csv", reports.orbit_to_csv("epsilon", back))

@@ -11,8 +11,11 @@ recurrences, never by peeking at the data, so the machine realization stays
 oblivious; the empirical trace is recorded for validation only.
 ``make_plan`` fixes them all in one ``Plan``, and with them each round's
 predicted output bias, which the round kernels record as given (NaN when
-called without a plan).  A round runs on a flat bit array, optionally cut
-into consecutive windows of one width, the last one possibly short, that no
+called without a plan).  ``plan_rounds`` binds a plan's rounds, or one
+phase's part of them, into one list of kernel calls, and ``run_rounds``
+runs such a list: ``pipeline`` and ``spinref phase`` run no other round
+loop.  A round runs on a flat bit array, optionally cut into consecutive
+windows of one width, the last one possibly short, that no
 pair, bin or block straddles; the pipeline cuts the survivors into windows
 afresh before every round.  One kernel, ``_round``, runs every round of
 the three phases, on an array or on a stream of pieces; a piece of at most
@@ -36,38 +39,20 @@ import numpy as np
 from . import analysis, compiler, perms, thermal
 
 __all__ = [
-    "CoolingError",
-    "Phase1Config",
     "RoundRecord",
     "Plan",
     "make_plan",
+    "plan_rounds",
+    "run_rounds",
     "choose_k",
     "phase1_round",
-    "phase1_run",
     "phase2_round",
     "phase2_plan",
-    "phase2_run",
     "phase3_round",
-    "phase3_run",
     "block_size",
     "pipeline",
     "PipelineResult",
 ]
-
-
-class CoolingError(RuntimeError):
-    """A phase could not proceed as planned (e.g. population exhausted)."""
-
-
-@dataclass(frozen=True)
-class Phase1Config:
-    """Stop threshold for the pairing phase."""
-
-    target_bias: float = analysis.TARGET_BIAS
-
-    def __post_init__(self):
-        if not 0.0 < self.target_bias < 1.0:
-            raise ValueError("target bias must lie in (0, 1)")
 
 
 # Parity-binning regions (right-inclusive): ones-fraction range -> bin size.
@@ -276,29 +261,6 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, window=None):
     return out, rec
 
 
-def phase1_run(bits, config=None, *, eps0):
-    """Pairing rounds until the predicted bias passes the target.
-
-    The round count comes from the forward orbit of the declared input bias
-    ``eps0``, matching the backward-orbit count; it never adapts to the
-    data.  Raises ``CoolingError`` if the population runs out before the
-    planned rounds finish.
-    """
-    cfg = config or Phase1Config()
-    bits = np.asarray(bits, dtype=np.uint8)
-    orbit = analysis.forward_orbit(eps0, cfg.target_bias)
-    records = []
-    for r, eps_pred in enumerate(orbit[1:]):
-        if len(bits) < 2:
-            raise CoolingError(
-                f"population exhausted after {r} pairing rounds; "
-                f"{len(orbit) - 1 - r} more needed to reach bias {cfg.target_bias}"
-            )
-        bits, rec = phase1_round(bits, bias_pred=eps_pred, round_index=r)
-        records.append(rec)
-    return bits, records
-
-
 # ---------------------------------------------------------------------------
 # phase 2: parity binning
 
@@ -355,21 +317,6 @@ def phase2_plan(delta0, n):
     return plan
 
 
-def phase2_run(bits, n, seed=0, *, delta0):
-    """Run the planned parity-binning rounds with per-round reshuffles,
-    entered at the declared ones-fraction ``delta0``."""
-    plan = phase2_plan(delta0, n)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(len(plan)) if plan else []
-    records = []
-    for i, (pr, child) in enumerate(zip(plan, children)):
-        bits, rec = phase2_round(
-            bits, pr.k, seed=child, bias_pred=1.0 - 2.0 * pr.delta_out, round_index=i
-        )
-        records.append(rec)
-    return bits, records
-
-
 # ---------------------------------------------------------------------------
 # phase 3: mod-4 counting
 
@@ -386,17 +333,6 @@ def phase3_round(bits, k, bias_pred=math.nan, round_index=0, window=None):
     if k < 4:
         raise ValueError("block size must be >= 4")
     return _round(3, (bits,), k, window, None, bias_pred, round_index)
-
-
-def phase3_run(bits, n, *, delta0):
-    """Run the certified number of mod-4 rounds for population budget n,
-    entered at the declared ones-fraction ``delta0``."""
-    cert = analysis.phase3_certificate(n, delta0=delta0)
-    records = []
-    for r, delta in enumerate(cert.deltas[1:]):
-        bits, rec = phase3_round(bits, cert.k, bias_pred=1.0 - 2.0 * delta, round_index=r)
-        records.append(rec)
-    return bits, records
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +352,50 @@ class Plan:
     certificate: analysis.Phase3Certificate
 
 
-def make_plan(epsilon, n, p1config=None):
-    """The ``Plan`` for declared bias ``epsilon`` in (0, 1] and population n."""
+def make_plan(epsilon, n, target_bias=analysis.TARGET_BIAS):
+    """The ``Plan`` for declared bias ``epsilon`` in (0, 1] and population n,
+    pairing until the predicted bias passes ``target_bias`` in (0, 1)."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon={epsilon} outside (0, 1]")
-    cfg = p1config or Phase1Config()
-    orbit = tuple(analysis.forward_orbit(epsilon, cfg.target_bias))
+    if not 0.0 < target_bias < 1.0:
+        raise ValueError("target bias must lie in (0, 1)")
+    orbit = tuple(analysis.forward_orbit(epsilon, target_bias))
     # the orbit end sits within the threshold slack of the target; clamp the
     # declared phase-2 entry level to the region maximum
     delta2 = min((1.0 - orbit[-1]) / 2.0, PHASE2_DELTA_MAX)
     phase2 = tuple(phase2_plan(delta2, n))
     cert = analysis.phase3_certificate(n, delta0=phase2[-1].delta_out if phase2 else delta2)
     return Plan(epsilon, orbit, delta2, phase2, cert)
+
+
+def plan_rounds(orbit=(), phase2=(), certificate=None, seed=None):
+    """The planned rounds in order, each its kernel with the plan's bin or
+    block size, prediction and round index bound, taking the bits and a
+    ``window``: a pairing round per step of the bias ``orbit``, a
+    parity-binning round per ``PlannedRound`` of ``phase2``, each shuffling
+    from its own child of the root ``SeedSequence`` ``seed``, and the mod-4
+    rounds of the ``certificate``."""
+    children = seed.spawn(len(phase2)) if phase2 else ()
+    rounds = [partial(phase1_round, bias_pred=e, round_index=r) for r, e in enumerate(orbit[1:])]
+    rounds += [
+        partial(phase2_round, k=pr.k, seed=c, bias_pred=1.0 - 2.0 * pr.delta_out, round_index=r)
+        for r, (pr, c) in enumerate(zip(phase2, children))
+    ]
+    if certificate is not None:
+        rounds += [partial(phase3_round, k=certificate.k, bias_pred=1.0 - 2.0 * d, round_index=r)
+                   for r, d in enumerate(certificate.deltas[1:])]
+    return rounds
+
+
+def run_rounds(bits, rounds, window=None):
+    """Run ``rounds`` (``plan_rounds``) in order, each on the survivors of
+    the one before, cut afresh into windows of ``window`` bits; the last
+    survivors and the records."""
+    records = []
+    for round_fn in rounds:
+        bits, rec = round_fn(bits, window=window)
+        records.append(rec)
+    return bits, records
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +450,13 @@ def _arch_gather_cost(n):
     return {"single": n * n, "two_tape": 6 * n, "two_tape_ca": n}
 
 
-def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
+def pipeline(model, n, seed, mode="binomial-direct", target_bias=analysis.TARGET_BIAS):
     """End-to-end run: sample, (permute), cool in three phases, gather; a
     direct run pairs its sample as it is drawn.
 
-    Both modes run one round loop: every round is one call on the flat
-    bits with window width m, so no pair, bin or block straddles two
+    Both modes run the plan's rounds (``plan_rounds``) through
+    ``run_rounds``: every round is one call on the flat bits with window
+    width m, so no pair, bin or block straddles two
     consecutive windows of m bits, the last one possibly short.
     ``binomial-direct`` takes m = n, so one window, and skips the initial
     permutation; it takes a binomial source only, since a correlated one
@@ -519,7 +488,7 @@ def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "binomial-direct" and model.kind != "binomial":
         raise ValueError(f"binomial-direct needs a binomial source, not {model.kind!r}")
-    plan = make_plan(model.epsilon, n, p1config)
+    plan = make_plan(model.epsilon, n, target_bias)
     steps = {"single": 0, "two_tape": 0, "two_tape_ca": 0}
 
     if mode == "binomial-direct":
@@ -541,36 +510,26 @@ def pipeline(model, n, seed, mode="binomial-direct", p1config=None):
             steps[arch] += c
         m = block_size(n)
 
-    ss2 = np.random.SeedSequence((seed, 0x5EED2))
-    rngs = [np.random.default_rng(c) for c in ss2.spawn(len(plan.phase2))]
-    cert = plan.certificate
-    rounds = (
-        [partial(phase1_round, bias_pred=e) for e in plan.orbit[1:]],
-        [partial(phase2_round, k=pr.k, seed=rng, bias_pred=1.0 - 2.0 * pr.delta_out)
-         for pr, rng in zip(plan.phase2, rngs)],
-        [partial(phase3_round, k=cert.k, bias_pred=1.0 - 2.0 * d) for d in cert.deltas[1:]],
-    )
-    records, length = [], n
-    for phase, phase_rounds in enumerate(rounds, 1):
-        if phase == 3 and plan.phase2:
-            w = plan.phase2[-1].k - 1
-            bits, inv = _transpose(bits, w, w * max(1, m // w))
-            for arch, c in _arch_init_cost(length, inv).items():
+    head = plan_rounds(plan.orbit, plan.phase2, seed=np.random.SeedSequence((seed, 0x5EED2)))
+    bits, records = run_rounds(bits, head, m)
+    if plan.phase2:
+        w = plan.phase2[-1].k - 1
+        bits, inv = _transpose(bits, w, w * max(1, m // w))
+        for arch, c in _arch_init_cost(len(bits), inv).items():
+            steps[arch] += c
+    bits, mod4 = run_rounds(bits, plan_rounds(certificate=plan.certificate), m)
+    records += mod4
+    for i, rec in enumerate(records):
+        if i and mode == "shuffled-blocks":
+            # regroup the survivors into fresh windows
+            for arch, c in _arch_gather_cost(rec.n_in).items():
                 steps[arch] += c
-        for i, round_fn in enumerate(phase_rounds):
-            if records and mode == "shuffled-blocks":
-                # regroup the survivors into fresh windows
-                for arch, c in _arch_gather_cost(length).items():
-                    steps[arch] += c
-            bits, rec = round_fn(bits, round_index=i, window=m)
-            rec.steps += n
-            steps["single"] += rec.steps
-            steps["two_tape"] += rec.steps
-            # windows run in parallel: costs grow with length, so the widest
-            # window sets the pace
-            steps["two_tape_ca"] += _cost(rec.phase, rec.k or 2, min(m, length))
-            records.append(rec)
-            length = len(bits)
+        rec.steps += n
+        steps["single"] += rec.steps
+        steps["two_tape"] += rec.steps
+        # windows run in parallel: costs grow with length, so the widest
+        # window sets the pace
+        steps["two_tape_ca"] += _cost(rec.phase, rec.k or 2, min(m, rec.n_in))
 
     for arch, c in _arch_gather_cost(n).items():
         steps[arch] += c

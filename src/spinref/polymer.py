@@ -35,7 +35,6 @@ __all__ = [
     "PulseSequence",
     "single_tape_spec",
     "two_tape_spec",
-    "ca_spec",
     "induced_permutation",
     "track_decomposition",
     "two_tape_rotate_seq",
@@ -45,7 +44,6 @@ __all__ = [
     "realize_abstract_shift",
     "RealizedShift",
     "sequence_to_text",
-    "text_to_sequence",
 ]
 
 
@@ -54,16 +52,12 @@ class PolymerSpec:
     """Ring description: atom-type pattern, period count, special sites.
 
     ``d_site`` is the ring position of the C atom of the C-A boundary that
-    the D atom adjoins (single-tape variant).  ``e_site`` and ``d_spacing``
-    describe the cellular-automaton variant: a D atom every ``d_spacing``
-    periods plus one distinguished E site.
+    the D atom adjoins (single-tape variant).
     """
 
     pattern: tuple
     periods: int
     d_site: int | None = None
-    e_site: int | None = None
-    d_spacing: int | None = None
 
     def __post_init__(self):
         if self.periods < 1:
@@ -75,8 +69,6 @@ class PolymerSpec:
             d = self.d_site % n
             if not (self.type_at(d) == "C" and self.type_at(d + 1) == "A"):
                 raise ValueError("d_site must sit at a C-A boundary")
-        if self.d_spacing is not None and self.periods % self.d_spacing != 0:
-            raise ValueError("d_spacing must divide the period count")
 
     @property
     def ring_length(self):
@@ -97,11 +89,6 @@ def single_tape_spec(periods):
 
 def two_tape_spec(periods):
     return PolymerSpec(("A", "B", "C", "D"), periods)
-
-
-def ca_spec(periods, d_spacing):
-    """ABC ring with a D site every d_spacing periods and one E site."""
-    return PolymerSpec(("A", "B", "C"), periods, e_site=0, d_spacing=d_spacing)
 
 
 @dataclass(frozen=True)
@@ -313,22 +300,3 @@ def sequence_to_text(seq):
         else:
             raise TypeError(f"unknown pulse {pulse!r}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def text_to_sequence(text):
-    seq = PulseSequence()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("P(") and line.endswith(")"):
-                a, b = line[2:-1].split(",")
-                seq.append(TypePulse(a.strip(), b.strip()))
-            elif line.startswith("HEAD "):
-                seq.append(HeadPulse(GATES[line.split()[1]]))
-            else:
-                raise ValueError
-        except (ValueError, KeyError) as exc:
-            raise ValueError(f"bad pulse line {lineno}: {raw!r}") from exc
-    return seq

@@ -19,7 +19,6 @@ direct pipeline's first pairing round) never holds the n bits.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +32,6 @@ __all__ = [
     "stride_spread",
     "stride_inversions",
     "uniform_random_perm",
-    "write_bits_packed",
-    "read_bits_packed",
-    "write_bits_ascii",
-    "read_bits_ascii",
 ]
 
 
@@ -257,48 +252,3 @@ def uniform_random_perm(n, seed):
     if n < 1:
         raise ValueError("n must be >= 1")
     return np.random.default_rng(seed).permutation(n)
-
-
-# ---------------------------------------------------------------------------
-# bit-string files
-
-
-def write_bits_packed(path, bits):
-    """8 bits/byte, little-endian bit order, 8-byte little-endian length header."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    payload = np.packbits(arr, bitorder="little").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(arr)))
-        fh.write(payload)
-
-
-def read_bits_packed(path):
-    """Inverse of ``write_bits_packed``; a truncated file, or one with bytes
-    past the declared bit count, raises ValueError."""
-    with open(path, "rb") as fh:
-        header, payload = fh.read(8), np.frombuffer(fh.read(), dtype=np.uint8)
-    if len(header) < 8:
-        raise ValueError(f"{path}: header holds {len(header)} of 8 bytes, no declared bit count")
-    (n,) = struct.unpack("<Q", header)
-    if 8 * len(payload) < n:
-        raise ValueError(f"{path}: declares {n} bits but holds only {8 * len(payload)}")
-    size = -(-n // 8)
-    if len(payload) > size:
-        raise ValueError(f"{path}: declares {n} bits in {size} bytes but holds {len(payload)} bytes")
-    return np.unpackbits(payload, count=n, bitorder="little")
-
-
-def write_bits_ascii(path, bits, width=80):
-    """0/1 character lines, wrapped at ``width`` columns; for small n."""
-    s = "".join("1" if b else "0" for b in np.asarray(bits, dtype=np.uint8))
-    with open(path, "w") as fh:
-        for i in range(0, len(s), width):
-            fh.write(s[i : i + width] + "\n")
-
-
-def read_bits_ascii(path):
-    with open(path) as fh:
-        s = "".join(line.strip() for line in fh)
-    if set(s) - {"0", "1"}:
-        raise ValueError("ascii bit file may contain only 0/1 characters")
-    return np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")

@@ -38,7 +38,7 @@ def phase1_ensemble():
         for t in range(SEEDS):
             seed = 10_000 * (idx + 1) + t
             bits = thermal.sample(thermal.BiasModel("binomial", eps), N_BIG, seed)
-            _, recs = cooling.phase1_run(bits, eps0=eps)
+            _, recs = cooling.run_rounds(bits, cooling.plan_rounds(orbit))
             rows.append(recs)
         out[eps] = (orbit, rows)
     return out

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from spinref import analysis
 from spinref.analysis import (
     REGION_FLOORS,
-    PolarizationParams,
     backward_orbit,
     bias_backward,
     bias_forward,
     binary_entropy,
     entropy_cap,
-    epsilon_thermal,
     forward_orbit,
     ledger_constant,
     phase1_overhead,
@@ -26,19 +24,6 @@ from spinref.analysis import (
     runtime_exponent,
     yield_ledger,
 )
-
-
-def test_epsilon_thermal_proton_estimate():
-    # mu=1e-23, B0=1e5 G, T=300 K, k=1e-16 -> about 3e-5
-    eps = epsilon_thermal(PolarizationParams(mu=1e-23, B0=1e5, T=300))
-    assert abs(eps - 3.3333e-5) < 1e-8
-
-
-def test_epsilon_thermal_scaling():
-    base = PolarizationParams(mu=1e-23, B0=1e5, T=300)
-    cold = PolarizationParams(mu=1e-23, B0=1e5, T=30)
-    assert epsilon_thermal(cold) == pytest.approx(10 * epsilon_thermal(base))
-    assert epsilon_thermal(PolarizationParams(mu=1e-23, B0=0.0, T=300)) == 0.0
 
 
 def test_bias_forward_fixed_points_and_half():
@@ -217,13 +202,6 @@ def test_forward_orbit_is_short_for_every_valid_bias():
     # the longest orbit starts at the smallest double and runs to target 1
     assert len(forward_orbit(5e-324, 1.0)) == 1078
     assert forward_orbit(1.0, 1.0) == [1.0]
-
-
-def test_polarization_validation():
-    with pytest.raises(ValueError):
-        PolarizationParams(mu=-1e-23, B0=1e5, T=300)
-    with pytest.raises(ValueError):
-        PolarizationParams(mu=1e-23, B0=1e5, T=0)
 
 
 def test_binomial_class_mass_iterative_matches_direct():

@@ -9,23 +9,25 @@ from hypothesis import strategies as st
 
 from spinref import analysis, cli, cooling, perms, thermal
 from spinref.cooling import (
-    CoolingError,
-    Phase1Config,
     block_size,
     choose_k,
     phase1_round,
-    phase1_run,
     phase2_plan,
     phase2_round,
-    phase2_run,
     phase3_round,
-    phase3_run,
     pipeline,
+    plan_rounds,
+    run_rounds,
 )
 
 
 def bits_of(*xs):
     return np.array(xs, dtype=np.uint8)
+
+
+def run_phase1(bits, eps0, target=analysis.TARGET_BIAS):
+    """The planned pairing rounds from declared bias ``eps0``, run on ``bits``."""
+    return run_rounds(bits, plan_rounds(analysis.forward_orbit(eps0, target)))
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +64,13 @@ def test_phase1_survivor_bias_three_sigma():
 
 def test_phase1_run_zero_rounds_when_past_target():
     bits = bits_of(0, 0, 0, 1)
-    out, recs = phase1_run(bits, eps0=0.857)
+    out, recs = run_phase1(bits, 0.857)
     assert np.array_equal(out, bits) and recs == []
 
 
 def test_phase1_run_seven_rounds_from_paper_constant():
     bits = thermal.sample(thermal.BiasModel("binomial", 0.009985), 2**20, seed=0)
-    out, recs = phase1_run(bits, eps0=0.009985)
+    out, recs = run_phase1(bits, 0.009985)
     assert len(recs) == 7
     assert recs[-1].bias_pred >= 0.856 * (1 - analysis.THRESHOLD_RTOL)
 
@@ -89,7 +91,7 @@ def test_phase1_run_monte_carlo_against_forward_recurrence():
     hits = 0
     for seed in range(20):
         bits = thermal.sample(thermal.BiasModel("binomial", 0.2), 10**6, seed=seed)
-        out, recs = phase1_run(bits, eps0=0.2)
+        out, recs = run_phase1(bits, 0.2)
         if (1.0 - 2.0 * out.mean()) >= 0.856:
             hits += 1
     assert hits >= 19
@@ -99,22 +101,22 @@ def test_phase1_run_monte_carlo_against_forward_recurrence():
 @pytest.mark.parametrize("eps", [0.05, 0.25, 0.7])
 def test_phase1_run_and_pipeline_share_the_round_count(eps, target):
     n = 10**5
-    config = Phase1Config(target_bias=target)
     bits = thermal.sample(thermal.BiasModel("binomial", eps), n, seed=1)
-    _, recs = phase1_run(bits, config, eps0=eps)
-    res = pipeline(thermal.BiasModel("binomial", eps), n, 1, p1config=config)
-    planned = len(cooling.make_plan(eps, n, config).orbit) - 1
+    _, recs = run_phase1(bits, eps, target)
+    res = pipeline(thermal.BiasModel("binomial", eps), n, 1, target_bias=target)
+    planned = len(cooling.make_plan(eps, n, target).orbit) - 1
     assert len(recs) == sum(r.phase == 1 for r in res.records) == planned
 
 
-def test_phase1_run_exhaustion_raises():
-    with pytest.raises(CoolingError):
-        phase1_run(bits_of(0, 1, 1, 0), eps0=0.01)
+@pytest.mark.parametrize("target", [0.0, 1.0, math.nan])
+def test_plan_rejects_a_target_bias_outside_the_open_unit_interval(target):
+    with pytest.raises(ValueError, match="target bias must lie in"):
+        cooling.make_plan(0.25, 10**4, target)
 
 
 def test_phase1_monotone_cleanliness():
     bits = thermal.sample(thermal.BiasModel("binomial", 0.3), 10**6, seed=5)
-    _, recs = phase1_run(bits, eps0=0.3)
+    _, recs = run_phase1(bits, 0.3)
     for rec in recs:
         d_in = rec.ones_in / rec.n_in
         d_out = rec.ones_out / max(rec.n_out, 1)
@@ -233,7 +235,8 @@ def test_phase2_plan_at_most_eight_rounds():
 
 def test_phase2_run_records():
     bits = thermal.sample(thermal.BiasModel("binomial", 0.9668), 10**5, seed=2)
-    out, recs = phase2_run(bits, 10**5, seed=3, delta0=0.0166)
+    rounds = plan_rounds(phase2=phase2_plan(0.0166, 10**5), seed=np.random.SeedSequence(3))
+    out, recs = run_rounds(bits, rounds)
     assert len(recs) == len(phase2_plan(0.0166, 10**5))
     for rec in recs:
         assert rec.phase == 2 and rec.u is not None
@@ -302,7 +305,7 @@ def test_phase3_keeps_blocks_wider_than_255_by_exact_sums(filler):
 def test_phase3_run_certified_rounds():
     n = 10**6
     bits = thermal.sample(thermal.BiasModel("binomial", 1 - 2e-3), 10**5, seed=4)
-    out, recs = phase3_run(bits, n, delta0=1e-3)
+    out, recs = run_rounds(bits, plan_rounds(certificate=analysis.phase3_certificate(n, 1e-3)))
     assert len(recs) == analysis.phase3_certificate(n, delta0=1e-3).rounds
     assert int(out.sum()) == 0
 
@@ -865,12 +868,13 @@ def test_pipeline_records_the_plan_predictions(mode, n, eps):
 def test_phase_runs_record_the_plan_predictions():
     n = 10**5
     bits = thermal.sample(thermal.BiasModel("binomial", 0.2), n, seed=6)
-    _, recs = phase1_run(bits, eps0=0.2)
+    _, recs = run_phase1(bits, 0.2)
     assert [r.bias_pred for r in recs] == analysis.forward_orbit(0.2)[1:]
-    _, recs = phase2_run(bits, n, seed=6, delta0=0.05)
-    assert [r.bias_pred for r in recs] == [1.0 - 2.0 * pr.delta_out for pr in phase2_plan(0.05, n)]
-    _, recs = phase3_run(bits, n, delta0=0.01)
+    plan = phase2_plan(0.05, n)
+    _, recs = run_rounds(bits, plan_rounds(phase2=plan, seed=np.random.SeedSequence(6)))
+    assert [r.bias_pred for r in recs] == [1.0 - 2.0 * pr.delta_out for pr in plan]
     cert = analysis.phase3_certificate(n, delta0=0.01)
+    _, recs = run_rounds(bits, plan_rounds(certificate=cert))
     assert recs and [r.bias_pred for r in recs] == [1.0 - 2.0 * d for d in cert.deltas[1:]]
 
 

@@ -9,13 +9,11 @@ from spinref.polymer import (
     PulseSequence,
     TypePulse,
     apply_sequence_to_bits,
-    ca_spec,
     cnot_layer,
     induced_permutation,
     realize_abstract_shift,
     sequence_to_text,
     single_tape_spec,
-    text_to_sequence,
     track_decomposition,
     transposition_as_cnots,
     two_tape_rotate_seq,
@@ -169,9 +167,6 @@ def test_spec_validation():
         PolymerSpec(("A", "B", "C"), 3, d_site=0)  # not a C-A boundary
     with pytest.raises(ValueError):
         PolymerSpec(("A",), 3)
-    with pytest.raises(ValueError):
-        polymer.ca_spec(6, 4)  # spacing must divide periods
-    polymer.ca_spec(6, 3)
 
 
 def test_pulse_validation():
@@ -216,7 +211,7 @@ def _outcome(fn, *args):
     [
         single_tape_spec,
         two_tape_spec,
-        lambda p: ca_spec(p, 1),
+        lambda p: PolymerSpec(("A", "B", "C"), p),  # no head site
         # rings where some pulses address overlapping pairs
         lambda p: PolymerSpec(("A", "B"), p),
         lambda p: PolymerSpec(("A", "B", "A", "C"), p),
@@ -233,7 +228,10 @@ def test_tiled_pulse_pairs_match_the_site_by_site_search(make):
 
 
 @pytest.mark.parametrize(
-    "spec", [single_tape_spec(4), two_tape_spec(3), ca_spec(4, 1)], ids=["single", "two", "ca"]
+    # "ca": the cellular-automaton variant's ABC ring, which has no head site
+    "spec",
+    [single_tape_spec(4), two_tape_spec(3), PolymerSpec(("A", "B", "C"), 4)],
+    ids=["single", "two", "ca"],
 )
 def test_pulse_layers_equal_the_pair_by_pair_loops(spec):
     n = spec.ring_length
@@ -289,6 +287,4 @@ def test_sequence_text_roundtrip():
     seq = PulseSequence([("A", "B"), HeadPulse(GATES["SWAP2"]), ("C", "A")])
     text = sequence_to_text(seq)
     assert text.splitlines() == ["P(A,B)", "HEAD SWAP2", "P(C,A)"]
-    assert text_to_sequence(text) == seq
-    with pytest.raises(ValueError):
-        text_to_sequence("PULSE A B\n")
+    assert text.endswith("\n") and sequence_to_text(PulseSequence()) == ""

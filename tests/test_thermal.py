@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 from spinref import compiler, cooling, machine, perms, thermal
 from spinref.thermal import (
     BiasModel,
-    read_bits_ascii,
-    read_bits_packed,
     sample,
     stride_inversions,
     stride_shuffle_perm,
     stride_spread,
     uniform_random_perm,
-    write_bits_ascii,
-    write_bits_packed,
 )
 
 
@@ -299,43 +295,3 @@ def test_initial_permutation_charge_is_the_bubble_programs_step_count():
         machine.execute(state, compiler._emit_deinterleave(perm, n))
         assert np.array_equal(state.logical(), perms.apply_to(bits, perm)), n
         assert state.steps == cooling._arch_init_cost(n, inv)["single"], n
-
-
-def test_packed_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    for n in (1, 7, 8, 9, 4096):
-        bits = rng.integers(0, 2, n, dtype=np.uint8)
-        path = tmp_path / f"bits_{n}.bin"
-        write_bits_packed(path, bits)
-        assert np.array_equal(read_bits_packed(path), bits)
-
-
-def test_packed_read_rejects_truncated_files(tmp_path):
-    path = tmp_path / "bits.bin"
-    write_bits_packed(path, np.ones(100, dtype=np.uint8))
-    data = path.read_bytes()
-    for cut, left in ((1, 96), (2, 88)):
-        path.write_bytes(data[:-cut])
-        with pytest.raises(ValueError, match=f"declares 100 bits but holds only {left}"):
-            read_bits_packed(path)
-    path.write_bytes(data[:5])
-    with pytest.raises(ValueError, match="header holds 5 of 8 bytes"):
-        read_bits_packed(path)
-
-
-def test_packed_read_rejects_bytes_past_the_declared_count(tmp_path):
-    path = tmp_path / "bits.bin"
-    write_bits_packed(path, np.ones(100, dtype=np.uint8))
-    path.write_bytes(path.read_bytes() + b"\xff" * 5)
-    with pytest.raises(ValueError, match="declares 100 bits in 13 bytes but holds 18 bytes"):
-        read_bits_packed(path)
-
-
-def test_ascii_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    bits = rng.integers(0, 2, 200, dtype=np.uint8)
-    path = tmp_path / "bits.txt"
-    write_bits_ascii(path, bits, width=64)
-    assert np.array_equal(read_bits_ascii(path), bits)
-    with open(path) as fh:
-        assert max(len(line.strip()) for line in fh) <= 64
