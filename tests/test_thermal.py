@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -64,43 +65,153 @@ def test_sample_reproducible():
     assert not np.array_equal(a, sample(model, 4096, seed=10))
 
 
-def _whole_array_sample(model, n, seed):
-    """The one-shot formulas ``sample`` reproduces bit for bit."""
-    rng = np.random.default_rng(seed)
+BLOCK = thermal._BLOCK
+ALL = 2**64 - 1
+
+
+def _reference_words(raw, n, p):
+    """The draw schedule of the ``thermal`` docstring in Python ints: the
+    words of n cells that are 1 with probability p, K's bits taken from
+    ``raw``."""
+    P = math.ceil(p * 2**53)
+    words = []
+    for lo in range(0, n, BLOCK):
+        m = -(-min(BLOCK, n - lo) // 64)
+        if P in (0, 2**53):
+            words += [ALL if P else 0] * m
+            continue
+        ones, lanes, active = [0] * m, [ALL] * m, range(m)
+        for step, i in enumerate(range(52, -1, -1), 1):
+            if P % (2 << i) == 0:  # P's remaining bits are all zero
+                break
+            for w, r in zip(active, raw(len(active)).tolist()):
+                if P >> i & 1:
+                    ones[w] |= lanes[w] & ~r
+                    lanes[w] &= r
+                else:
+                    lanes[w] &= ~r
+            if step >= 8 and step % 4 == 0:
+                active = [w for w in active if lanes[w]]
+                if not active:
+                    break
+        words += ones
+    return words
+
+
+def _reference_cells(words, n):
+    words = np.array(words, dtype=np.uint64)
+    return ((words[:, None] >> np.arange(64, dtype=np.uint64)) & 1).astype(np.uint8).ravel()[:n]
+
+
+def _reference_sample(model, n, seed):
+    raw = np.random.default_rng(seed).bit_generator.random_raw
     if model.kind == "binomial":
-        return (rng.random(n) < model.p_one).astype(np.uint8)
-    refresh = rng.random(n) >= model.rho
-    refresh[0] = True
-    fresh = (rng.random(n) < model.p_one).astype(np.uint8)
-    return fresh[np.maximum.accumulate(np.where(refresh, np.arange(n), 0))]
+        return _reference_cells(_reference_words(raw, n, model.p_one), n)
+    copy = _reference_cells(_reference_words(raw, n, model.rho), n)
+    fresh = _reference_cells(_reference_words(raw, n, model.p_one), n)
+    copy[0] = 0
+    return _run_length_fill(copy, fresh)
 
 
-CHUNK = thermal._CHUNK
-# lengths at and around several chunk boundaries, and anywhere up to three chunks
+REFERENCE_MODELS = {
+    "p0": BiasModel("binomial", 1.0),
+    "p0.5": BiasModel("binomial", 0.0),
+    "p0.3712345678": BiasModel("binomial", 1.0 - 2 * 0.3712345678),
+    "markov-ell10": BiasModel("markov", 0.25, ell=10),
+    "markov-ell1-p0.5": BiasModel("markov", 0.0, ell=1),
+    # rho rounds to 1.0: every cell after the first copies it
+    "markov-rho1": BiasModel("markov", 0.25, ell=10**17),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 4097])
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_sample_matches_the_reference_schedule(name, n):
+    model = REFERENCE_MODELS[name]
+    for seed in (0, 7):
+        bits = sample(model, n, seed)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, _reference_sample(model, n, seed)), seed
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 65])
+@pytest.mark.parametrize("name", ["p0.3712345678", "markov-ell10"])
+def test_sample_matches_the_reference_schedule_across_blocks(name, n):
+    model = REFERENCE_MODELS[name]
+    assert np.array_equal(sample(model, n, 5), _reference_sample(model, n, 5))
+
+
+def _scripted(patterns, bits):
+    """A ``random_raw`` stand-in for ``thermal._draw``: lane j of word w
+    reads the ``bits``-bit value ``patterns[w][j]`` as K's top bits, top bit
+    first, one bit per call.  Records the size of each call."""
+    calls = []
+
+    def raw(m):
+        shift = bits - 1 - len(calls)
+        calls.append(m)
+        assert m == len(patterns) and shift >= 0
+        return np.array([sum((v >> shift & 1) << j for j, v in enumerate(row)) for row in patterns],
+                        dtype=np.uint64)
+
+    return raw, calls
+
+
+def test_dyadic_draws_read_one_iff_the_top_bits_are_below_the_numerator():
+    # p = a / 2^b for every a, b <= 4: each lane of a word reads its own
+    # scripted top b bits of K, and is 1 iff they are below a.  Every value
+    # sits in every lane and beside every other value in one word, so each
+    # lane decides alone, and exactly a of the 2^b values read 1:
+    # P(one) = a / 2^b = ceil(p 2^53) / 2^53.
+    rng = np.random.default_rng(27)
+    for b in range(1, 5):
+        cycle = [[(j + w) % 2**b for j in range(64)] for w in range(2**b)]
+        shuffled = rng.integers(0, 2**b, (16, 64)).tolist()
+        for a in range(2**b + 1):
+            P = thermal._threshold(a / 2**b)
+            assert P == a << (53 - b)
+            # steps run down to the lowest one of a; a = 0 or 2^b draws nothing
+            steps = 0 if a in (0, 2**b) else b - ((a & -a).bit_length() - 1)
+            for patterns in (cycle, shuffled):
+                raw, calls = _scripted(patterns, b)
+                words = np.empty(len(patterns), np.uint64)
+                thermal._draw(raw, P, words)
+                cells = _reference_cells(words.tolist(), 64 * len(patterns)).reshape(-1, 64)
+                assert np.array_equal(cells, np.array(patterns) < a), (a, b)
+                assert calls == [len(patterns)] * steps, (a, b)
+                if patterns is cycle:
+                    assert cells.sum() == 64 * a
+
+
+def test_sample_draw_equal_to_p_one_is_a_zero():
+    # the threshold is strict: a lane whose K equals P reads 0, one below
+    # it reads 1 and one above reads 0.  P is odd, so all 53 bits are read,
+    # and the word stays active through every rebuild.
+    P = 0x0B_7F3C_9A15_2E4D | 1
+    p = P / 2**53
+    assert thermal._threshold(p) == P
+    ks = [P + j - 32 for j in range(64)]
+    raw, calls = _scripted([ks], 53)
+    words = np.empty(1, np.uint64)
+    thermal._draw(raw, P, words)
+    cells = _reference_cells(words.tolist(), 64)
+    assert cells[32] == 0
+    assert cells.tolist() == [int(k < P) for k in ks]
+    assert calls == [1] * 53
+
+
+# lengths at and around block boundaries, and anywhere up to one block
 sample_sizes = st.one_of(
-    st.builds(lambda c, d: max(1, c * CHUNK + d), st.integers(0, 3), st.integers(-2, 2)),
-    st.integers(1, 3 * CHUNK + 5),
+    st.builds(lambda c, d: max(1, c * BLOCK + d), st.integers(0, 2), st.integers(-2, 2)),
+    st.integers(1, BLOCK + 70),
 )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=sample_sizes,
-    eps=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    ell=st.one_of(st.none(), st.integers(1, 30)),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_sample_matches_whole_array_draws(n, eps, ell, seed):
-    model = BiasModel("binomial", eps) if ell is None else BiasModel("markov", eps, ell=ell)
-    bits = sample(model, n, seed)
-    assert bits.dtype == np.uint8
-    assert np.array_equal(bits, _whole_array_sample(model, n, seed))
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=sample_sizes, size=st.sampled_from([1, 7, CHUNK - 1, CHUNK, 2 * CHUNK + 3]),
+@given(n=sample_sizes, size=st.sampled_from([1, 7, 2**17 - 1, 2**17, BLOCK - 1, BLOCK, 2 * BLOCK + 3]),
        eps=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_sample_pieces_are_the_sample_in_order(n, size, eps, seed):
+    n = min(n, 2**16 * size)  # at most 2^16 pieces
     model = BiasModel("binomial", eps)
     pieces = [piece.copy() for piece in thermal.sample_pieces(model, n, seed, size)]
     assert [len(p) for p in pieces] == [min(size, n - lo) for lo in range(0, n, size)]
@@ -108,10 +219,23 @@ def test_sample_pieces_are_the_sample_in_order(n, size, eps, seed):
 
 
 def _run_length_fill(copy, fresh):
-    """The run-length fill ``thermal._fill_runs`` replaced: each start's
-    fresh value repeated up to the next start."""
+    """The run-length fill that ``thermal._fill_words`` replaced: each
+    start's fresh value repeated up to the next start."""
     starts = np.flatnonzero(copy == 0)
     return np.repeat(fresh[starts], np.diff(starts, append=len(copy)))
+
+
+def _packed(flags):
+    """0/1 flags as uint64 words, cell c bit c % 64 of word c // 64, zero-padded."""
+    packed = np.packbits(flags.view(bool), bitorder="little")
+    words = np.zeros(-(-len(flags) // 64), "<u8")
+    words.view(np.uint8)[: len(packed)] = packed
+    return words
+
+
+def _fill_runs(copy, fresh):
+    x = thermal._fill_words(_packed(copy), _packed(fresh))
+    return np.unpackbits(x.astype("<u8", copy=False).view(np.uint8), count=len(copy), bitorder="little")
 
 
 def test_fill_runs_equals_the_run_length_fill_on_every_small_input():
@@ -123,9 +247,9 @@ def test_fill_runs_equals_the_run_length_fill_on_every_small_input():
         copies, fresh = np.repeat(cells[::2], len(cells), axis=0), np.tile(cells, (len(cells) // 2, 1))
         if n <= 6:
             for c, f in zip(copies, fresh):
-                assert np.array_equal(thermal._fill_runs(c, f), _run_length_fill(c, f)), (c, f)
+                assert np.array_equal(_fill_runs(c, f), _run_length_fill(c, f)), (c, f)
         c, f = copies.ravel(), fresh.ravel()
-        assert np.array_equal(thermal._fill_runs(c, f), _run_length_fill(c, f)), n
+        assert np.array_equal(_fill_runs(c, f), _run_length_fill(c, f)), n
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 4095, 4096, 4097])
@@ -136,17 +260,18 @@ def test_fill_runs_equals_the_run_length_fill_across_words(n, rate):
         copy = (rng.random(n) < rate).astype(np.uint8)
         copy[0] = 0
         fresh = (rng.random(n) < 0.5).astype(np.uint8)
-        out = thermal._fill_runs(copy, fresh)
+        out = _fill_runs(copy, fresh)
         assert out.dtype == np.uint8
         assert np.array_equal(out, _run_length_fill(copy, fresh))
 
 
 @pytest.mark.parametrize("ell", [1, 10, 1000])
 def test_markov_sample_is_the_run_length_fill_of_its_draws(ell):
+    # the copy coins of all n cells first, then their fresh values
     model, n, seed = BiasModel("markov", 0.25, ell=ell), 10**5 + 3, 11
     rng = np.random.default_rng(seed)
-    copy = (rng.random(n) < model.rho).astype(np.uint8)
-    fresh = (rng.random(n) < model.p_one).astype(np.uint8)
+    copy = thermal._cells(thermal._draw_words(rng, n, model.rho), n)
+    fresh = thermal._cells(thermal._draw_words(rng, n, model.p_one), n)
     copy[0] = 0
     assert np.array_equal(sample(model, n, seed), _run_length_fill(copy, fresh))
 
@@ -160,26 +285,12 @@ def test_sample_pieces_refuse_markov_and_empty_draws():
         thermal.sample_pieces(BiasModel("binomial", 0.25), 10, 0, 0)
 
 
-def test_sample_draw_equal_to_p_one_is_a_zero():
-    # the threshold is strict; a double drawn exactly at p_one, here in the
-    # last partial chunk, must read 0
-    n, seed = 3 * CHUNK + 100, 1
-    draws = np.random.default_rng(seed).random(n)
-    j = int(np.flatnonzero((draws >= 0.25) & (draws < 0.5))[-1])
-    assert j >= 3 * CHUNK
-    model = BiasModel("binomial", 1.0 - 2.0 * draws[j])
-    assert model.p_one == draws[j]
-    bits = sample(model, n, seed)
-    assert bits[j] == 0
-    assert np.array_equal(bits, (draws < draws[j]).astype(np.uint8))
-
-
 def test_sample_peak_allocation_stays_near_the_output():
     # the one-shot draw peaked at about 9 bytes per bit (a float64 array
-    # plus a bool array); chunked draws hold little beyond the uint8 output
+    # plus a bool array); the word-wise draw holds little beyond the uint8 output
     n = 10**6
     model = BiasModel("binomial", 0.25)
-    sample(model, CHUNK, 0)
+    sample(model, 64, 0)
     tracemalloc.start()
     try:
         sample(model, n, 0)
