@@ -180,7 +180,7 @@ def test_smallest_n_each_run_takes_is_accepted(tmp_path):
         assert run(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK, argv
 
 
-@pytest.mark.parametrize("n,rounds", [(1, 0), (5, 2), (20, 2)])
+@pytest.mark.parametrize("n,rounds", [(1, 0), (5, 2), (13, 2)])
 def test_phase_1_too_few_bits_names_n(tmp_path, capsys, n, rounds):
     out = tmp_path / "o"
     argv = ["phase", "1", "--n", str(n), "--seed", "3", "--out", str(out)]

@@ -23,8 +23,8 @@ PIPELINE = {
     "blocks-3^12-eps0.25": (
         ["--mode", "shuffled-blocks", "--n", "531441", "--epsilon", "0.25"],
         {
-            "rounds.csv": "414556b295deb76ba029b939453bf329c4125e3ca671af32eede366d7ddccc71",
-            "ledger.json": "51fb2b222e8a19a409267ce9c877694d92fc907c8297e04c1b4a0e454a33f94b",
+            "rounds.csv": "a3895b2b1f31c05bb73e3d3ae899170608231e24e720aec227bdccd18595e430",
+            "ledger.json": "4031b8cfa75b698726ad5314f8ae48926cb750bae1de5aee6613acdf9614a04c",
         },
     ),
     # phase 2 runs k = 3 then k = 7; at this bias the ledger's floor at 3^11
@@ -32,8 +32,8 @@ PIPELINE = {
     "blocks-3^11-eps0.01": (
         ["--mode", "shuffled-blocks", "--n", "177147", "--epsilon", "0.01"],
         {
-            "rounds.csv": "62655658d1b90dd6176343a23c0e6bc8dbc7c59a702dcd7773f7343631ecda5a",
-            "ledger.json": "12e7d7e4f1adde19b4da546b2c9b4793bab08d5486dca9b7564cfff0d15653ff",
+            "rounds.csv": "9eb43e9b9d0a6e030a38675733b99d1e8f8d94df55dfe034890dfb89f440d6d9",
+            "ledger.json": "b773b7c09b5747ed3b00a322a5e549e2d9945d767d885d3e6f335474aaf134ba",
         },
     ),
     # not a cube: uniform initial permutation and a short last block
@@ -41,16 +41,16 @@ PIPELINE = {
         ["--mode", "shuffled-blocks", "--n", "50000", "--model", "markov",
          "--epsilon", "0.2"],
         {
-            "rounds.csv": "2201ae3fde5d5af4b16aaeaa0b2c63b967c0161bdba1e0dc41618f996d883a19",
-            "ledger.json": "7b65dabd9111493d4d86031464266f2d04f7c4b6ef64b8071b967b7d56a3e75a",
+            "rounds.csv": "3dca2a6071eb4ead76fa9c7e57ca7e20a4ade56be9eab0649062c6f78270e2e2",
+            "ledger.json": "09eafc4272652a0139b97acb6fce4604c410f7a534cddfb3665d52ce6313a1c2",
         },
     ),
     "direct-1e5-eps0.05-2trials": (
         ["--mode", "binomial-direct", "--n", "100000", "--epsilon", "0.05",
          "--trials", "2"],
         {
-            "rounds.csv": "15cbb951ce0615964b04cfe273ccad7ad1fb50fad2bb380ed0775db2b5f0022f",
-            "ledger.json": "42172de2b679c4aac6c30a9cea99198a5bb3f7bf375f2e71316d727c9181ed52",
+            "rounds.csv": "6f792f7a114f487964ae9724f124308fa281b0fab6c18d47b374477853b0f526",
+            "ledger.json": "7ab6a34d9c621796b195d4d77ea3de2b754901886b7edf0a685de550e5aa394c",
         },
     ),
 }
@@ -77,22 +77,22 @@ PHASE = {
     "1": (
         ["--epsilon", "0.2"],
         {
-            "phase1_rounds.csv": "b33d237ee853d7b8550f8738c48052e1dd4145abc39c6f5964f16d4acb4f31d6",
-            "phase1_summary.json": "44da917274e7222a88913d9c1f7e60ad909f61e93a4a4b451f1b78d55465b204",
+            "phase1_rounds.csv": "cb0f32f98869256f60e961ba665f3ef4c5adbede3648092a92bd104fa237ee71",
+            "phase1_summary.json": "25aff3baf6faa2fbb26dad5fe1dd919dc5c2bddc9df417285492abe9fc8c7304",
         },
     ),
     "2": (
         [],
         {
-            "phase2_rounds.csv": "e74dd6f0bdc15f06f3e47e6e9a516e40c611b5d09e3c1423a1c2ba4662247880",
-            "phase2_summary.json": "0f83cd6b852f2a88cb538305a6151f9ea5594709997839e884c9ce00b2585504",
+            "phase2_rounds.csv": "1ce2979edb61d2e076dab0496e3ef1851c7139acd31b68dcc73d9a077b49d737",
+            "phase2_summary.json": "dbd73dce2fa3eef03ee08b3948365d95a82142d546c4dfd96daf5a26cb91744f",
         },
     ),
     "3": (
         [],
         {
-            "phase3_rounds.csv": "1665b7c5ef9dc89a71057652021e58696d5587ca76a2589ce216789ae1990ebe",
-            "phase3_summary.json": "fd0cdd7e61c163c6c58f3548f68275c9a71871ae35f1e0e85efa63d9e4346836",
+            "phase3_rounds.csv": "45cee89b2312b897b42ed4a1a5e734ad4a0431f2409bcfbe7f74fead23f4b677",
+            "phase3_summary.json": "278225c5345e00f08e7c381d52b0c401588cad23ec88548ace9c4a4dfa404893",
         },
     ),
 }
@@ -124,36 +124,36 @@ def test_analyze_golden(tmp_path, case):
     assert _digests(tmp_path, ["analyze"] + flags, pins) == pins
 
 
-# n around the sampler's chunk of 2^14 doubles, and one large n with a
-# partial last chunk; digests of ``sample(model, n, seed).tobytes()``.
+# n around 2^14 and one large n with a short last word; digests of
+# ``sample(model, n, seed).tobytes()``.
 SAMPLES = {
     ("binomial", 1, 0): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
     ("binomial", 1, 3): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
-    ("binomial", 16383, 0): "34eae103ccbc8785cb0fd6bd859007fd0d403d8ff88516a1e4f6876ca2fa04c6",
-    ("binomial", 16383, 3): "b8fa55db643a113a1843e8b9bce0a13a4faa1f4e2fb18a718817e0eb4c5f3069",
-    ("binomial", 16384, 0): "946023741309b57576431c3a857a06f664aa2691ac7a24e5de8c44b5c3d0749a",
-    ("binomial", 16384, 3): "80227b345468bdb8d0643a36ead3ebaa9565428887e72f7e3493ab7f408c6684",
-    ("binomial", 16385, 0): "a82fbc6322eb9a8cc3827d8edcdab998dbfa24bb889310e7d1232ba5f635b441",
-    ("binomial", 16385, 3): "4ec74e672966599913657726a8bc1d2a8a0625b5d38f47c948c60336e6fdc4df",
-    ("binomial", 1000007, 0): "9a5bbf49fddec0f68c8ac95a47bac2b05f7408d61942ef8eeb846ec6b85cc06e",
-    ("binomial", 1000007, 3): "dca42bb9d8eddc1d583af59177fd9648f43d773a9c7db3f22fea0634d56a698f",
-    ("markov", 1, 0): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
-    ("markov", 1, 3): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
-    ("markov", 16383, 0): "2b5598740acbecfd82010d4297f373cb178005224be279071d8eb85679a17ae7",
-    ("markov", 16383, 3): "8db81a9b5afce298cbdfeeeb378dcc2a7ebf6bc513035a31898fb885f7be629a",
-    ("markov", 16384, 0): "35350fa6a0a4c9850e7b4b6efbd66d51d73466a169924b24cbfd4dbd08d38027",
-    ("markov", 16384, 3): "c6c36a896aa3da0cbf6f20695dddb00828c4fe1b669db1ab6c14cb24bb80324b",
-    ("markov", 16385, 0): "9d9f11f1719c583d9aa8e6b833fbf7bd1ad597dfcc8856e7b971873a2b970e9f",
-    ("markov", 16385, 3): "98538946915d130b13641f28a2a4af57d0556bc2fdc5e93241f3ab953dea5637",
-    ("markov", 1000007, 0): "c6295ee97dfcf8eba760a26f556028a60ce3697e4f02524c08bd0a28cb7490ae",
-    ("markov", 1000007, 3): "b13f9ec6c5b24c381ac7ba2738f08a87bfb62d953d998fc2483ec65429668136",
+    ("binomial", 16383, 0): "fc722f86dd176b70cc5a621dc46e242373806662680238f955172fff36ba767b",
+    ("binomial", 16383, 3): "a20bf923c9e660ff71c003464cc694d4a50d744c7db9f1560b965feff49449b7",
+    ("binomial", 16384, 0): "da6dfa858999c6bd9c54e446c3fe4718c1f6e43a37cdf141e40b9919c9c62afe",
+    ("binomial", 16384, 3): "a19ca5f343490dea7f4934203d7f562eff8f260b8d8f085b37b798fb1af89823",
+    ("binomial", 16385, 0): "7a9dd04106a5a36e7c83b460de7cd8060b45b332727dc29742f63e850d8a5011",
+    ("binomial", 16385, 3): "3e1b63b67d7675c3f8274470650a97099944458e4a87e08153f8c240a3ee99de",
+    ("binomial", 1000007, 0): "2dbe92f2cb03eba6a5b06eda6d72c228f6c3b4ed4be9b360e2284956391e4bd5",
+    ("binomial", 1000007, 3): "80c4b5e2740c4abdf0538c9ea6a5e7d883a80133553d89839d190be2d18dfd8e",
+    ("markov", 1, 0): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    ("markov", 1, 3): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    ("markov", 16383, 0): "09f52816899c94464d89244e80a1935cff48161cc529cf1a4cb81ee76d6d4f80",
+    ("markov", 16383, 3): "46a5c986f05bbdccc6ff857cdaefe51020cd7ede2350427f74f2894a35e8433b",
+    ("markov", 16384, 0): "f011e185ed555a1a1eb1ffe96e5bca5e9ba14f5945484c665ee1e40e530d8b9f",
+    ("markov", 16384, 3): "ffaa73dccb7750d6de6536498ea60f4135472ce03b029486d700f6e2d03aa7f6",
+    ("markov", 16385, 0): "dd1787935187afee4df6944ff1cbac2c4c213c7575feabe9555aa7f7ae494f9b",
+    ("markov", 16385, 3): "916958152ca381677b2ec41482908a9b777ca1fc5de47c9c48977c4296235452",
+    ("markov", 1000007, 0): "c822c5aed2d3eb59abb3d8b0f1a82147b2e85052ae39b27d529b46d7583d3194",
+    ("markov", 1000007, 3): "f24628fd31b77b8367f1a0754a9d16be798d74b62eb790cc3ac7b602467a21c1",
 }
 MODELS = {
     "binomial": thermal.BiasModel("binomial", 0.25),
     "markov": thermal.BiasModel("markov", 0.25, ell=10),
 }
 # clean bits of ``pipeline(MODELS["binomial"], 10**6, 3)``: 8365 bytes of 0/1
-PIPELINE_BITS = "084ae8e9e8b3c1ad1ecf62777faecccdff328688acdb921f4aeb7a299acc76cb"
+PIPELINE_BITS = "bb01f03ba3190981e4d1720f90904c24acfb2f54c9b6c07f452d3b918629899d"
 
 
 def _sha(bits):
