@@ -6,8 +6,6 @@ walks the orbit from a weak thermal bias up to the 0.856 switchover and
 prints the loss-factor constants the yield ledger is built from.
 """
 
-import numpy as np
-
 from spinref import analysis, cooling, thermal
 
 

@@ -5,8 +5,6 @@ counting) at n = 10^6 with bias 0.25 and prints the round trace, the yield
 ledger, and the census of stray ones (there should be none).
 """
 
-import numpy as np
-
 from spinref import cooling, reports, thermal
 
 

@@ -7,8 +7,6 @@ second tape, the gather is linear), and a two-tape ring with parallel
 block pulses (linear: blocks progress simultaneously).
 """
 
-import numpy as np
-
 from spinref import analysis, cooling, thermal
 
 

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import machine
-from .machine import CA, GATES, Gate, Measure, Shift, SwapReg
+from .machine import GATES, Gate, Shift
 
 __all__ = [
     "MachineProgram",

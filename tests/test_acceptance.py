@@ -8,7 +8,6 @@ true 3-sigma events is 0.27%, so a systematic recurrence error fails both
 layers immediately).  All seeds are fixed, so the suite is deterministic.
 """
 
-import json
 import math
 
 import numpy as np

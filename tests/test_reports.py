@@ -1,5 +1,3 @@
-import json
-
 from spinref import cooling, reports
 
 
