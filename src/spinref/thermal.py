@@ -38,8 +38,9 @@ it defines the output bytes:
 
 So a dyadic p = a / 2^b ends after at most b steps; the benchmark's p =
 0.375 takes 3.  A p with a long binary expansion takes about 9 words per 64
-cells.  At n = 10^7 on a 2-vCPU Xeon the draw takes 2.6 ms at p = 0.375
-and 9.8 ms at p = 0.3712345678, where a double per cell took 25-40 ms.
+cells.  At n = 10^7 on a 2-vCPU Xeon the draw took 2.6 ms at p = 0.375
+and 9.8 ms at p = 0.3712345678; one double per cell took 38-41 ms in the
+same run.
 
 ``sample`` returns the sample whole.  ``sample_pieces`` hands a binomial
 sample over piece by piece, each block unpacked as it is drawn, so a

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,7 +66,8 @@ def test_sample_reproducible():
     assert not np.array_equal(a, sample(model, 4096, seed=10))
 
 
-BLOCK = thermal._BLOCK
+# the draw's block of cells, as the ``thermal`` docstring fixes it
+BLOCK = 1 << 20
 ALL = 2**64 - 1
 
 
@@ -181,6 +183,14 @@ def test_dyadic_draws_read_one_iff_the_top_bits_are_below_the_numerator():
                 assert calls == [len(patterns)] * steps, (a, b)
                 if patterns is cycle:
                     assert cells.sum() == 64 * a
+
+
+def test_threshold_is_the_law_of_a_double_below_p():
+    # rng.random() is K / 2^53, so it is below p iff K < P = ceil(p 2^53):
+    # P is the least K whose double is not below p
+    for p in (0.0, 2**-60, 0.1, 1 / 3, 0.3712345678, 0.5 - 2**-55, 0.5, 1.0 - 2**-53, 1.0):
+        P = thermal._threshold(p)
+        assert Fraction(P - 1, 2**53) < Fraction(p) <= Fraction(P, 2**53), p
 
 
 def test_sample_draw_equal_to_p_one_is_a_zero():
