@@ -217,8 +217,8 @@ def _fill_words(u, fresh):
 def sample_pieces(model, n, seed, size):
     """The bits of ``sample(model, n, seed)`` in consecutive pieces of
     ``size`` bits (the last may be short), drawn one block at a time so the
-    n bits never exist at once; a piece may be overwritten once the next is
-    drawn.  Binomial sources only: a markov sample draws all of its copy
+    n bits never exist at once; each piece is a view of one buffer that the
+    next piece overwrites.  Binomial sources only: a markov sample draws all of its copy
     coins before any value."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -230,9 +230,9 @@ def sample_pieces(model, n, seed, size):
 
 
 def _pieces(rng, n, p, size):
-    """``_cells(_draw_words(rng, n, p), n)`` in pieces of ``size`` cells:
-    each block is drawn and unpacked in turn, a piece inside one block is
-    a view of it, and a piece across blocks is copied into one buffer."""
+    """``_cells(_draw_words(rng, n, p), n)`` in pieces of ``size`` cells,
+    each a view of one buffer that the next piece overwrites: each block is
+    drawn and unpacked in turn and its cells are copied into the buffer."""
     raw, P = rng.bit_generator.random_raw, _threshold(p)
     words = np.empty(-(-min(n, _BLOCK) // 64), np.uint64)
     piece = np.empty(min(n, size), np.uint8)
@@ -244,14 +244,11 @@ def _pieces(rng, n, p, size):
         cells = _cells(block, m)
         while len(cells):
             k = min(len(piece) - held, len(cells))
-            if not held and k == len(piece):
-                yield cells[:k]
-            else:
-                piece[held : held + k] = cells[:k]
-                held += k
-                if held == len(piece):
-                    yield piece
-                    held = 0
+            piece[held : held + k] = cells[:k]
+            held += k
+            if held == len(piece):
+                yield piece
+                held = 0
             cells = cells[k:]
     if held:
         yield piece[:held]
