@@ -461,9 +461,10 @@ def pipeline(model, n, seed, mode="binomial-direct", target_bias=analysis.TARGET
     ``binomial-direct`` takes m = n, so one window, and skips the initial
     permutation; it takes a binomial source only, since a correlated one
     leaves ones in the clean prefix.  When the plan has a pairing round,
-    the sample is drawn one slice of pairs at a time
-    (``thermal.sample_pieces``) and the first round pairs each piece as it
-    is drawn, so the n sampled bits are never held at once; the bits,
+    the sample is handed over one slice of pairs at a time
+    (``thermal.sample_pieces``, which draws one block of 2^20 cells at a
+    time) and the first round pairs each piece as it arrives, so the n
+    sampled bits are never held at once; the bits,
     records and steps are those of pairing the whole sample.
     ``shuffled-blocks`` applies a spreading permutation and takes m =
     floor(n^(1/3)), the interaction-block size; the flat output of the last
