@@ -124,7 +124,9 @@ def test_analyze_golden(tmp_path, case):
     assert _digests(tmp_path, ["analyze"] + flags, pins) == pins
 
 
-# n around 2^14 and one large n with a short last word; digests of
+# n at and around the 64-bit word boundary 2^14, one large n with a short
+# last word, and one that ends 65 cells into the third 2^20-cell draw block,
+# so the PCG64 stream is handed from block to block; digests of
 # ``sample(model, n, seed).tobytes()``.
 SAMPLES = {
     ("binomial", 1, 0): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
@@ -137,6 +139,8 @@ SAMPLES = {
     ("binomial", 16385, 3): "3e1b63b67d7675c3f8274470650a97099944458e4a87e08153f8c240a3ee99de",
     ("binomial", 1000007, 0): "2dbe92f2cb03eba6a5b06eda6d72c228f6c3b4ed4be9b360e2284956391e4bd5",
     ("binomial", 1000007, 3): "80c4b5e2740c4abdf0538c9ea6a5e7d883a80133553d89839d190be2d18dfd8e",
+    ("binomial", 2097217, 0): "ffd9945a7717d765c502732bf3a7fa89f31029e628b34ec7c4934bfb76329b75",
+    ("binomial", 2097217, 3): "b043a4bc2e57f8abb74915a830dddc6ccead3b50fbfe91350b38a3c5cf90b9b3",
     ("markov", 1, 0): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
     ("markov", 1, 3): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
     ("markov", 16383, 0): "09f52816899c94464d89244e80a1935cff48161cc529cf1a4cb81ee76d6d4f80",
@@ -147,13 +151,20 @@ SAMPLES = {
     ("markov", 16385, 3): "916958152ca381677b2ec41482908a9b777ca1fc5de47c9c48977c4296235452",
     ("markov", 1000007, 0): "c822c5aed2d3eb59abb3d8b0f1a82147b2e85052ae39b27d529b46d7583d3194",
     ("markov", 1000007, 3): "f24628fd31b77b8367f1a0754a9d16be798d74b62eb790cc3ac7b602467a21c1",
+    ("markov", 2097217, 0): "09179c3ec2ce88cd4fa1a4a4626467e2d3c1d314e9c839bdba9e07dc5988891d",
+    ("markov", 2097217, 3): "3a141c713db41d6975e7b7cceb9407e69c7d4d20427da24e4930cfc7cc95baa5",
 }
 MODELS = {
     "binomial": thermal.BiasModel("binomial", 0.25),
     "markov": thermal.BiasModel("markov", 0.25, ell=10),
 }
-# clean bits of ``pipeline(MODELS["binomial"], 10**6, 3)``: 8365 bytes of 0/1
-PIPELINE_BITS = "bb01f03ba3190981e4d1720f90904c24acfb2f54c9b6c07f452d3b918629899d"
+# clean bits of ``pipeline(MODELS["binomial"], n, 3)``, as 0/1 bytes: 8365 at
+# n = 10^6, and 32,256 at n = 3 * 2^20 + 5, whose first round pairs four
+# draw blocks, the last one 5 cells long
+PIPELINE_BITS = {
+    10**6: "bb01f03ba3190981e4d1720f90904c24acfb2f54c9b6c07f452d3b918629899d",
+    3 * 2**20 + 5: "47a22accc6fb0aedaf4a5cf8014bdd569ead0efad399fdb8de134235e7c9bb10",
+}
 
 
 def _sha(bits):
@@ -167,7 +178,8 @@ def test_sample_golden(kind, n, seed):
 
 
 def test_pipeline_bits_golden():
-    assert _sha(cooling.pipeline(MODELS["binomial"], 10**6, 3).bits) == PIPELINE_BITS
+    for n, pin in PIPELINE_BITS.items():
+        assert _sha(cooling.pipeline(MODELS["binomial"], n, 3).bits) == pin, n
 
 
 # Tape sizes with odd remainders, and block sizes up to k = N.
