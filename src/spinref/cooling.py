@@ -249,9 +249,10 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, window=None):
     ``window`` width, pair within each window of that many bits.
     ``bias_pred`` is the planned output bias, recorded as given.
 
-    ``bits`` may also be an iterator of bit arrays, every one of even length
-    but the last (``thermal.sample_pieces``).  Each is paired as soon as it
-    arrives and only its kept bits are stored, so the whole input never
+    ``bits`` may also be an iterator of bit arrays of any lengths, every one
+    even but the last, such as the draw blocks of ``thermal.sample_pieces``.
+    Each is paired as soon as it arrives, ``_SLICE`` pairs at a time when it
+    is long, and only its kept bits are stored, so the whole input never
     exists; such an input must fit one window.
     """
     stream = isinstance(bits, Iterator)
@@ -461,10 +462,9 @@ def pipeline(model, n, seed, mode="binomial-direct", target_bias=analysis.TARGET
     ``binomial-direct`` takes m = n, so one window, and skips the initial
     permutation; it takes a binomial source only, since a correlated one
     leaves ones in the clean prefix.  When the plan has a pairing round,
-    the sample is handed over one slice of pairs at a time
-    (``thermal.sample_pieces``, which draws one block of 2^20 cells at a
-    time) and the first round pairs each piece as it arrives, so the n
-    sampled bits are never held at once; the bits,
+    the sample is handed over one draw block of 2^20 cells at a time
+    (``thermal.sample_pieces``) and the first round pairs each block as it
+    arrives, so the n sampled bits are never held at once; the bits,
     records and steps are those of pairing the whole sample.
     ``shuffled-blocks`` applies a spreading permutation and takes m =
     floor(n^(1/3)), the interaction-block size; the flat output of the last
@@ -495,7 +495,7 @@ def pipeline(model, n, seed, mode="binomial-direct", target_bias=analysis.TARGET
     if mode == "binomial-direct":
         m = n
         if len(plan.orbit) > 1:
-            bits = thermal.sample_pieces(model, n, seed, 2 * _SLICE)
+            bits = thermal.sample_pieces(model, n, seed)
         else:
             bits = thermal.sample(model, n, seed)
     else:

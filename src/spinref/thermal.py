@@ -42,12 +42,14 @@ cells.  At n = 10^7 on a 2-vCPU Xeon the draw took 2.6 ms at p = 0.375
 and 9.8 ms at p = 0.3712345678; one double per cell took 38-41 ms in the
 same run.
 
-``sample`` returns the sample whole.  ``sample_pieces`` hands a binomial
-sample over piece by piece, each block unpacked as it is drawn, so a
-consumer that reads each piece at once (the direct pipeline's first
-pairing round) never holds the n bits.  A markov sample draws the copy
-coins of all n cells, then their fresh values, and fills the runs from
-the two word arrays (``_fill_words``).
+Every draw runs this schedule through one loop, ``_blocks``, which yields
+each block's words as it draws them.  ``sample`` joins them and returns
+the sample whole.  ``sample_pieces`` hands a binomial sample over as its
+blocks, each unpacked when it is asked for, so a consumer that reads each
+piece at once (the direct pipeline's first pairing round) never holds the
+n bits.  A markov sample draws the copy coins of all n cells, then their
+fresh values, and fills the runs from the two word arrays
+(``_fill_words``).
 """
 
 from __future__ import annotations
@@ -142,14 +144,20 @@ def _draw(raw, P, words):
         words[active] = ones
 
 
-def _draw_words(rng, n, p):
-    """n cells drawn at p (``_draw``, block after block), 64 to a word."""
+def _blocks(rng, n, p):
+    """The n cells drawn at p (``_draw``), block after block: each block's
+    words, a fresh array, with its cell count."""
     raw, P = rng.bit_generator.random_raw, _threshold(p)
-    words = np.empty(-(-n // 64), np.uint64)
-    step = _BLOCK // 64
-    for lo in range(0, len(words), step):
-        _draw(raw, P, words[lo : lo + step])
-    return words
+    for lo in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - lo)
+        words = np.empty(-(-m // 64), np.uint64)
+        _draw(raw, P, words)
+        yield words, m
+
+
+def _draw_words(rng, n, p):
+    """n cells drawn at p, 64 to a word: the words of every block in turn."""
+    return np.concatenate([words for words, _ in _blocks(rng, n, p)])
 
 
 def _cells(words, n):
@@ -159,7 +167,8 @@ def _cells(words, n):
 
 def sample(model, n, seed):
     """Draw n bits; deterministic for fixed (model, n, seed).  A binomial
-    sample can also be drawn piece by piece (``sample_pieces``)."""
+    sample can also be handed over one draw block at a time
+    (``sample_pieces``)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -214,44 +223,18 @@ def _fill_words(u, fresh):
     return x
 
 
-def sample_pieces(model, n, seed, size):
-    """The bits of ``sample(model, n, seed)`` in consecutive pieces of
-    ``size`` bits (the last may be short), drawn one block at a time so the
-    n bits never exist at once; each piece is a view of one buffer that the
-    next piece overwrites.  Binomial sources only: a markov sample draws all of its copy
-    coins before any value."""
+def sample_pieces(model, n, seed):
+    """The bits of ``sample(model, n, seed)`` in consecutive pieces, one per
+    draw block of ``_BLOCK`` cells (the last holds the rest), each drawn and
+    unpacked only when it is asked for, so the n bits never exist at once.
+    Binomial sources only: a markov sample draws all of its copy coins
+    before any value."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if size < 1:
-        raise ValueError("piece size must be >= 1")
     if model.kind != "binomial":
         raise ValueError(f"only a binomial sample is drawn in pieces, not {model.kind!r}")
-    return _pieces(np.random.default_rng(seed), n, model.p_one, size)
-
-
-def _pieces(rng, n, p, size):
-    """``_cells(_draw_words(rng, n, p), n)`` in pieces of ``size`` cells,
-    each a view of one buffer that the next piece overwrites: each block is
-    drawn and unpacked in turn and its cells are copied into the buffer."""
-    raw, P = rng.bit_generator.random_raw, _threshold(p)
-    words = np.empty(-(-min(n, _BLOCK) // 64), np.uint64)
-    piece = np.empty(min(n, size), np.uint8)
-    held = 0  # cells of the next piece already in ``piece``
-    for lo in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - lo)
-        block = words[: -(-m // 64)]
-        _draw(raw, P, block)
-        cells = _cells(block, m)
-        while len(cells):
-            k = min(len(piece) - held, len(cells))
-            piece[held : held + k] = cells[:k]
-            held += k
-            if held == len(piece):
-                yield piece
-                held = 0
-            cells = cells[k:]
-    if held:
-        yield piece[:held]
+    blocks = _blocks(np.random.default_rng(seed), n, model.p_one)
+    return (_cells(words, m) for words, m in blocks)
 
 
 def _icbrt(x):

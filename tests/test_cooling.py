@@ -534,24 +534,40 @@ def test_round_kernels_equal_plain_selection(phase, k, layout, one_window, big, 
     assert rec == want_rec
 
 
-PIECE = 2 * cooling._SLICE
+# the sampler's draw block, one piece of a streamed sample
+BLOCK = thermal._BLOCK
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.25, 1.0])
-@pytest.mark.parametrize("n", [1, 2, 3, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE + 5, 10**5 + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 10**5 + 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 def test_streamed_round_equals_round_on_the_whole_sample(n, eps):
-    # pieces of one selection slice of pairs, the last short or odd
+    # pieces of one draw block each, the last short or odd
     model = thermal.BiasModel("binomial", eps)
     for seed in (0, 1, 2):
         want_out, want_rec = phase1_round(thermal.sample(model, n, seed), bias_pred=0.5)
-        pieces = thermal.sample_pieces(model, n, seed, PIECE)
+        pieces = thermal.sample_pieces(model, n, seed)
         out, rec = phase1_round(pieces, bias_pred=0.5, round_index=0)
         assert out.dtype == np.uint8 and np.array_equal(out, want_out)
         assert rec == want_rec
         # as the pipeline calls it: one window of all n bits
-        out, rec = phase1_round(thermal.sample_pieces(model, n, seed, PIECE),
-                                bias_pred=0.5, window=n)
+        out, rec = phase1_round(thermal.sample_pieces(model, n, seed), bias_pred=0.5, window=n)
         assert np.array_equal(out, want_out) and rec == want_rec
+
+
+def test_streamed_round_on_pieces_of_mixed_sizes_equals_the_whole_round():
+    # in one stream, pieces of at most _FEW pairs are decided on lists and
+    # longer ones by numpy, one of them over more than one selection slice;
+    # an empty piece adds nothing and only the last is odd
+    rng = np.random.default_rng(21)
+    few, many = 2 * cooling._FEW, 2 * cooling._SLICE
+    sizes = [2, 0, few, few + 2, 6, many + 4, few, 40, 2, 7]
+    pieces = [(rng.random(size) < 0.4).astype(np.uint8) for size in sizes]
+    whole = np.concatenate(pieces)
+    want_out, want_rec = phase1_round(whole, bias_pred=0.5)
+    for window in (None, len(whole)):
+        out, rec = phase1_round(iter(pieces), bias_pred=0.5, window=window)
+        assert out.dtype == np.uint8 and np.array_equal(out, want_out)
+        assert rec == want_rec
 
 
 def test_streamed_round_rejects_odd_pieces():
@@ -562,10 +578,10 @@ def test_streamed_round_rejects_odd_pieces():
 def test_pipeline_streamed_first_round_equals_whole_sample(monkeypatch):
     # the direct pipeline pairs the sample piece by piece; handing it the
     # whole sample as one piece gives the same bits, records and steps
-    model, n, seed = thermal.BiasModel("binomial", 0.25), 3 * PIECE + 5, 4
+    model, n, seed = thermal.BiasModel("binomial", 0.25), 2 * BLOCK + 5, 4
     got = pipeline(model, n, seed)
     monkeypatch.setattr(thermal, "sample_pieces",
-                        lambda model, n, seed, size: iter([thermal.sample(model, n, seed)]))
+                        lambda model, n, seed: iter([thermal.sample(model, n, seed)]))
     want = pipeline(model, n, seed)
     assert np.array_equal(got.bits, want.bits)
     assert got.records == want.records
@@ -646,11 +662,11 @@ def test_pipeline_deterministic():
 
 
 def test_pipeline_direct_peak_memory_per_bit():
-    # the first pairing round draws the sample one slice of pairs at a time
-    # and appends each slice's kept bits to one buffer, so the n sampled
-    # bits never exist: the peak is about the first round's output (a
-    # quarter byte per input bit, plus the buffer's growth) while the second
-    # round reads it
+    # the first pairing round draws the sample one 2^20-cell block at a
+    # time and appends each block's kept bits to one buffer, so the n
+    # sampled bits never exist: the peak is about the first round's output
+    # (a quarter byte per input bit, plus the buffer's growth) while the
+    # second round reads it
     model, n = thermal.BiasModel("binomial", 0.25), 2**22
     pipeline(model, n, seed=12)
     tracemalloc.start()
