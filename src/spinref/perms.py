@@ -13,7 +13,6 @@ __all__ = [
     "is_permutation",
     "identity",
     "compose",
-    "inverse",
     "apply_to",
     "cycles",
     "count_inversions",
@@ -34,13 +33,6 @@ def compose(p, q):
     p = np.asarray(p)
     q = np.asarray(q)
     return q[p]
-
-
-def inverse(p):
-    p = np.asarray(p)
-    inv = np.empty_like(p)
-    inv[p] = np.arange(len(p))
-    return inv
 
 
 def apply_to(a, p):
