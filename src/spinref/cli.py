@@ -205,6 +205,13 @@ def _resolve(args):
     for key, (valid, message) in _CHECKS.items():
         if key in checked and not valid(getattr(merged, key)):
             raise ValueError(message)
+    if args.command in ("pipeline", "analyze"):
+        # their plans enter phase 2, which pairing must carry the bias to
+        end = analysis.forward_orbit(merged.epsilon, merged.target_bias)[-1]
+        if end < cooling.PHASE2_ENTRY_BIAS:
+            raise ValueError(f"--target-bias {merged.target_bias} ends pairing at bias {end:.4f}, "
+                             f"short of phase 2's entry bias {analysis.TARGET_BIAS}; only "
+                             "spinref phase 1 takes a lower target")
     if "mode" in flags and merged.model == "markov" and merged.mode == "binomial-direct":
         raise ValueError("--model markov needs --mode shuffled-blocks: "
                          "binomial-direct assumes independent bits")

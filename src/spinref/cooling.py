@@ -60,6 +60,9 @@ __all__ = [
 # >= 33 there).
 PHASE2_REGIONS = ((0.0188, 0.072, 3), (0.0027, 0.0188, 7), (0.000158, 0.0027, 21))
 PHASE2_DELTA_MAX = max(hi for _, hi, _ in PHASE2_REGIONS)
+# the least phase-1 orbit end that phase 2 takes: its entry bias less the
+# orbit's threshold slack
+PHASE2_ENTRY_BIAS = analysis.TARGET_BIAS * (1.0 - analysis.THRESHOLD_RTOL)
 _POWER_EXPONENT = 0.4
 
 
@@ -355,14 +358,18 @@ class Plan:
 
 def make_plan(epsilon, n, target_bias=analysis.TARGET_BIAS):
     """The ``Plan`` for declared bias ``epsilon`` in (0, 1] and population n,
-    pairing until the predicted bias passes ``target_bias`` in (0, 1)."""
+    pairing until the predicted bias passes ``target_bias`` in (0, 1); a
+    target that ends pairing short of phase 2's entry bias is refused."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon={epsilon} outside (0, 1]")
     if not 0.0 < target_bias < 1.0:
         raise ValueError("target bias must lie in (0, 1)")
     orbit = tuple(analysis.forward_orbit(epsilon, target_bias))
-    # the orbit end sits within the threshold slack of the target; clamp the
-    # declared phase-2 entry level to the region maximum
+    if orbit[-1] < PHASE2_ENTRY_BIAS:
+        raise ValueError(f"target bias {target_bias} ends pairing at bias {orbit[-1]:.4f}, "
+                         f"short of phase 2's entry bias {analysis.TARGET_BIAS}")
+    # the orbit end may sit within the threshold slack below the entry
+    # bias; clamp the declared phase-2 entry level to the region maximum
     delta2 = min((1.0 - orbit[-1]) / 2.0, PHASE2_DELTA_MAX)
     phase2 = tuple(phase2_plan(delta2, n))
     cert = analysis.phase3_certificate(n, delta0=phase2[-1].delta_out if phase2 else delta2)

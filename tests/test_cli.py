@@ -173,6 +173,38 @@ def test_out_of_range_value_rejected_naming_its_flag(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["pipeline", "analyze"])
+@pytest.mark.parametrize("epsilon,target,end", [("0.25", "0.01", "0.2500"),
+                                                ("0.25", "0.5", "0.7705"),
+                                                ("0.7", "0.6", "0.7000")])
+def test_target_bias_short_of_phase2_rejected(tmp_path, capsys, monkeypatch, command, epsilon,
+                                              target, end):
+    # pairing would stop below the bias phase 2 enters at, and the plan
+    # would clamp its entry level to the region maximum as if it had not
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("a pipeline ran before the flags were checked")
+
+    monkeypatch.setattr(cooling, "pipeline", no_pipeline)
+    out = tmp_path / "o"
+    argv = [command, "--n", "1000000", "--epsilon", epsilon, "--target-bias", target,
+            "--out", str(out)]
+    assert run(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"spinref: --target-bias {target} ends pairing at bias {end}, short of phase 2's "
+        "entry bias 0.856; only spinref phase 1 takes a lower target\n")
+    assert not out.exists()
+
+
+def test_target_bias_below_the_entry_bias_that_pairing_passes_is_accepted(tmp_path):
+    # the orbit 0.25, 0.4706, 0.7706, 0.9653 passes 0.856 on its way to
+    # 0.8; phase 1 alone takes any target
+    for argv in (["analyze", "--epsilon", "0.25", "--target-bias", "0.8"],
+                 ["phase", "1", "--n", "10000", "--epsilon", "0.25", "--target-bias", "0.5"]):
+        assert run(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK, argv
+    payload = json.loads(read(tmp_path / "analysis.json"))
+    assert payload["phase1_rounds"] == 3
+
+
 def test_smallest_n_each_run_takes_is_accepted(tmp_path):
     for argv in (["phase", "2", "--n", "2"], ["phase", "3", "--n", "64"],
                  ["analyze", "--n", "64"]):

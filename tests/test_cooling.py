@@ -101,9 +101,16 @@ def test_phase1_run_monte_carlo_against_forward_recurrence():
 @pytest.mark.parametrize("eps", [0.05, 0.25, 0.7])
 def test_phase1_run_and_pipeline_share_the_round_count(eps, target):
     n = 10**5
-    bits = thermal.sample(thermal.BiasModel("binomial", eps), n, seed=1)
-    _, recs = run_phase1(bits, eps, target)
-    res = pipeline(thermal.BiasModel("binomial", eps), n, 1, target_bias=target)
+    model = thermal.BiasModel("binomial", eps)
+    _, recs = run_phase1(thermal.sample(model, n, seed=1), eps, target)
+    assert len(recs) == len(analysis.forward_orbit(eps, target)) - 1
+    if target == 0.6:
+        # from each eps here pairing to 0.6 ends short of phase 2's entry
+        # bias, so the pipeline refuses to plan it
+        with pytest.raises(ValueError, match="short of phase 2's entry bias"):
+            pipeline(model, n, 1, target_bias=target)
+        return
+    res = pipeline(model, n, 1, target_bias=target)
     planned = len(cooling.make_plan(eps, n, target).orbit) - 1
     assert len(recs) == sum(r.phase == 1 for r in res.records) == planned
 
@@ -112,6 +119,18 @@ def test_phase1_run_and_pipeline_share_the_round_count(eps, target):
 def test_plan_rejects_a_target_bias_outside_the_open_unit_interval(target):
     with pytest.raises(ValueError, match="target bias must lie in"):
         cooling.make_plan(0.25, 10**4, target)
+
+
+def test_plan_refuses_a_target_bias_that_ends_pairing_short_of_phase2():
+    # the orbit 0.25, 0.4706, 0.7706 stops at 0.5 with delta 0.1147, which
+    # the entry clamp would have declared 0.072; the threshold slack below
+    # 0.856 is all that it may absorb
+    with pytest.raises(ValueError, match="target bias 0.5 ends pairing at bias 0.7705"):
+        cooling.make_plan(0.25, 10**4, 0.5)
+    slack = analysis.TARGET_BIAS * (1.0 - analysis.THRESHOLD_RTOL / 2)
+    plan = cooling.make_plan(analysis.bias_backward(slack), 10**4)
+    assert plan.orbit == (plan.orbit[0], slack) and plan.delta2 == cooling.PHASE2_DELTA_MAX
+    assert cooling.make_plan(0.25, 10**4, 0.8).orbit[-1] > analysis.TARGET_BIAS
 
 
 def test_phase1_monotone_cleanliness():
