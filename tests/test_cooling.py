@@ -553,14 +553,19 @@ def test_round_kernels_equal_plain_selection(phase, k, layout, one_window, big, 
     assert rec == want_rec
 
 
-# the sampler's draw block, one piece of a streamed sample
+# the sampler's draw block, one piece of a streamed sample, and the bits of
+# one selection slice of pairs
 BLOCK = thermal._BLOCK
+SLICE_BITS = 2 * cooling._SLICE
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.25, 1.0])
-@pytest.mark.parametrize("n", [1, 2, 3, 10**5 + 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("n", [1, 2, 3, SLICE_BITS - 1, SLICE_BITS, SLICE_BITS + 1,
+                               3 * SLICE_BITS + 5, 10**5 + 1,
+                               BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 def test_streamed_round_equals_round_on_the_whole_sample(n, eps):
-    # pieces of one draw block each, the last short or odd
+    # pieces of one draw block each, the last short or odd, paired one
+    # selection slice at a time
     model = thermal.BiasModel("binomial", eps)
     for seed in (0, 1, 2):
         want_out, want_rec = phase1_round(thermal.sample(model, n, seed), bias_pred=0.5)
