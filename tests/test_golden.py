@@ -3,7 +3,8 @@
 The pins say that a refactor keeps the same behaviour: every byte of
 ``rounds.csv``/``ledger.json`` from ``spinref pipeline`` in both modes, of
 ``phaseN_rounds.csv``/``phaseN_summary.json`` from ``spinref phase`` and of
-``analysis.json``/``parity_plan.csv`` from ``spinref analyze``, the thermal
+``analysis.json``/``parity_plan.csv`` from ``spinref analyze``, of
+``arch.json`` from ``spinref arch`` for both ring patterns, the thermal
 samples of both models and the clean bits of one pipeline run, and every
 compiled phase program (its text, closed-form cost and live output on seeded
 tapes).  A change that is meant to alter these bytes re-pins them and says
@@ -72,6 +73,16 @@ ANALYZE = {
     ),
 }
 
+# ``arch.json`` per (pattern, periods): one period, the default three, and a
+# ring of 100 periods
+ARCH = {
+    ("ABC", 1): "075fb7c5dcf89d12c4d56fd0807039123f8f827dfe4dad4c02ab5f4e4c5fdb2e",
+    ("ABC", 3): "b2c7752dcbeb56baf99db54e775659fa28c64533a153031a5eb5c74f805ce860",
+    ("ABC", 100): "92f8b8fbc73233ffacf7f5af3abf58117258e4e2823cda682d05688bbd877edb",
+    ("ABCD", 1): "caa8753263fa312e682bc1dd79369f460ed1653b73daa70f6579f3b07c9c296a",
+    ("ABCD", 3): "ea2e50bb9b1a4a676ea006dab0098eeae66ab9a6f961415d51bbd89aff1ef5f5",
+    ("ABCD", 100): "462639b7da478bc76a4229c0609dcfbf3d986758f6b5840ab5978d8ce7276376",
+}
 
 PHASE = {
     "1": (
@@ -122,6 +133,12 @@ def test_phase_golden(tmp_path, which):
 def test_analyze_golden(tmp_path, case):
     flags, pins = ANALYZE[case]
     assert _digests(tmp_path, ["analyze"] + flags, pins) == pins
+
+
+@pytest.mark.parametrize("pattern,periods", sorted(ARCH))
+def test_arch_golden(tmp_path, pattern, periods):
+    argv = ["arch", "--pattern", pattern, "--periods", str(periods)]
+    assert _digests(tmp_path, argv, ["arch.json"]) == {"arch.json": ARCH[pattern, periods]}
 
 
 # n at and around the 64-bit word boundary 2^14, one large n with a short
