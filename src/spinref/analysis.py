@@ -19,7 +19,6 @@ __all__ = [
     "bias_backward",
     "forward_orbit",
     "backward_orbit",
-    "phase1_rounds",
     "phase1_overhead",
     "phase2_bounds",
     "phase2_delta_bound",
@@ -86,11 +85,6 @@ def backward_orbit(target, rounds):
     for _ in range(rounds):
         orbit.append(bias_backward(orbit[-1]))
     return orbit
-
-
-def phase1_rounds(eps0, target=TARGET_BIAS):
-    """Rounds of pairing needed to push eps0 to the target."""
-    return len(forward_orbit(eps0, target)) - 1
 
 
 def phase1_overhead(eps0, eps_target=TARGET_BIAS):

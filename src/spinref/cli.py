@@ -74,9 +74,9 @@ _PHASE_FLAGS = {
 # declares the flags of all three phases
 _COMMANDS = {
     "pipeline": ("full cooling run", ("n", "epsilon", "model", "ell", "seed", "trials",
-                                      "target_bias", "format", "mode", "jobs")),
+                                      "format", "mode", "jobs")),
     "phase": ("run a single phase", tuple(dict.fromkeys(sum(_PHASE_FLAGS.values(), ())))),
-    "analyze": ("orbits, schedules, constants", ("n", "epsilon", "target_bias")),
+    "analyze": ("orbits, schedules, constants", ("n", "epsilon")),
     "arch": ("pulse-permutation verification", ()),
     "equiv": ("compiled-vs-abstract suites", ("seed",)),
     "bench": ("runtime-exponent fits", ("epsilon", "model", "ell", "seed")),
@@ -205,13 +205,6 @@ def _resolve(args):
     for key, (valid, message) in _CHECKS.items():
         if key in checked and not valid(getattr(merged, key)):
             raise ValueError(message)
-    if args.command in ("pipeline", "analyze"):
-        # their plans enter phase 2, which pairing must carry the bias to
-        end = analysis.forward_orbit(merged.epsilon, merged.target_bias)[-1]
-        if end < cooling.PHASE2_ENTRY_BIAS:
-            raise ValueError(f"--target-bias {merged.target_bias} ends pairing at bias {end:.4f}, "
-                             f"short of phase 2's entry bias {analysis.TARGET_BIAS}; only "
-                             "spinref phase 1 takes a lower target")
     if "mode" in flags and merged.model == "markov" and merged.mode == "binomial-direct":
         raise ValueError("--model markov needs --mode shuffled-blocks: "
                          "binomial-direct assumes independent bits")
@@ -233,8 +226,8 @@ def _records_payload(records, fmt, outdir, stem):
 
 
 def _pipeline_trial(payload):
-    model, n, seed, mode, target_bias = payload
-    res = cooling.pipeline(model, n, seed, mode=mode, target_bias=target_bias)
+    model, n, seed, mode = payload
+    res = cooling.pipeline(model, n, seed, mode=mode)
     return {
         "seed": seed,
         "clean_bits": res.clean_bits,
@@ -254,8 +247,7 @@ def _map_trials(fn, payloads, jobs):
 
 def _cmd_pipeline(args, outdir):
     model = _model(args)
-    payloads = [(model, args.n, args.seed + t, args.mode, args.target_bias)
-                for t in range(args.trials)]
+    payloads = [(model, args.n, args.seed + t, args.mode) for t in range(args.trials)]
     results = _map_trials(_pipeline_trial, payloads, args.jobs)
     _records_payload(results[0]["records"], args.format, outdir, "rounds")
     summary = {
@@ -321,9 +313,9 @@ def _cmd_phase(args, outdir):
 
 
 def _cmd_analyze(args, outdir):
-    plan = cooling.make_plan(args.epsilon, args.n, args.target_bias)
+    plan = cooling.make_plan(args.epsilon, args.n)
     reports.write_text(outdir / "bias_orbit.csv", reports.orbit_to_csv("epsilon", plan.orbit))
-    back = analysis.backward_orbit(args.target_bias, max(len(plan.orbit) - 1, 7))
+    back = analysis.backward_orbit(analysis.TARGET_BIAS, max(len(plan.orbit) - 1, 7))
     reports.write_text(outdir / "bias_orbit_backward.csv", reports.orbit_to_csv("epsilon", back))
     reports.write_text(
         outdir / "parity_plan.csv",
@@ -332,9 +324,9 @@ def _cmd_analyze(args, outdir):
     cert = plan.certificate
     payload = {
         "epsilon": args.epsilon,
-        "target_bias": args.target_bias,
+        "target_bias": analysis.TARGET_BIAS,
         "phase1_rounds": len(plan.orbit) - 1,
-        "phase1_overhead_sq": analysis.phase1_overhead(args.epsilon, args.target_bias) ** 2,
+        "phase1_overhead_sq": analysis.phase1_overhead(args.epsilon) ** 2,
         "phase2_plan": [
             {"k": p.k, "delta_in": p.delta_in, "delta_out": p.delta_out} for p in plan.phase2
         ],

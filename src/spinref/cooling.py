@@ -60,9 +60,6 @@ __all__ = [
 # >= 33 there).
 PHASE2_REGIONS = ((0.0188, 0.072, 3), (0.0027, 0.0188, 7), (0.000158, 0.0027, 21))
 PHASE2_DELTA_MAX = max(hi for _, hi, _ in PHASE2_REGIONS)
-# the least phase-1 orbit end that phase 2 takes: its entry bias less the
-# orbit's threshold slack
-PHASE2_ENTRY_BIAS = analysis.TARGET_BIAS * (1.0 - analysis.THRESHOLD_RTOL)
 _POWER_EXPONENT = 0.4
 
 
@@ -356,18 +353,13 @@ class Plan:
     certificate: analysis.Phase3Certificate
 
 
-def make_plan(epsilon, n, target_bias=analysis.TARGET_BIAS):
+def make_plan(epsilon, n):
     """The ``Plan`` for declared bias ``epsilon`` in (0, 1] and population n,
-    pairing until the predicted bias passes ``target_bias`` in (0, 1); a
-    target that ends pairing short of phase 2's entry bias is refused."""
+    pairing until the predicted bias reaches phase 2's entry bias
+    ``analysis.TARGET_BIAS``, where parity binning takes over."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon={epsilon} outside (0, 1]")
-    if not 0.0 < target_bias < 1.0:
-        raise ValueError("target bias must lie in (0, 1)")
-    orbit = tuple(analysis.forward_orbit(epsilon, target_bias))
-    if orbit[-1] < PHASE2_ENTRY_BIAS:
-        raise ValueError(f"target bias {target_bias} ends pairing at bias {orbit[-1]:.4f}, "
-                         f"short of phase 2's entry bias {analysis.TARGET_BIAS}")
+    orbit = tuple(analysis.forward_orbit(epsilon))
     # the orbit end may sit within the threshold slack below the entry
     # bias; clamp the declared phase-2 entry level to the region maximum
     delta2 = min((1.0 - orbit[-1]) / 2.0, PHASE2_DELTA_MAX)
@@ -458,9 +450,10 @@ def _arch_gather_cost(n):
     return {"single": n * n, "two_tape": 6 * n, "two_tape_ca": n}
 
 
-def pipeline(model, n, seed, mode="binomial-direct", target_bias=analysis.TARGET_BIAS):
+def pipeline(model, n, seed, mode="binomial-direct"):
     """End-to-end run: sample, (permute), cool in three phases, gather; a
-    direct run pairs its sample as it is drawn.
+    direct run pairs its sample as it is drawn.  Pairing hands over to
+    parity binning at the fixed bias ``analysis.TARGET_BIAS`` (``make_plan``).
 
     Both modes run the plan's rounds (``plan_rounds``) through
     ``run_rounds``: every round is one call on the flat bits with window
@@ -496,7 +489,7 @@ def pipeline(model, n, seed, mode="binomial-direct", target_bias=analysis.TARGET
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "binomial-direct" and model.kind != "binomial":
         raise ValueError(f"binomial-direct needs a binomial source, not {model.kind!r}")
-    plan = make_plan(model.epsilon, n, target_bias)
+    plan = make_plan(model.epsilon, n)
     steps = {"single": 0, "two_tape": 0, "two_tape_ca": 0}
 
     if mode == "binomial-direct":

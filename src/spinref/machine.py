@@ -183,9 +183,6 @@ class TapeState:
             return self.cells.copy()
         return np.roll(self.cells, -self.head)
 
-    def copy(self):
-        return TapeState(self.cells.copy(), self.head, list(self.register), self.steps)
-
     def snapshot(self):
         return (self.cells.tobytes(), self.head, tuple(self.register))
 

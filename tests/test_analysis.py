@@ -16,7 +16,6 @@ from spinref.analysis import (
     forward_orbit,
     ledger_constant,
     phase1_overhead,
-    phase1_rounds,
     phase2_bounds,
     phase2_delta_bound,
     phase2_stationary,
@@ -67,8 +66,8 @@ def test_seven_backward_iterates():
 
 
 def test_phase1_round_counts():
-    assert phase1_rounds(0.009985, 0.856) == 7
-    assert phase1_rounds(0.857, 0.856) == 0
+    assert len(forward_orbit(0.009985, 0.856)) - 1 == 7
+    assert forward_orbit(0.857, 0.856) == [0.857]
 
 
 def test_phase1_overhead_constants():

@@ -132,7 +132,7 @@ def test_epsilon_outside_unit_interval_rejected(tmp_path, capsys, command, epsil
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["pipeline", "--target-bias", "1.5"], "--target-bias"),
+    (["phase", "1", "--target-bias", "1.5"], "--target-bias"),
     (["phase", "1", "--target-bias", "0"], "--target-bias"),
     (["pipeline", "--model", "markov", "--mode", "shuffled-blocks", "--ell", "0"], "--ell"),
     (["bench", "--ell", "-3"], "--ell"),
@@ -173,36 +173,14 @@ def test_out_of_range_value_rejected_naming_its_flag(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["pipeline", "analyze"])
-@pytest.mark.parametrize("epsilon,target,end", [("0.25", "0.01", "0.2500"),
-                                                ("0.25", "0.5", "0.7705"),
-                                                ("0.7", "0.6", "0.7000")])
-def test_target_bias_short_of_phase2_rejected(tmp_path, capsys, monkeypatch, command, epsilon,
-                                              target, end):
-    # pairing would stop below the bias phase 2 enters at, and the plan
-    # would clamp its entry level to the region maximum as if it had not
-    def no_pipeline(*args, **kwargs):
-        raise AssertionError("a pipeline ran before the flags were checked")
-
-    monkeypatch.setattr(cooling, "pipeline", no_pipeline)
-    out = tmp_path / "o"
-    argv = [command, "--n", "1000000", "--epsilon", epsilon, "--target-bias", target,
-            "--out", str(out)]
-    assert run(argv) == cli.EXIT_USAGE
-    assert capsys.readouterr().err == (
-        f"spinref: --target-bias {target} ends pairing at bias {end}, short of phase 2's "
-        "entry bias 0.856; only spinref phase 1 takes a lower target\n")
-    assert not out.exists()
-
-
 def test_target_bias_below_the_entry_bias_that_pairing_passes_is_accepted(tmp_path):
-    # the orbit 0.25, 0.4706, 0.7706, 0.9653 passes 0.856 on its way to
-    # 0.8; phase 1 alone takes any target
-    for argv in (["analyze", "--epsilon", "0.25", "--target-bias", "0.8"],
-                 ["phase", "1", "--n", "10000", "--epsilon", "0.25", "--target-bias", "0.5"]):
+    # phase 1 runs pairing alone, so it takes any target: the orbit 0.25,
+    # 0.4706, 0.7706, 0.9653 stops short of 0.856 on its way to 0.5 and
+    # passes it on its way to 0.8
+    for target, rounds in (("0.5", 2), ("0.8", 3)):
+        argv = ["phase", "1", "--n", "10000", "--epsilon", "0.25", "--target-bias", target]
         assert run(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK, argv
-    payload = json.loads(read(tmp_path / "analysis.json"))
-    assert payload["phase1_rounds"] == 3
+        assert json.loads(read(tmp_path / "phase1_summary.json"))["rounds"] == rounds
 
 
 def test_smallest_n_each_run_takes_is_accepted(tmp_path):
@@ -240,6 +218,9 @@ DROPPED = [
     (("pipeline",), ["--alpha"]),
     (("analyze",), ["--alpha"]),
     (("phase", "2"), ["--alpha"]),
+    # both pair to the fixed entry bias of phase 2; only phase 1 takes a target
+    (("pipeline",), ["--target-bias"]),
+    (("analyze",), ["--target-bias"]),
 ]
 FLAG_VALUES = {"--model": "binomial", "--format": "json", "--epsilon": "0.3",
                "--target-bias": "0.856", "--alpha": "0.3"}
@@ -257,12 +238,18 @@ def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, command, fl
 
 
 def test_shared_config_values_of_unread_flags_are_ignored(tmp_path):
-    # a config written for pipeline runs does not break arch or equiv
+    # a config written for pipeline runs does not break arch or equiv, and
+    # a phase-1 target moves no pipeline or analyze output
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 0, "epsilon": 0, "trials": 0, "seed": 4}))
+    cfg.write_text(json.dumps({"n": 0, "epsilon": 0, "trials": 0, "seed": 4,
+                               "target_bias": 0.5}))
     assert run(["arch", "--config", str(cfg), "--out", str(tmp_path / "a")]) == cli.EXIT_OK
     assert run(["equiv", "--config", str(cfg), "--out", str(tmp_path / "e")]) == cli.EXIT_OK
     assert run(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "p")]) == cli.EXIT_USAGE
+    argv = ["analyze", "--n", "1000", "--epsilon", "0.25", "--out"]
+    assert run(argv + [str(tmp_path / "y"), "--config", str(cfg)]) == cli.EXIT_OK
+    assert run(argv + [str(tmp_path / "z")]) == cli.EXIT_OK
+    assert read(tmp_path / "y" / "analysis.json") == read(tmp_path / "z" / "analysis.json")
 
 
 def test_phase_json_format(tmp_path):
@@ -274,8 +261,7 @@ def test_phase_json_format(tmp_path):
 
 def test_analyze_paper_orbit(tmp_path):
     assert (
-        run(["analyze", "--epsilon", "0.009985", "--target-bias", "0.856",
-             "--n", "1000000", "--out", str(tmp_path)])
+        run(["analyze", "--epsilon", "0.009985", "--n", "1000000", "--out", str(tmp_path)])
         == cli.EXIT_OK
     )
     payload = json.loads(read(tmp_path / "analysis.json"))
