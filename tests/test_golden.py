@@ -54,6 +54,17 @@ PIPELINE = {
             "ledger.json": "7ab6a34d9c621796b195d4d77ea3de2b754901886b7edf0a685de550e5aa394c",
         },
     ),
+    # the last 2^20-cell draw block holds 18 cells, so it ends inside a
+    # 16-cell chunk, and the second round's 278,052 bits end 4 cells into one
+    "direct-2^20+18": (
+        ["--mode", "binomial-direct", "--n", "1048594"],
+        {"rounds.csv": "58424d3cfc7bf00d4031d5ee69a3d4ac78e5a5c12cf93d2d8cde8be959f17749"},
+    ),
+    # an odd n: the last cell is left unpaired
+    "direct-1e7+1": (
+        ["--mode", "binomial-direct", "--n", "10000001"],
+        {"rounds.csv": "2070f63b02905759b31dd95ea6d0547fb8a534f1d1b0bf5b3aac9ac0ad90b39f"},
+    ),
 }
 
 ANALYZE = {
@@ -176,11 +187,14 @@ MODELS = {
     "markov": thermal.BiasModel("markov", 0.25, ell=10),
 }
 # clean bits of ``pipeline(MODELS["binomial"], n, 3)``, as 0/1 bytes: 8365 at
-# n = 10^6, and 32,256 at n = 3 * 2^20 + 5, whose first round pairs four
-# draw blocks, the last one 5 cells long
+# n = 10^6; 32,256 at n = 3 * 2^20 + 5, whose first round pairs four draw
+# blocks, the last one 5 cells long; 8813 at n = 2^20 + 18, whose last block
+# ends 2 cells into a 16-cell chunk; and 124,164 at the odd n = 10^7 + 1
 PIPELINE_BITS = {
     10**6: "bb01f03ba3190981e4d1720f90904c24acfb2f54c9b6c07f452d3b918629899d",
     3 * 2**20 + 5: "47a22accc6fb0aedaf4a5cf8014bdd569ead0efad399fdb8de134235e7c9bb10",
+    2**20 + 18: "a842046af6ec37b47aefbf270f40cc916c304b9b6c42cb6a075b2b0dd6d60a97",
+    10**7 + 1: "8db8a1a9cdec969405e58d4892026fcaf06211f7472fa6cb2923001058c94211",
 }
 
 
