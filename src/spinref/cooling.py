@@ -30,7 +30,7 @@ the two-tape and two-tape-plus-cellular-automaton cost models.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -40,6 +40,7 @@ from . import analysis, compiler, perms, thermal
 
 __all__ = [
     "RoundRecord",
+    "PackedBits",
     "Plan",
     "make_plan",
     "plan_rounds",
@@ -181,62 +182,183 @@ def _equal(words):
     return words - _W1 > _W255
 
 
-def _round(phase, pieces, k, window, rng, bias_pred, round_index):
-    """One round of ``phase`` on the bits of ``pieces``, an iterable of bit
-    arrays, and its record.
+@lru_cache(maxsize=None)
+def _sums(k, mask):
+    """The smallest unsigned type that holds a sum of k bits, and the row
+    ``mask``, 0 and 1 as scalars of that type: a Python int operand costs a
+    conversion on every call, most of a microsecond per small round."""
+    acc = np.min_scalar_type(k)
+    return acc, acc.type(mask), acc.type(0), acc.type(1)
 
-    Every phase is one rule: cut each piece into rows of k bits (``_rows``)
+
+def _round(phase, bits, k, window, rng, bias_pred, round_index):
+    """One round of ``phase`` on the bit array ``bits``, and its record.
+
+    Every phase is one rule: cut the bits into rows of k bits (``_rows``)
     and keep a row's payload, all but its h header bits, iff the row's
     ones-count is a multiple of 2 (pairing, k = 2, and parity binning: h =
-    1) or of 4 (mod-4 counting: h = 3).  A piece of at most ``_FEW`` rows is
-    decided on Python lists; a longer one ``_SLICE`` rows at a time, pairs
-    read as uint16 words and other rows by their sums, taken with
-    ``np.einsum`` in the smallest unsigned type that holds k, so a sum is
-    exact at any k.  Every kept payload is appended to one buffer as it is
-    decided, so a streamed input is never held whole, and only the last
-    piece may end in a part row.  ``u``,
+    1) or of 4 (mod-4 counting: h = 3).  At most ``_FEW`` rows are decided
+    on Python lists; more are decided ``_SLICE`` rows at a time, pairs read
+    as uint16 words and other rows by their sums, taken with ``np.einsum``
+    in the smallest unsigned type that holds k, so a sum is exact at any k.
+    Every kept payload is appended to one buffer as it is decided.  ``u``,
     the count of rows holding exactly one 1, is recorded in phase 2 only.
     """
     h, mask = (3, 3) if phase == 3 else (1, 1)
+    bits = np.asarray(bits, np.uint8)
+    rows = _rows(bits, k, window, rng)
     buf = bytearray()
-    n_in = ones_in = ones_out = u = 0
-    for piece in pieces:
-        if n_in % k:
-            raise ValueError("only the last piece of a streamed input may have odd length")
-        piece = np.asarray(piece, np.uint8)
-        n_in += len(piece)
-        ones_in += int(np.count_nonzero(piece))
-        rows = _rows(piece, k, window, rng)
-        if len(rows) <= _FEW:
-            for r in rows.tolist():
-                s = sum(r)
-                if phase == 2 and s == 1:
-                    u += 1
-                if not s & mask:
-                    payload = r[h:]
-                    buf.extend(payload)
-                    ones_out += sum(payload)
-            continue
+    ones_out = u = 0
+    if len(rows) <= _FEW:
+        for r in rows.tolist():
+            s = sum(r)
+            if phase == 2 and s == 1:
+                u += 1
+            if not s & mask:
+                payload = r[h:]
+                buf.extend(payload)
+                ones_out += sum(payload)
+    else:
         if phase == 1:
             second, words = _pairs(rows)
         else:
-            acc = np.min_scalar_type(k)
+            acc, mask, zero, one = _sums(k, mask)
         for lo in range(0, len(rows), _SLICE):
             if phase == 1:
                 kept = second[lo : lo + _SLICE].compress(_equal(words[lo : lo + _SLICE]))
             else:
                 part = rows[lo : lo + _SLICE]
                 s = np.einsum("ij->i", part, dtype=acc)
-                kept = part[:, h:].compress((s & mask) == 0, axis=0)
+                kept = part[:, h:].compress((s & mask) == zero, axis=0)
                 if phase == 2:
-                    u += int(np.count_nonzero(s == 1))
+                    u += int(np.count_nonzero(s == one))
             buf += kept.data
             ones_out += int(np.count_nonzero(kept))
-            del kept  # held into the next slice, it would raise a direct run's peak
-    n_out = len(buf)
+            del kept  # held into the next slice, it would raise the round's peak
+    n_in, n_out = len(bits), len(buf)
     return np.frombuffer(buf, np.uint8), RoundRecord(
-        phase, round_index, n_in, n_out, ones_in, ones_out, _bias(ones_out, n_out), bias_pred,
-        _steps(phase, k, n_in, window), u if phase == 2 else None, None if phase == 1 else k,
+        phase, round_index, n_in, n_out, int(np.count_nonzero(bits)), ones_out,
+        _bias(ones_out, n_out), bias_pred, _steps(phase, k, n_in, window),
+        u if phase == 2 else None, None if phase == 1 else k,
+    )
+
+
+# ---------------------------------------------------------------------------
+# packed pairing
+
+
+@dataclass(frozen=True)
+class PackedBits:
+    """n bits, 16 to a little-endian uint16 chunk, bit i of chunk j holding
+    bit 16j + i.  ``blocks`` gives ``(words, m)`` pairs: an array of
+    unsigned words, read as chunks in that order, and the count of its
+    cells that are bits, even in every block but the last, so that no pair
+    straddles two blocks.  The blocks may be made only when they are asked
+    for, as the direct pipeline's sample is drawn (``thermal._blocks``);
+    they are read once."""
+
+    blocks: Iterable
+    n: int
+
+    def unpack(self):
+        """The bits, one uint8 per bit."""
+        return np.concatenate(
+            [np.unpackbits(_chunks(words).view(np.uint8), count=m, bitorder="little")
+             for words, m in self.blocks]
+        )
+
+
+def _chunks(words):
+    """``words`` as little-endian 16-cell chunks."""
+    return words.astype(words.dtype.newbyteorder("<"), copy=False).view("<u2")
+
+
+def _pair_table():
+    """Per 16-cell chunk, the second bits of its equal pairs, packed from
+    bit 0 up in pair order, and their count from bit 8 up; built from the
+    same table over bytes, the low byte's pairs first."""
+    byte = np.arange(256, dtype=np.uint32)
+    kept, count = np.zeros(256, np.uint32), np.zeros(256, np.uint32)
+    for j in range(0, 8, 2):
+        second = byte >> (j + 1) & 1
+        equal = (byte >> j & 1) == second
+        kept |= (second & equal) << count
+        count += equal
+    # chunk hi * 256 + lo sits at row hi, column lo
+    return (kept | kept[:, None] << count | (count + count[:, None]) << 8).ravel()
+
+
+_PAIR = _pair_table()
+_POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+_POP = (_POP8 + _POP8[:, None]).ravel()  # ones per uint16 word
+
+# cells paired per call of ``_pair_chunks``: its largest temporary, the
+# table entries, then takes 64 KiB; a whole 2^20-cell draw block per call
+# measured twice as slow on a direct run's first round
+_PACKED_SLICE = 1 << 18
+
+
+def _pair_chunks(chunks, m, out, o):
+    """Pair the first m cells of ``chunks``, write the kept bits into the
+    uint32 words ``out`` from bit o on, where they are 0, and return the
+    bit after them.
+
+    Each chunk's kept bits and their count come from ``_PAIR``; the unused
+    lanes of a last part chunk are read as unequal pairs 0b10, which keep
+    nothing.  The four chunks of each 64 cells join into one fragment of at
+    most 32 bits, whose low part lands in the word of its bit offset and
+    high part in the next.  The fragments' bits never overlap, so the sums
+    that ``np.bincount`` takes in float64 are their ORs, exact below 2^32.
+    """
+    c = -(-m // 16)
+    t = np.zeros(-(-c // 4) * 4, np.uint32)  # 0 = _PAIR[0xAAAA]: no pair equal
+    np.take(_PAIR, chunks[:c], out=t[:c], mode="clip")
+    if m % 16:
+        full = (1 << (m & 14)) - 1  # the lanes of the last chunk's whole pairs
+        t[c - 1] = _PAIR[int(chunks[c - 1]) & full | 0xAAAA & ~full]
+    t = t.reshape(-1, 4)
+    kept, count = t & 0xFF, t >> 8
+    frag, length = kept[:, 0].copy(), count[:, 0].copy()
+    for j in (1, 2, 3):
+        frag |= kept[:, j] << length
+        length += count[:, j]
+    end = np.cumsum(length, dtype=np.int64)
+    start = end - length
+    start += o & 31
+    frag = frag.astype(np.uint64)
+    frag <<= (start & 31).view(np.uint64)
+    word = start >> 5
+    size = int(word[-1]) + 2
+    acc = np.bincount(word, weights=frag & 0xFFFFFFFF, minlength=size)
+    acc[1:] += np.bincount(word, weights=frag >> 32, minlength=size - 1)
+    out[o >> 5 : (o >> 5) + size] |= acc.astype(np.uint32)
+    return o + int(end[-1])
+
+
+def _pair_packed(bits, bias_pred, round_index, window):
+    """``phase1_round`` on ``PackedBits``: the kept bits packed into one
+    uint32 array, paired ``_PACKED_SLICE`` cells at a time (``_pair_chunks``).
+
+    Only the kept bits' ones are counted.  An unequal pair holds one 1 and
+    an equal pair twice its kept bit, so the input's ones follow, with the
+    last cell of an odd input; no lane past the n bits is counted.
+    """
+    if _split(bits.n, window)[0]:
+        raise ValueError(f"packed bits must fit one window: {bits.n} bits, window {window}")
+    out = np.zeros(bits.n // 64 + 2, np.uint32)
+    n_in = n_out = odd = 0
+    for words, m in bits.blocks:
+        chunks = _chunks(words)
+        for lo in range(0, m, _PACKED_SLICE):
+            n_out = _pair_chunks(chunks[lo // 16 :], min(_PACKED_SLICE, m - lo), out, n_out)
+        n_in += m
+        odd = int(chunks[(m - 1) // 16]) >> (m - 1) % 16 & 1 if m % 2 else 0
+    out = out[: -(-n_out // 32)]
+    ones_out = int(_POP[out.view(np.uint16)].sum())
+    ones_in = 2 * ones_out + n_in // 2 - n_out + odd
+    return PackedBits(((out, n_out),), n_out), RoundRecord(
+        1, round_index, n_in, n_out, ones_in, ones_out, _bias(ones_out, n_out), bias_pred,
+        _steps(1, 2, n_in, window),
     )
 
 
@@ -249,17 +371,15 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, window=None):
     ``window`` width, pair within each window of that many bits.
     ``bias_pred`` is the planned output bias, recorded as given.
 
-    ``bits`` may also be an iterator of bit arrays of any lengths, every one
-    even but the last, such as the draw blocks of ``thermal.sample_pieces``.
-    Each is paired as soon as it arrives, ``_SLICE`` pairs at a time when it
-    is long, and only its kept bits are stored, so the whole input never
-    exists; such an input must fit one window.
+    ``bits`` may also be ``PackedBits``, such as the direct pipeline's
+    sample, which must fit one window; the kept bits then come back packed.
+    They are paired 16 at a time by table lookup, 2^18 cells per step, so
+    the whole input is never held unless it was given whole
+    (``_pair_packed``).
     """
-    stream = isinstance(bits, Iterator)
-    out, rec = _round(1, bits if stream else (bits,), 2, window, None, bias_pred, round_index)
-    if stream and _split(rec.n_in, window)[0]:
-        raise ValueError(f"a streamed input must fit one window: {rec.n_in} bits, window {window}")
-    return out, rec
+    if isinstance(bits, PackedBits):
+        return _pair_packed(bits, bias_pred, round_index, window)
+    return _round(1, bits, 2, window, None, bias_pred, round_index)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +399,7 @@ def phase2_round(bits, k, seed=None, bias_pred=math.nan, round_index=0, window=N
     if k < 2:
         raise ValueError("bin size must be >= 2")
     rng = None if seed is None else np.random.default_rng(seed)
-    return _round(2, (bits,), k, window, rng, bias_pred, round_index)
+    return _round(2, bits, k, window, rng, bias_pred, round_index)
 
 
 @dataclass(frozen=True)
@@ -333,7 +453,7 @@ def phase3_round(bits, k, bias_pred=math.nan, round_index=0, window=None):
     """
     if k < 4:
         raise ValueError("block size must be >= 4")
-    return _round(3, (bits,), k, window, None, bias_pred, round_index)
+    return _round(3, bits, k, window, None, bias_pred, round_index)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +581,12 @@ def pipeline(model, n, seed, mode="binomial-direct"):
     consecutive windows of m bits, the last one possibly short.
     ``binomial-direct`` takes m = n, so one window, and skips the initial
     permutation; it takes a binomial source only, since a correlated one
-    leaves ones in the clean prefix.  When the plan has a pairing round,
-    the sample is handed over one draw block of 2^20 cells at a time
-    (``thermal.sample_pieces``) and the first round pairs each block as it
-    arrives, so the n sampled bits are never held at once; the bits,
-    records and steps are those of pairing the whole sample.
+    leaves ones in the clean prefix.  Its sample stays packed 64 cells to
+    a word, as the sampler draws it, through the pairing rounds
+    (``PackedBits``), and is unpacked to one byte per bit where parity
+    binning takes over.  The first round pairs each 2^20-cell draw block as
+    it is drawn, so the n sampled bits are never held at once; the bits,
+    records and steps are those of pairing the whole sample unpacked.
     ``shuffled-blocks`` applies a spreading permutation and takes m =
     floor(n^(1/3)), the interaction-block size; the flat output of the last
     round is the gathered prefix.  When n is a perfect cube the spread is
@@ -494,10 +615,7 @@ def pipeline(model, n, seed, mode="binomial-direct"):
 
     if mode == "binomial-direct":
         m = n
-        if len(plan.orbit) > 1:
-            bits = thermal.sample_pieces(model, n, seed)
-        else:
-            bits = thermal.sample(model, n, seed)
+        bits = PackedBits(thermal._blocks(np.random.default_rng(seed), n, model.p_one), n)
     else:
         bits = thermal.sample(model, n, seed)
         if thermal._icbrt(n) ** 3 == n:
@@ -511,8 +629,12 @@ def pipeline(model, n, seed, mode="binomial-direct"):
             steps[arch] += c
         m = block_size(n)
 
-    head = plan_rounds(plan.orbit, plan.phase2, seed=np.random.SeedSequence((seed, 0x5EED2)))
-    bits, records = run_rounds(bits, head, m)
+    bits, records = run_rounds(bits, plan_rounds(plan.orbit), m)
+    if mode == "binomial-direct":
+        bits = bits.unpack()
+    binning = plan_rounds(phase2=plan.phase2, seed=np.random.SeedSequence((seed, 0x5EED2)))
+    bits, more = run_rounds(bits, binning, m)
+    records += more
     if plan.phase2:
         w = plan.phase2[-1].k - 1
         bits, inv = _transpose(bits, w, w * max(1, m // w))

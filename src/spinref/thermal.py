@@ -43,13 +43,13 @@ and 9.8 ms at p = 0.3712345678; one double per cell took 38-41 ms in the
 same run.
 
 Every draw runs this schedule through one loop, ``_blocks``, which yields
-each block's words as it draws them.  ``sample`` joins them and returns
-the sample whole.  ``sample_pieces`` hands a binomial sample over as its
-blocks, each unpacked when it is asked for, so a consumer that reads each
-piece at once (the direct pipeline's first pairing round) never holds the
-n bits.  A markov sample draws the copy coins of all n cells, then their
-fresh values, and fills the runs from the two word arrays
-(``_fill_words``).
+each block's words as it draws them.  ``sample`` joins them and unpacks
+the sample whole, one uint8 per cell.  The direct pipeline takes a
+binomial sample's blocks as they are drawn and never unpacks them
+(``cooling.PackedBits``): its first pairing round reads each block's
+words 16 cells at a time, so the n bits are never held, packed or not.
+A markov sample draws the copy coins of all n cells, then their fresh
+values, and fills the runs from the two word arrays (``_fill_words``).
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from numpy.lib.stride_tricks import as_strided
 __all__ = [
     "BiasModel",
     "sample",
-    "sample_pieces",
     "stride_shuffle_perm",
     "stride_spread",
     "stride_inversions",
@@ -166,9 +165,7 @@ def _cells(words, n):
 
 
 def sample(model, n, seed):
-    """Draw n bits; deterministic for fixed (model, n, seed).  A binomial
-    sample can also be handed over one draw block at a time
-    (``sample_pieces``)."""
+    """Draw n bits; deterministic for fixed (model, n, seed)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -221,20 +218,6 @@ def _fill_words(u, fresh):
     carry &= lead[1:]
     x[1:] |= carry
     return x
-
-
-def sample_pieces(model, n, seed):
-    """The bits of ``sample(model, n, seed)`` in consecutive pieces, one per
-    draw block of ``_BLOCK`` cells (the last holds the rest), each drawn and
-    unpacked only when it is asked for, so the n bits never exist at once.
-    Binomial sources only: a markov sample draws all of its copy coins
-    before any value."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if model.kind != "binomial":
-        raise ValueError(f"only a binomial sample is drawn in pieces, not {model.kind!r}")
-    blocks = _blocks(np.random.default_rng(seed), n, model.p_one)
-    return (_cells(words, m) for words, m in blocks)
 
 
 def _icbrt(x):

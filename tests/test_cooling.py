@@ -542,10 +542,28 @@ def test_round_kernels_equal_plain_selection(phase, k, layout, one_window, big, 
     assert rec == want_rec
 
 
-# the sampler's draw block, one piece of a streamed sample, and the bits of
-# one selection slice of pairs
+# the sampler's draw block, the cells of one packed pairing step, and the
+# bits of one selection slice of pairs
 BLOCK = thermal._BLOCK
 SLICE_BITS = 2 * cooling._SLICE
+
+
+def _draws(model, n, seed):
+    """The sample of ``thermal.sample(model, n, seed)`` as the direct
+    pipeline takes it: packed, one draw block at a time."""
+    return cooling.PackedBits(thermal._blocks(np.random.default_rng(seed), n, model.p_one), n)
+
+
+def _words(cells, dtype, rest):
+    """``cells`` packed into words of ``dtype``, the lanes past them ``rest``."""
+    lanes = 8 * np.dtype(dtype).itemsize
+    padded = np.concatenate((cells, np.full(-len(cells) % lanes, rest, np.uint8)))
+    return np.packbits(padded, bitorder="little").view(dtype)
+
+
+def _unpacked(result):
+    out, rec = result
+    return out.unpack(), rec
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.25, 1.0])
@@ -553,48 +571,85 @@ SLICE_BITS = 2 * cooling._SLICE
                                3 * SLICE_BITS + 5, 10**5 + 1,
                                BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 def test_streamed_round_equals_round_on_the_whole_sample(n, eps):
-    # pieces of one draw block each, the last short or odd, paired one
-    # selection slice at a time
+    # the draw blocks paired packed as they are drawn, the last one short
+    # or odd, equal the round on the whole unpacked sample
     model = thermal.BiasModel("binomial", eps)
     for seed in (0, 1, 2):
-        want_out, want_rec = phase1_round(thermal.sample(model, n, seed), bias_pred=0.5)
-        pieces = thermal.sample_pieces(model, n, seed)
-        out, rec = phase1_round(pieces, bias_pred=0.5, round_index=0)
+        sample = thermal.sample(model, n, seed)
+        assert np.array_equal(_draws(model, n, seed).unpack(), sample)
+        want_out, want_rec = phase1_round(sample, bias_pred=0.5)
+        out, rec = _unpacked(phase1_round(_draws(model, n, seed), bias_pred=0.5, round_index=0))
         assert out.dtype == np.uint8 and np.array_equal(out, want_out)
         assert rec == want_rec
         # as the pipeline calls it: one window of all n bits
-        out, rec = phase1_round(thermal.sample_pieces(model, n, seed), bias_pred=0.5, window=n)
+        out, rec = _unpacked(phase1_round(_draws(model, n, seed), bias_pred=0.5, window=n))
         assert np.array_equal(out, want_out) and rec == want_rec
 
 
 def test_streamed_round_on_pieces_of_mixed_sizes_equals_the_whole_round():
-    # in one stream, pieces of at most _FEW pairs are decided on lists and
-    # longer ones by numpy, one of them over more than one selection slice;
-    # an empty piece adds nothing and only the last is odd
+    # even blocks of uint16, uint32 and uint64 words, some ending inside a
+    # chunk, one over more than one packed step, an empty one, and an odd
+    # last block
     rng = np.random.default_rng(21)
-    few, many = 2 * cooling._FEW, 2 * cooling._SLICE
-    sizes = [2, 0, few, few + 2, 6, many + 4, few, 40, 2, 7]
-    pieces = [(rng.random(size) < 0.4).astype(np.uint8) for size in sizes]
-    whole = np.concatenate(pieces)
+    step = cooling._PACKED_SLICE
+    sizes = [(16, np.uint16), (0, np.uint64), (6, np.uint16), (64, np.uint32),
+             (step + 50, np.uint64), (2 * step, np.uint32), (34, np.uint32), (7, np.uint64)]
+    cells = [(rng.random(m) < 0.4).astype(np.uint8) for m, _ in sizes]
+    blocks = [(_words(bits, dtype, 1), len(bits)) for bits, (_, dtype) in zip(cells, sizes)]
+    whole = np.concatenate(cells)
     want_out, want_rec = phase1_round(whole, bias_pred=0.5)
     for window in (None, len(whole)):
-        out, rec = phase1_round(iter(pieces), bias_pred=0.5, window=window)
+        packed = cooling.PackedBits(iter(blocks), len(whole))
+        out, rec = _unpacked(phase1_round(packed, bias_pred=0.5, window=window))
         assert out.dtype == np.uint8 and np.array_equal(out, want_out)
         assert rec == want_rec
 
 
-def test_streamed_round_rejects_odd_pieces():
-    with pytest.raises(ValueError, match="odd length"):
-        phase1_round(iter([bits_of(0, 0, 1), bits_of(1, 1)]))
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+def test_packed_round_equals_round_on_cells(dtype):
+    # every n up to 200 and around one and two packed steps, at three ones
+    # fractions; the lanes past n, all ones or all zeros, reach neither the
+    # kept bits nor the records, and three rounds chained packed equal
+    # three rounds on cells
+    rng = np.random.default_rng(30)
+    step = cooling._PACKED_SLICE
+    sizes = [*range(1, 201), step - 1, step + 1, BLOCK - 1, BLOCK + 1, BLOCK + 18]
+    for n in sizes:
+        for p in (0.1, 0.5, 0.9):
+            cells = (rng.random(n) < p).astype(np.uint8)
+            for rest in (1, 0):
+                packed = cooling.PackedBits(((_words(cells, dtype, rest), n),), n)
+                want, got = cells, packed
+                for r in range(3 if n > 200 else 1):
+                    want, want_rec = phase1_round(want, bias_pred=0.5, round_index=r)
+                    got, rec = phase1_round(got, bias_pred=0.5, round_index=r)
+                    assert np.array_equal(got.unpack(), want), (n, p, rest, r)
+                    assert rec == want_rec, (n, p, rest, r)
+
+
+def test_pair_table_covers_every_chunk():
+    # every 16-cell chunk once, as 2^20 cells of uint16 words; 0xAAAA, the
+    # padding of a part chunk, keeps nothing
+    chunks = np.arange(1 << 16, dtype=np.uint16)
+    cells = np.unpackbits(chunks.astype("<u2").view(np.uint8), bitorder="little")
+    out, rec = phase1_round(cooling.PackedBits(((chunks, len(cells)),), len(cells)))
+    want, want_rec = phase1_round(cells)
+    assert np.array_equal(out.unpack(), want) and rec == want_rec
+    assert cooling._PAIR[0xAAAA] == 0
 
 
 def test_pipeline_streamed_first_round_equals_whole_sample(monkeypatch):
-    # the direct pipeline pairs the sample piece by piece; handing it the
-    # whole sample as one piece gives the same bits, records and steps
+    # the direct pipeline pairs the sample packed, one draw block at a time;
+    # handing it the whole sample as one block of words gives the same
+    # bits, records and steps
     model, n, seed = thermal.BiasModel("binomial", 0.25), 2 * BLOCK + 5, 4
     got = pipeline(model, n, seed)
-    monkeypatch.setattr(thermal, "sample_pieces",
-                        lambda model, n, seed: iter([thermal.sample(model, n, seed)]))
+    blocks = thermal._blocks
+
+    def whole(rng, n, p):
+        yield np.concatenate([words for words, _ in blocks(rng, n, p)]), n
+
+    monkeypatch.setattr(thermal, "_blocks", whole)
     want = pipeline(model, n, seed)
     assert np.array_equal(got.bits, want.bits)
     assert got.records == want.records
@@ -614,18 +669,22 @@ def test_pipeline_without_pairing_round_starts_at_phase2():
 
 def test_window_must_be_positive_and_hold_a_stream():
     bits = np.zeros(10, dtype=np.uint8)
+
+    def packed(*cells):
+        return cooling.PackedBits(((_words(bits_of(*cells), np.uint32, 0), len(cells)),), len(cells))
+
     for window in (0, -1):
         for call in (lambda: phase1_round(bits, window=window),
-                     lambda: phase1_round(iter([bits]), window=window),
+                     lambda: phase1_round(packed(0, 0), window=window),
                      lambda: phase2_round(bits, 3, seed=1, window=window),
                      lambda: phase3_round(bits, 4, window=window)):
             with pytest.raises(ValueError, match="window must be >= 1"):
                 call()
-    # a streamed input is paired as it arrives, so it must fit one window
+    # packed bits are paired in one window
     with pytest.raises(ValueError, match="fit one window"):
-        phase1_round(iter([bits_of(0, 0, 1, 1), bits_of(1, 1)]), window=5)
-    out, rec = phase1_round(iter([bits_of(0, 0, 1, 1), bits_of(1, 1)]), window=6)
-    assert out.tolist() == [0, 1, 1] and rec.n_in == 6
+        phase1_round(packed(0, 0, 1, 1, 1, 1), window=5)
+    out, rec = phase1_round(packed(0, 0, 1, 1, 1, 1), window=6)
+    assert out.unpack().tolist() == [0, 1, 1] and rec.n_in == 6
 
 
 # ---------------------------------------------------------------------------

@@ -215,14 +215,15 @@ sample_sizes = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(n=sample_sizes, eps=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_sample_pieces_are_the_sample_in_order(n, eps, seed):
-    # one piece per draw block, each a fresh array, so pieces held on to
-    # still join into the sample
+def test_draw_blocks_are_the_sample_in_order(n, eps, seed):
+    # one block of words per 2^20 cells, each a fresh array, so blocks held
+    # on to still unpack into the sample; the direct pipeline pairs them so
     model = BiasModel("binomial", eps)
-    pieces = list(thermal.sample_pieces(model, n, seed))
-    assert [len(p) for p in pieces] == [min(BLOCK, n - lo) for lo in range(0, n, BLOCK)]
-    assert all(p.dtype == np.uint8 for p in pieces)
-    assert np.array_equal(np.concatenate(pieces), sample(model, n, seed))
+    blocks = list(thermal._blocks(np.random.default_rng(seed), n, model.p_one))
+    assert [m for _, m in blocks] == [min(BLOCK, n - lo) for lo in range(0, n, BLOCK)]
+    assert all(words.dtype == np.uint64 and len(words) == -(-m // 64) for words, m in blocks)
+    cells = np.concatenate([thermal._cells(words, m) for words, m in blocks])
+    assert np.array_equal(cells, sample(model, n, seed))
 
 
 def _run_length_fill(copy, fresh):
@@ -281,13 +282,6 @@ def test_markov_sample_is_the_run_length_fill_of_its_draws(ell):
     fresh = thermal._cells(thermal._draw_words(rng, n, model.p_one), n)
     copy[0] = 0
     assert np.array_equal(sample(model, n, seed), _run_length_fill(copy, fresh))
-
-
-def test_sample_pieces_refuse_markov_and_empty_draws():
-    with pytest.raises(ValueError, match="binomial"):
-        thermal.sample_pieces(BiasModel("markov", 0.25, ell=3), 10, 0)
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        thermal.sample_pieces(BiasModel("binomial", 0.25), 0, 0)
 
 
 def test_sample_peak_allocation_stays_near_the_output():
