@@ -18,9 +18,15 @@ loop.  A round runs on a flat bit array, optionally cut into consecutive
 windows of one width, the last one possibly short, that no
 pair, bin or block straddles; the pipeline cuts the survivors into windows
 afresh before every round.  One kernel, ``_round``, runs every round of
-the three phases, on an array or on a stream of pieces; a piece of at most
-``_FEW`` rows, such as each case of an equivalence check, is decided row
-by row on Python lists, where numpy's fixed cost per call would dominate.
+the three phases on a bit array; at most ``_FEW`` rows, such as each case
+of an equivalence check, are decided row by row on Python lists, where
+numpy's fixed cost per call would dominate.  Pairing also runs on
+``PackedBits``, 16 bits to a uint16 chunk (``_pair_packed``), each chunk
+decided by one lookup in a 65,536-entry table.  Only the direct
+pipeline's sample arrives packed, as the sampler draws it; it stays
+packed through the pairing rounds and is unpacked where parity binning
+takes over.  Every other input keeps the unpacked path: packing and
+unpacking a few hundred pairs would cost more than pairing them.
 
 Per-round step costs are charged from the compiled-program cost formulas
 (single-tape canonical); the pipeline additionally accumulates totals for
@@ -262,10 +268,7 @@ class PackedBits:
 
     def unpack(self):
         """The bits, one uint8 per bit."""
-        return np.concatenate(
-            [np.unpackbits(_chunks(words).view(np.uint8), count=m, bitorder="little")
-             for words, m in self.blocks]
-        )
+        return np.concatenate([thermal._cells(words, m) for words, m in self.blocks])
 
 
 def _chunks(words):
@@ -273,10 +276,16 @@ def _chunks(words):
     return words.astype(words.dtype.newbyteorder("<"), copy=False).view("<u2")
 
 
-def _pair_table():
-    """Per 16-cell chunk, the second bits of its equal pairs, packed from
-    bit 0 up in pair order, and their count from bit 8 up; built from the
-    same table over bytes, the low byte's pairs first."""
+@lru_cache(maxsize=1)
+def _tables():
+    """The pairing table and the ones of every uint16 word, built on first
+    use, so a process that never pairs packed bits never holds them.
+
+    Per 16-cell chunk the pairing table gives the second bits of its equal
+    pairs, packed from bit 0 up in pair order, and their count from bit 8
+    up; it is built from the same table over bytes, the low byte's pairs
+    first.
+    """
     byte = np.arange(256, dtype=np.uint32)
     kept, count = np.zeros(256, np.uint32), np.zeros(256, np.uint32)
     for j in range(0, 8, 2):
@@ -285,12 +294,10 @@ def _pair_table():
         kept |= (second & equal) << count
         count += equal
     # chunk hi * 256 + lo sits at row hi, column lo
-    return (kept | kept[:, None] << count | (count + count[:, None]) << 8).ravel()
+    pair = (kept | kept[:, None] << count | (count + count[:, None]) << 8).ravel()
+    ones = np.unpackbits(byte.astype(np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+    return pair, (ones + ones[:, None]).ravel()
 
-
-_PAIR = _pair_table()
-_POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
-_POP = (_POP8 + _POP8[:, None]).ravel()  # ones per uint16 word
 
 # cells paired per call of ``_pair_chunks``: its largest temporary, the
 # table entries, then takes 64 KiB; a whole 2^20-cell draw block per call
@@ -298,24 +305,25 @@ _POP = (_POP8 + _POP8[:, None]).ravel()  # ones per uint16 word
 _PACKED_SLICE = 1 << 18
 
 
-def _pair_chunks(chunks, m, out, o):
+def _pair_chunks(chunks, m, out, o, pair):
     """Pair the first m cells of ``chunks``, write the kept bits into the
     uint32 words ``out`` from bit o on, where they are 0, and return the
     bit after them.
 
-    Each chunk's kept bits and their count come from ``_PAIR``; the unused
-    lanes of a last part chunk are read as unequal pairs 0b10, which keep
-    nothing.  The four chunks of each 64 cells join into one fragment of at
-    most 32 bits, whose low part lands in the word of its bit offset and
-    high part in the next.  The fragments' bits never overlap, so the sums
-    that ``np.bincount`` takes in float64 are their ORs, exact below 2^32.
+    Each chunk's kept bits and their count come from the table ``pair``
+    (``_tables``); the unused lanes of a last part chunk are read as
+    unequal pairs 0b10, which keep nothing.  The four chunks of each 64
+    cells join into one fragment of at most 32 bits, whose low part lands
+    in the word of its bit offset and high part in the next.  The
+    fragments' bits never overlap, so the sums that ``np.bincount`` takes
+    in float64 are their ORs, exact below 2^32.
     """
     c = -(-m // 16)
-    t = np.zeros(-(-c // 4) * 4, np.uint32)  # 0 = _PAIR[0xAAAA]: no pair equal
-    np.take(_PAIR, chunks[:c], out=t[:c], mode="clip")
+    t = np.zeros(-(-c // 4) * 4, np.uint32)  # 0 = pair[0xAAAA]: no pair equal
+    np.take(pair, chunks[:c], out=t[:c], mode="clip")
     if m % 16:
         full = (1 << (m & 14)) - 1  # the lanes of the last chunk's whole pairs
-        t[c - 1] = _PAIR[int(chunks[c - 1]) & full | 0xAAAA & ~full]
+        t[c - 1] = pair[int(chunks[c - 1]) & full | 0xAAAA & ~full]
     t = t.reshape(-1, 4)
     kept, count = t & 0xFF, t >> 8
     frag, length = kept[:, 0].copy(), count[:, 0].copy()
@@ -345,16 +353,17 @@ def _pair_packed(bits, bias_pred, round_index, window):
     """
     if _split(bits.n, window)[0]:
         raise ValueError(f"packed bits must fit one window: {bits.n} bits, window {window}")
+    pair, ones = _tables()
     out = np.zeros(bits.n // 64 + 2, np.uint32)
     n_in = n_out = odd = 0
     for words, m in bits.blocks:
         chunks = _chunks(words)
         for lo in range(0, m, _PACKED_SLICE):
-            n_out = _pair_chunks(chunks[lo // 16 :], min(_PACKED_SLICE, m - lo), out, n_out)
+            n_out = _pair_chunks(chunks[lo // 16 :], min(_PACKED_SLICE, m - lo), out, n_out, pair)
         n_in += m
         odd = int(chunks[(m - 1) // 16]) >> (m - 1) % 16 & 1 if m % 2 else 0
     out = out[: -(-n_out // 32)]
-    ones_out = int(_POP[out.view(np.uint16)].sum())
+    ones_out = int(ones[out.view(np.uint16)].sum())
     ones_in = 2 * ones_out + n_in // 2 - n_out + odd
     return PackedBits(((out, n_out),), n_out), RoundRecord(
         1, round_index, n_in, n_out, ones_in, ones_out, _bias(ones_out, n_out), bias_pred,
@@ -581,8 +590,8 @@ def pipeline(model, n, seed, mode="binomial-direct"):
     consecutive windows of m bits, the last one possibly short.
     ``binomial-direct`` takes m = n, so one window, and skips the initial
     permutation; it takes a binomial source only, since a correlated one
-    leaves ones in the clean prefix.  Its sample stays packed 64 cells to
-    a word, as the sampler draws it, through the pairing rounds
+    leaves ones in the clean prefix.  Its sample stays packed, as the
+    sampler draws it 64 cells to a word, through the pairing rounds
     (``PackedBits``), and is unpacked to one byte per bit where parity
     binning takes over.  The first round pairs each 2^20-cell draw block as
     it is drawn, so the n sampled bits are never held at once; the bits,

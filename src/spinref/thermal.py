@@ -160,8 +160,10 @@ def _draw_words(rng, n, p):
 
 
 def _cells(words, n):
-    """The first n cells of ``words`` as 0/1 uint8, cell c bit c % 64 of word c // 64."""
-    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=n, bitorder="little")
+    """The first n cells of ``words``, unsigned words of b bits, as 0/1
+    uint8, cell c bit c % b of word c // b."""
+    words = words.astype(words.dtype.newbyteorder("<"), copy=False)
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
 
 
 def sample(model, n, seed):

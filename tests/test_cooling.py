@@ -635,7 +635,7 @@ def test_pair_table_covers_every_chunk():
     out, rec = phase1_round(cooling.PackedBits(((chunks, len(cells)),), len(cells)))
     want, want_rec = phase1_round(cells)
     assert np.array_equal(out.unpack(), want) and rec == want_rec
-    assert cooling._PAIR[0xAAAA] == 0
+    assert cooling._tables()[0][0xAAAA] == 0
 
 
 def test_pipeline_streamed_first_round_equals_whole_sample(monkeypatch):
