@@ -170,7 +170,7 @@ _W1, _W255 = np.uint16(1), np.uint16(255)
 # of a 10**7-bit round would take more memory than the round's output
 _SLICE = 1 << 16
 
-# pieces of at most this many rows are decided row by row on Python lists:
+# rounds of at most this many rows are decided row by row on Python lists:
 # at that size numpy's fixed cost per call is most of a round's time, and
 # from 24 rows on (measured) the numpy slices are faster
 _FEW = 16
@@ -257,11 +257,11 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
 class PackedBits:
     """n bits, 16 to a little-endian uint16 chunk, bit i of chunk j holding
     bit 16j + i.  ``blocks`` gives ``(words, m)`` pairs: an array of
-    unsigned words, read as chunks in that order, and the count of its
-    cells that are bits, even in every block but the last, so that no pair
-    straddles two blocks.  The blocks may be made only when they are asked
-    for, as the direct pipeline's sample is drawn (``thermal._blocks``);
-    they are read once."""
+    unsigned words of 16 bits or more, read as chunks in that order, and
+    the count of its cells that are bits, even in every block but the
+    last, so that no pair straddles two blocks.  The blocks may be made
+    only when they are asked for, as the direct pipeline's sample is drawn
+    (``thermal._blocks``); they are read once."""
 
     blocks: Iterable
     n: int
@@ -269,11 +269,6 @@ class PackedBits:
     def unpack(self):
         """The bits, one uint8 per bit."""
         return np.concatenate([thermal._cells(words, m) for words, m in self.blocks])
-
-
-def _chunks(words):
-    """``words`` as little-endian 16-cell chunks."""
-    return words.astype(words.dtype.newbyteorder("<"), copy=False).view("<u2")
 
 
 @lru_cache(maxsize=1)
@@ -357,7 +352,7 @@ def _pair_packed(bits, bias_pred, round_index, window):
     out = np.zeros(bits.n // 64 + 2, np.uint32)
     n_in = n_out = odd = 0
     for words, m in bits.blocks:
-        chunks = _chunks(words)
+        chunks = words.astype(words.dtype.newbyteorder("<"), copy=False).view("<u2")
         for lo in range(0, m, _PACKED_SLICE):
             n_out = _pair_chunks(chunks[lo // 16 :], min(_PACKED_SLICE, m - lo), out, n_out, pair)
         n_in += m
