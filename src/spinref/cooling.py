@@ -6,6 +6,9 @@ XORs each bin into its first bit and passes the remainder of the bin only
 on even parity.  Phase 3 (mod-4 counting) passes the payload of a block iff
 the block's ones-count is divisible by four; the pipeline first reads phase
 2's output column by column, so no block sees both ones of a bin's pair.
+The direct pipeline bins consecutive bits, as the compiled round does, and
+reads each parity round's output the same way before the next parity
+round; shuffled-blocks mode and ``spinref phase 2`` shuffle into bins.
 Round counts and bin sizes are always driven by the deterministic analytic
 recurrences, never by peeking at the data, so the machine realization stays
 oblivious; the empirical trace is recorded for validation only.
@@ -13,10 +16,12 @@ oblivious; the empirical trace is recorded for validation only.
 predicted output bias, which the round kernels record as given (NaN when
 called without a plan).  ``plan_rounds`` binds a plan's rounds, or one
 phase's part of them, into one list of kernel calls, and ``run_rounds``
-runs such a list: ``pipeline`` and ``spinref phase`` run no other round
-loop.  A round runs on a flat bit array, optionally cut into consecutive
-windows of one width, the last one possibly short, that no
-pair, bin or block straddles; the pipeline cuts the survivors into windows
+runs such a list: ``spinref phase`` and the pipeline's pairing and mod-4
+rounds run no other round loop, and the pipeline steps through the parity
+rounds' list itself, to read the survivors column by column between them.
+A round runs on a flat bit array, optionally cut into consecutive windows
+of one width, the last one possibly short, that no pair, bin or block
+straddles; the pipeline cuts the survivors into windows
 afresh before every round.  One kernel, ``_round``, runs every round of
 the three phases on a bit array; at most ``_FEW`` rows, such as each case
 of an equivalence check, are decided row by row on Python lists, where
@@ -125,22 +130,25 @@ def _rows(bits, size, window, rng=None):
     """Each window's full rows of ``size`` bits, stacked into one (rows,
     size) array.  The tail beyond a window's last full row is dropped; with
     ``rng`` each window is shuffled first, one ``permutation`` draw per
-    window in order, so the tail dropped is a random one."""
+    window in order, so the tail dropped is a random one.  The shuffles
+    permute int32 indices while n fits them: the generator draws the same
+    permutation for either index type, and int32 takes half the memory."""
     n = len(bits)
     q, tail = _split(n, window)
     body, last = n - tail, tail - tail % size
+    index = np.int32 if n < 2**31 else np.int64
     if not q:
         if rng is not None:
-            bits = bits[rng.permutation(n)[:last]]
+            bits = bits[rng.permutation(np.arange(n, dtype=index))[:last]]
         return bits[:last].reshape(-1, size)
     full = window - window % size
     if rng is None:
         rows, rest = bits[:body].reshape(q, window)[:, :full], bits[body : body + last]
     else:
         # the same draws as q calls of rng.permutation(window)
-        order = rng.permuted(np.tile(np.arange(window), (q, 1)), axis=1)[:, :full]
-        rows = bits[order + np.arange(0, body, window)[:, None]]
-        rest = bits[body + rng.permutation(tail)[:last]]
+        order = rng.permuted(np.tile(np.arange(window, dtype=index), (q, 1)), axis=1)[:, :full]
+        rows = bits[order + np.arange(0, body, window, dtype=index)[:, None]]
+        rest = bits[body + rng.permutation(np.arange(tail, dtype=index))[:last]]
     return np.concatenate((rows.reshape(-1, size), rest.reshape(-1, size)))
 
 
@@ -393,12 +401,14 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, window=None):
 def phase2_round(bits, k, seed=None, bias_pred=math.nan, round_index=0, window=None):
     """One parity-binning round.
 
-    With a seed the bits are shuffled into bins first (the rerandomization
-    belongs to the experimenter); ``seed=None`` keeps fixed consecutive
-    binning, which is what the compiled program implements.  Bin bits beyond
-    the last full bin are discarded.  With a ``window`` width each window of
-    that many bits is shuffled and binned on its own, in order, from one
-    generator.  ``bias_pred`` is the planned output bias, recorded as given.
+    ``seed=None`` bins consecutive bits, which is what the compiled program
+    does and what the direct pipeline runs.  With a seed the bits are
+    shuffled into bins first, as shuffled-blocks mode and ``spinref phase
+    2`` do; no compiled program performs that shuffle and no ledger line
+    pays for it.  Bin bits beyond the last full bin are discarded.  With a
+    ``window`` width each window of that many bits is binned on its own, in
+    order, shuffled from one generator when seeded.  ``bias_pred`` is the
+    planned output bias, recorded as given.
     """
     if k < 2:
         raise ValueError("bin size must be >= 2")
@@ -497,9 +507,10 @@ def plan_rounds(orbit=(), phase2=(), certificate=None, seed=None):
     block size, prediction and round index bound, taking the bits and a
     ``window``: a pairing round per step of the bias ``orbit``, a
     parity-binning round per ``PlannedRound`` of ``phase2``, each shuffling
-    from its own child of the root ``SeedSequence`` ``seed``, and the mod-4
-    rounds of the ``certificate``."""
-    children = seed.spawn(len(phase2)) if phase2 else ()
+    from its own child of the root ``SeedSequence`` ``seed``, or binning
+    consecutive bits when ``seed`` is None, and the mod-4 rounds of the
+    ``certificate``."""
+    children = [None] * len(phase2) if seed is None else seed.spawn(len(phase2))
     rounds = [partial(phase1_round, bias_pred=e, round_index=r) for r, e in enumerate(orbit[1:])]
     rounds += [
         partial(phase2_round, k=pr.k, seed=c, bias_pred=1.0 - 2.0 * pr.delta_out, round_index=r)
@@ -570,6 +581,16 @@ def _transpose(bits, w, window):
     return out, inv
 
 
+def _read_columns(bits, w, m, steps):
+    """``_transpose`` of the bits, rows of ``w`` bits, in windows of
+    w·max(1, m // w) bits, with its steps, those of an initial permutation
+    of that many bits, added to the totals ``steps``."""
+    bits, inv = _transpose(bits, w, w * max(1, m // w))
+    for arch, c in _arch_init_cost(len(bits), inv).items():
+        steps[arch] += c
+    return bits
+
+
 def _arch_gather_cost(n):
     return {"single": n * n, "two_tape": 6 * n, "two_tape_ca": n}
 
@@ -579,10 +600,11 @@ def pipeline(model, n, seed, mode="binomial-direct"):
     direct run pairs its sample as it is drawn.  Pairing hands over to
     parity binning at the fixed bias ``analysis.TARGET_BIAS`` (``make_plan``).
 
-    Both modes run the plan's rounds (``plan_rounds``) through
-    ``run_rounds``: every round is one call on the flat bits with window
-    width m, so no pair, bin or block straddles two
-    consecutive windows of m bits, the last one possibly short.
+    Both modes run the plan's rounds (``plan_rounds``), its pairing and
+    mod-4 rounds through ``run_rounds`` and its parity rounds one by one:
+    every round is one call on the flat bits with window width m, so no
+    pair, bin or block straddles two consecutive windows of m bits, the
+    last one possibly short.
     ``binomial-direct`` takes m = n, so one window, and skips the initial
     permutation; it takes a binomial source only, since a correlated one
     leaves ones in the clean prefix.  Its sample stays packed, as the
@@ -590,7 +612,14 @@ def pipeline(model, n, seed, mode="binomial-direct"):
     (``PackedBits``), and is unpacked to one byte per bit where parity
     binning takes over.  The first round pairs each 2^20-cell draw block as
     it is drawn, so the n sampled bits are never held at once; the bits,
-    records and steps are those of pairing the whole sample unpacked.
+    records and steps are those of pairing the whole sample unpacked.  Its
+    parity rounds bin consecutive bits, as the compiled round does, with no
+    shuffle: a binomial sample is independent cell by cell, and so are the
+    bits that pairing keeps, so consecutive bins have the law of shuffled
+    ones.  A kept bin's payload is not, as its parity is the header bit's;
+    so before each parity round after the first the survivors are read
+    column by column as rows of the last bin's payload width, as at phase
+    3's entry below, and a bin then takes one cell of each of k payloads.
     ``shuffled-blocks`` applies a spreading permutation and takes m =
     floor(n^(1/3)), the interaction-block size; the flat output of the last
     round is the gathered prefix.  When n is a perfect cube the spread is
@@ -599,12 +628,16 @@ def pipeline(model, n, seed, mode="binomial-direct"):
     permutation, applied through its destination map.  Every round after
     the first regroups the survivors into fresh windows and is charged a
     gather of its input; the round records do not include that charge.
-    When the plan has a parity-binning round, phase 3 first cuts the
-    phase-2 output into windows of w·max(1, m // w) bits, w the last bin's
-    payload width, and reads each window column by column as rows of w
-    bits, so the bits it cuts into blocks are not the pairs of one bin;
-    this fixed transpose is charged like an initial permutation of that
-    many bits.
+    Its parity rounds shuffle each window from their own child of the
+    root ``SeedSequence((seed, 0x5EED2))`` (``phase2_round``): the shuffle
+    hides a markov source's correlation (ROADMAP item 11), and no step
+    count includes it.  When the plan has a parity-binning round, phase 3
+    first cuts the phase-2 output into windows of w·max(1, m // w) bits, w
+    the last bin's payload width, and reads each window column by column
+    as rows of w bits, so the bits it cuts into blocks are not the pairs
+    of one bin.  That transpose, and each one between a direct run's
+    parity rounds, is charged like an initial permutation of that many
+    bits (``_read_columns``).
 
     Step totals are tracked for three cost models: ``single`` (one tape),
     ``two_tape`` (linear-time terminal gather, n^(4/3) initial permutation)
@@ -617,7 +650,8 @@ def pipeline(model, n, seed, mode="binomial-direct"):
     plan = make_plan(model.epsilon, n)
     steps = {"single": 0, "two_tape": 0, "two_tape_ca": 0}
 
-    if mode == "binomial-direct":
+    direct = mode == "binomial-direct"
+    if direct:
         m = n
         bits = PackedBits(thermal._blocks(np.random.default_rng(seed), n, model.p_one), n)
     else:
@@ -634,20 +668,20 @@ def pipeline(model, n, seed, mode="binomial-direct"):
         m = block_size(n)
 
     bits, records = run_rounds(bits, plan_rounds(plan.orbit), m)
-    if mode == "binomial-direct":
+    if direct:
         bits = bits.unpack()
-    binning = plan_rounds(phase2=plan.phase2, seed=np.random.SeedSequence((seed, 0x5EED2)))
-    bits, more = run_rounds(bits, binning, m)
-    records += more
+    root = None if direct else np.random.SeedSequence((seed, 0x5EED2))
+    for i, round_fn in enumerate(plan_rounds(phase2=plan.phase2, seed=root)):
+        if i and direct:
+            bits = _read_columns(bits, plan.phase2[i - 1].k - 1, m, steps)
+        bits, rec = round_fn(bits, window=m)
+        records.append(rec)
     if plan.phase2:
-        w = plan.phase2[-1].k - 1
-        bits, inv = _transpose(bits, w, w * max(1, m // w))
-        for arch, c in _arch_init_cost(len(bits), inv).items():
-            steps[arch] += c
+        bits = _read_columns(bits, plan.phase2[-1].k - 1, m, steps)
     bits, mod4 = run_rounds(bits, plan_rounds(certificate=plan.certificate), m)
     records += mod4
     for i, rec in enumerate(records):
-        if i and mode == "shuffled-blocks":
+        if i and not direct:
             # regroup the survivors into fresh windows
             for arch, c in _arch_gather_cost(rec.n_in).items():
                 steps[arch] += c
