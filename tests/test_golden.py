@@ -58,12 +58,12 @@ PIPELINE = {
     # 16-cell chunk, and the second round's 278,052 bits end 4 cells into one
     "direct-2^20+18": (
         ["--mode", "binomial-direct", "--n", "1048594"],
-        {"rounds.csv": "58424d3cfc7bf00d4031d5ee69a3d4ac78e5a5c12cf93d2d8cde8be959f17749"},
+        {"rounds.csv": "f526c05bdc507eaa32fe3d54e0370ee76b7005731c8fc1daa30bad6485315d03"},
     ),
     # an odd n: the last cell is left unpaired
     "direct-1e7+1": (
         ["--mode", "binomial-direct", "--n", "10000001"],
-        {"rounds.csv": "2070f63b02905759b31dd95ea6d0547fb8a534f1d1b0bf5b3aac9ac0ad90b39f"},
+        {"rounds.csv": "43d1b8a47f09b746ace25f01f3dc6eb0ac66425041f57dae89720e3b74091262"},
     ),
 }
 
@@ -186,15 +186,15 @@ MODELS = {
     "binomial": thermal.BiasModel("binomial", 0.25),
     "markov": thermal.BiasModel("markov", 0.25, ell=10),
 }
-# clean bits of ``pipeline(MODELS["binomial"], n, 3)``, as 0/1 bytes: 8365 at
-# n = 10^6; 32,256 at n = 3 * 2^20 + 5, whose first round pairs four draw
-# blocks, the last one 5 cells long; 8813 at n = 2^20 + 18, whose last block
-# ends 2 cells into a 16-cell chunk; and 124,164 at the odd n = 10^7 + 1
+# clean bits of ``pipeline(MODELS["binomial"], n, 3)``, as 0/1 bytes: 8435 at
+# n = 10^6; 32,265 at n = 3 * 2^20 + 5, whose first round pairs four draw
+# blocks, the last one 5 cells long; 8764 at n = 2^20 + 18, whose last block
+# ends 2 cells into a 16-cell chunk; and 124,032 at the odd n = 10^7 + 1
 PIPELINE_BITS = {
-    10**6: "bb01f03ba3190981e4d1720f90904c24acfb2f54c9b6c07f452d3b918629899d",
-    3 * 2**20 + 5: "47a22accc6fb0aedaf4a5cf8014bdd569ead0efad399fdb8de134235e7c9bb10",
-    2**20 + 18: "a842046af6ec37b47aefbf270f40cc916c304b9b6c42cb6a075b2b0dd6d60a97",
-    10**7 + 1: "8db8a1a9cdec969405e58d4892026fcaf06211f7472fa6cb2923001058c94211",
+    10**6: "a3a7787a413fa29080f96e23698b7358c5f0de6530a537410a4f600296fde82f",
+    3 * 2**20 + 5: "18b44833c170640054d98b9842c8bde383b3698d4bdce8a74847a2fc66f433df",
+    2**20 + 18: "4290d3193916dd060be99b27952016e9dff2d1c6e5feb65259f40fc6f0c57808",
+    10**7 + 1: "52dd24ae29fce40f82031c2a5af57aeafcbf1f3736717b6ab29b4b1b62b6df4b",
 }
 
 
