@@ -800,8 +800,8 @@ def test_second_parity_round_keeps_bins_as_the_parity_law_predicts(monkeypatch):
     # the parity law's probability (1 + (1 - 2 delta)^21) / 2 at its input
     # fraction delta.  The plan's delta is an upper bound, which would only
     # give a floor; the defect raises the ratio, so the test is two-sided at
-    # the measured fraction.  Measured |z| <= 0.3 over seeds 0-7 at 5 * 10^5,
-    # and z = 19-20 without the column read.
+    # the measured fraction.  Measured |z| <= 0.45 over these seeds, and
+    # z = 11.2-12.0 without the column read.
     model = _two_binnings(monkeypatch)
     for seed in range(4):
         second = [r for r in pipeline(model, 2 * 10**5, seed).records if r.phase == 2][1]
