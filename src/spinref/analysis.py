@@ -35,6 +35,7 @@ __all__ = [
     "REGION_FLOORS",
     "LEDGER_FACTORS",
     "ledger_constant",
+    "EPSILON_MIN",
 ]
 
 
@@ -264,6 +265,11 @@ def ledger_constant():
     return math.prod(LEDGER_FACTORS)
 
 
+# the smallest bias the ledger takes: its factor 19.5/eps^2 overflows a float
+# below about 3.3e-154, and eps^2 underflows to 0 below about 1.5e-162
+EPSILON_MIN = 1e-150
+
+
 @dataclass
 class YieldLedger:
     """Bit-yield accounting for one pipeline run."""
@@ -290,7 +296,9 @@ def yield_ledger(eps, n, clean_bits):
     if eps <= 0.0:
         raise ValueError("the ledger needs a positive bias")
     constant = ledger_constant()
-    total = constant / (eps * eps)
+    total = constant / (eps * eps) if eps * eps else math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"the ledger factor {constant:.4g}/eps^2 is not finite at eps={eps}")
     cap = entropy_cap(n, eps)
     ledger = YieldLedger(
         epsilon=eps,

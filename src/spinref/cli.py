@@ -96,7 +96,8 @@ _LEAST_N = {
 _CHECKS = {
     "trials": (lambda v: v >= 1, "--trials must be >= 1"),
     "jobs": (lambda v: v >= 1, "--jobs must be >= 1"),
-    "epsilon": (lambda v: 0.0 < v <= 1.0, "--epsilon must lie in (0, 1]"),
+    "epsilon": (lambda v: analysis.EPSILON_MIN <= v <= 1.0,
+                f"--epsilon must lie in [{analysis.EPSILON_MIN:g}, 1]"),
     "target_bias": (lambda v: 0.0 < v < 1.0, "--target-bias must lie in (0, 1)"),
     "ell": (lambda v: v >= 1, "--ell must be >= 1"),
     "seed": (lambda v: v >= 0, "--seed must be >= 0"),

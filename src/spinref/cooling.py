@@ -4,34 +4,32 @@ Phase 1 (pairing) doubles the bias per round: pairs with equal bits keep
 their second bit, unequal pairs are discarded.  Phase 2 (parity binning)
 XORs each bin into its first bit and passes the remainder of the bin only
 on even parity.  Phase 3 (mod-4 counting) passes the payload of a block iff
-the block's ones-count is divisible by four; the pipeline first reads phase
-2's output column by column, so no block sees both ones of a bin's pair.
-The direct pipeline bins consecutive bits, as the compiled round does, and
-reads each parity round's output the same way before the next parity
-round; shuffled-blocks mode and ``spinref phase 2`` shuffle into bins.
+the block's ones-count is divisible by four.  The direct pipeline bins
+consecutive bits, as the compiled round does; shuffled-blocks mode and
+``spinref phase 2`` shuffle into bins.  A kept bin's ones come in pairs,
+so a round that follows a parity round and bins or blocks consecutive bits
+first reads its input column by column, as rows of one payload each.
 Round counts and bin sizes are always driven by the deterministic analytic
 recurrences, never by peeking at the data, so the machine realization stays
 oblivious; the empirical trace is recorded for validation only.
 ``make_plan`` fixes them all in one ``Plan``, and with them each round's
 predicted output bias, which the round kernels record as given (NaN when
 called without a plan).  ``plan_rounds`` binds a plan's rounds, or one
-phase's part of them, into one list of kernel calls, and ``run_rounds``
-runs such a list: ``spinref phase`` and the pipeline's pairing and mod-4
-rounds run no other round loop, and the pipeline steps through the parity
-rounds' list itself, to read the survivors column by column between them.
+phase's part of them, into one list of kernel calls, each column read
+bound in as a step of the round it precedes, and ``run_rounds`` runs such
+a list: ``spinref phase`` and the pipeline run no other round loop.
 A round runs on a flat bit array, optionally cut into consecutive windows
 of one width, the last one possibly short, that no pair, bin or block
-straddles; the pipeline cuts the survivors into windows
-afresh before every round.  One kernel, ``_round``, runs every round of
-the three phases on a bit array; at most ``_FEW`` rows, such as each case
-of an equivalence check, are decided row by row on Python lists, where
-numpy's fixed cost per call would dominate.  Pairing also runs on
-``PackedBits``, 16 bits to a uint16 chunk (``_pair_packed``), each chunk
-decided by one lookup in a 65,536-entry table.  Only the direct
-pipeline's sample arrives packed, as the sampler draws it; it stays
-packed through the pairing rounds and is unpacked where parity binning
-takes over.  Every other input keeps the unpacked path: packing and
-unpacking a few hundred pairs would cost more than pairing them.
+straddles; the pipeline cuts the survivors into windows afresh before every
+round.  One kernel, ``_round``, runs every round of the three phases on a
+bit array; at most ``_FEW`` rows, such as each case of an equivalence
+check, are decided row by row on Python lists, where numpy's fixed cost per
+call would dominate.  Pairing also runs on ``PackedBits``, 16 bits to a
+uint16 chunk (``_pair_packed``), each chunk decided by one lookup in a
+65,536-entry table.  Only the direct pipeline's sample arrives packed, as
+the sampler draws it; it stays packed through the pairing rounds, and the
+next round unpacks it.  Every other input keeps the unpacked path: packing
+and unpacking a few hundred pairs would cost more than pairing them.
 
 Per-round step costs are charged from the compiled-program cost formulas
 (single-tape canonical); the pipeline additionally accumulates totals for
@@ -88,7 +86,8 @@ def choose_k(delta):
 
 @dataclass
 class RoundRecord:
-    """Per-round trace entry; ``u`` counts bins holding exactly one 1."""
+    """Per-round trace entry; ``u`` counts bins holding exactly one 1, and
+    ``read_inv`` is the inversions of the column read before the round."""
 
     phase: int
     round: int
@@ -101,6 +100,7 @@ class RoundRecord:
     steps: int
     u: int | None = None
     k: int | None = None
+    read_inv: int | None = None
 
     def __post_init__(self):
         if self.n_out > self.n_in or self.ones_out > self.ones_in or self.steps < 0:
@@ -217,9 +217,10 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
     in the smallest unsigned type that holds k, so a sum is exact at any k.
     Every kept payload is appended to one buffer as it is decided.  ``u``,
     the count of rows holding exactly one 1, is recorded in phase 2 only.
+    ``PackedBits``, as pairing leaves a direct run's sample, are unpacked.
     """
     h, mask = (3, 3) if phase == 3 else (1, 1)
-    bits = np.asarray(bits, np.uint8)
+    bits = bits.unpack() if isinstance(bits, PackedBits) else np.asarray(bits, np.uint8)
     rows = _rows(bits, k, window, rng)
     buf = bytearray()
     ones_out = u = 0
@@ -502,6 +503,30 @@ def make_plan(epsilon, n):
     return Plan(epsilon, orbit, delta2, phase2, cert)
 
 
+def _transpose(bits, w, window):
+    """The bits, a whole number of ``w``-bit rows, cut into windows of
+    ``window`` bits, a multiple of w, each window's rows read column by
+    column; and the inversion count of that permutation, C(R,2)·C(w,2)
+    summed over windows of R rows."""
+    q, tail = _split(len(bits), window)
+    body = len(bits) - tail
+    inv = (q * math.comb(window // w, 2) + math.comb(tail // w, 2)) * math.comb(w, 2)
+    out = bits[body:].reshape(-1, w).T.ravel()
+    if q:
+        out = np.concatenate((bits[:body].reshape(q, -1, w).transpose(0, 2, 1).ravel(), out))
+    return out, inv
+
+
+def _by_columns(w, round_fn, bits, window=None):
+    """``round_fn`` on the bits, rows of ``w`` bits, read column by column
+    in windows of w·max(1, window // w) bits (``_transpose``); the read's
+    inversion count goes on the round's record as ``read_inv``."""
+    bits, inv = _transpose(bits, w, None if window is None else w * max(1, window // w))
+    bits, rec = round_fn(bits, window=window)
+    rec.read_inv = inv
+    return bits, rec
+
+
 def plan_rounds(orbit=(), phase2=(), certificate=None, seed=None):
     """The planned rounds in order, each its kernel with the plan's bin or
     block size, prediction and round index bound, taking the bits and a
@@ -509,9 +534,17 @@ def plan_rounds(orbit=(), phase2=(), certificate=None, seed=None):
     parity-binning round per ``PlannedRound`` of ``phase2``, each shuffling
     from its own child of the root ``SeedSequence`` ``seed``, or binning
     consecutive bits when ``seed`` is None, and the mod-4 rounds of the
-    ``certificate``."""
+    ``certificate``.
+
+    A kept bin's payload has its header bit's parity, so its ones come in
+    pairs.  A round that follows a parity round and does not shuffle, each
+    parity round after the first when ``seed`` is None and the first mod-4
+    round, therefore first reads its input column by column as rows of that
+    parity round's payload width (``_by_columns``).
+    """
     children = [None] * len(phase2) if seed is None else seed.spawn(len(phase2))
     rounds = [partial(phase1_round, bias_pred=e, round_index=r) for r, e in enumerate(orbit[1:])]
+    first = len(rounds)
     rounds += [
         partial(phase2_round, k=pr.k, seed=c, bias_pred=1.0 - 2.0 * pr.delta_out, round_index=r)
         for r, (pr, c) in enumerate(zip(phase2, children))
@@ -519,6 +552,9 @@ def plan_rounds(orbit=(), phase2=(), certificate=None, seed=None):
     if certificate is not None:
         rounds += [partial(phase3_round, k=certificate.k, bias_pred=1.0 - 2.0 * d, round_index=r)
                    for r, d in enumerate(certificate.deltas[1:])]
+    for i, pr in enumerate(phase2, first + 1):
+        if i < len(rounds) and (seed is None or i == first + len(phase2)):
+            rounds[i] = partial(_by_columns, pr.k - 1, rounds[i])
     return rounds
 
 
@@ -567,30 +603,6 @@ def _arch_init_cost(n, inv):
     }
 
 
-def _transpose(bits, w, window):
-    """The bits, a whole number of ``w``-bit rows, cut into windows of
-    ``window`` bits, a multiple of w, each window's rows read column by
-    column; and the inversion count of that permutation, C(R,2)·C(w,2)
-    summed over windows of R rows."""
-    q, tail = _split(len(bits), window)
-    body = len(bits) - tail
-    inv = (q * math.comb(window // w, 2) + math.comb(tail // w, 2)) * math.comb(w, 2)
-    out = bits[body:].reshape(-1, w).T.ravel()
-    if q:
-        out = np.concatenate((bits[:body].reshape(q, -1, w).transpose(0, 2, 1).ravel(), out))
-    return out, inv
-
-
-def _read_columns(bits, w, m, steps):
-    """``_transpose`` of the bits, rows of ``w`` bits, in windows of
-    w·max(1, m // w) bits, with its steps, those of an initial permutation
-    of that many bits, added to the totals ``steps``."""
-    bits, inv = _transpose(bits, w, w * max(1, m // w))
-    for arch, c in _arch_init_cost(len(bits), inv).items():
-        steps[arch] += c
-    return bits
-
-
 def _arch_gather_cost(n):
     return {"single": n * n, "two_tape": 6 * n, "two_tape_ca": n}
 
@@ -600,26 +612,25 @@ def pipeline(model, n, seed, mode="binomial-direct"):
     direct run pairs its sample as it is drawn.  Pairing hands over to
     parity binning at the fixed bias ``analysis.TARGET_BIAS`` (``make_plan``).
 
-    Both modes run the plan's rounds (``plan_rounds``), its pairing and
-    mod-4 rounds through ``run_rounds`` and its parity rounds one by one:
-    every round is one call on the flat bits with window width m, so no
-    pair, bin or block straddles two consecutive windows of m bits, the
-    last one possibly short.
+    Both modes run the plan's whole round list (``plan_rounds``), column
+    reads included, through one ``run_rounds`` call: every round is one
+    call on the flat bits with window width m, so no pair, bin or block
+    straddles two consecutive windows of m bits, the last one possibly
+    short.  Each column read is charged like an initial permutation of the
+    bits it moves, from the inversion count on its round's record.
     ``binomial-direct`` takes m = n, so one window, and skips the initial
     permutation; it takes a binomial source only, since a correlated one
     leaves ones in the clean prefix.  Its sample stays packed, as the
     sampler draws it 64 cells to a word, through the pairing rounds
-    (``PackedBits``), and is unpacked to one byte per bit where parity
-    binning takes over.  The first round pairs each 2^20-cell draw block as
-    it is drawn, so the n sampled bits are never held at once; the bits,
-    records and steps are those of pairing the whole sample unpacked.  Its
-    parity rounds bin consecutive bits, as the compiled round does, with no
+    (``PackedBits``), and the first round after them unpacks it to one
+    byte per bit.  The first round pairs each 2^20-cell draw block as it is
+    drawn, so the n sampled bits are never held at once; the bits, records
+    and steps are those of pairing the whole sample unpacked.  Its parity
+    rounds bin consecutive bits, as the compiled round does, with no
     shuffle: a binomial sample is independent cell by cell, and so are the
     bits that pairing keeps, so consecutive bins have the law of shuffled
-    ones.  A kept bin's payload is not, as its parity is the header bit's;
-    so before each parity round after the first the survivors are read
-    column by column as rows of the last bin's payload width, as at phase
-    3's entry below, and a bin then takes one cell of each of k payloads.
+    ones; the payloads a parity round keeps are not, so the next parity
+    round reads them by columns.
     ``shuffled-blocks`` applies a spreading permutation and takes m =
     floor(n^(1/3)), the interaction-block size; the flat output of the last
     round is the gathered prefix.  When n is a perfect cube the spread is
@@ -631,13 +642,7 @@ def pipeline(model, n, seed, mode="binomial-direct"):
     Its parity rounds shuffle each window from their own child of the
     root ``SeedSequence((seed, 0x5EED2))`` (``phase2_round``): the shuffle
     hides a markov source's correlation (ROADMAP item 11), and no step
-    count includes it.  When the plan has a parity-binning round, phase 3
-    first cuts the phase-2 output into windows of w·max(1, m // w) bits, w
-    the last bin's payload width, and reads each window column by column
-    as rows of w bits, so the bits it cuts into blocks are not the pairs
-    of one bin.  That transpose, and each one between a direct run's
-    parity rounds, is charged like an initial permutation of that many
-    bits (``_read_columns``).
+    count includes it.
 
     Step totals are tracked for three cost models: ``single`` (one tape),
     ``two_tape`` (linear-time terminal gather, n^(4/3) initial permutation)
@@ -667,23 +672,17 @@ def pipeline(model, n, seed, mode="binomial-direct"):
             steps[arch] += c
         m = block_size(n)
 
-    bits, records = run_rounds(bits, plan_rounds(plan.orbit), m)
-    if direct:
-        bits = bits.unpack()
     root = None if direct else np.random.SeedSequence((seed, 0x5EED2))
-    for i, round_fn in enumerate(plan_rounds(phase2=plan.phase2, seed=root)):
-        if i and direct:
-            bits = _read_columns(bits, plan.phase2[i - 1].k - 1, m, steps)
-        bits, rec = round_fn(bits, window=m)
-        records.append(rec)
-    if plan.phase2:
-        bits = _read_columns(bits, plan.phase2[-1].k - 1, m, steps)
-    bits, mod4 = run_rounds(bits, plan_rounds(certificate=plan.certificate), m)
-    records += mod4
+    bits, records = run_rounds(bits, plan_rounds(plan.orbit, plan.phase2, plan.certificate, root), m)
+    if isinstance(bits, PackedBits):  # no round after pairing: epsilon = 1
+        bits = bits.unpack()
     for i, rec in enumerate(records):
         if i and not direct:
             # regroup the survivors into fresh windows
             for arch, c in _arch_gather_cost(rec.n_in).items():
+                steps[arch] += c
+        if rec.read_inv is not None:
+            for arch, c in _arch_init_cost(rec.n_in, rec.read_inv).items():
                 steps[arch] += c
         rec.steps += n
         steps["single"] += rec.steps

@@ -29,7 +29,7 @@ lowered form through one executor loop.  The primitives above are the
 reference semantics it is tested against.  The compiler builds each
 round's ``Lowered`` from the round's parts, and its codes and text from
 one run list, without a walk over its steps; ``lower``,
-``program_to_text`` and the compiler's ``_emit_deinterleave`` are the
+``program_to_text`` and ``compiler._emit_deinterleave`` are the
 references they are tested against.
 
 A program is an iterable of instructions or ``encode``'s form of one: a

@@ -173,6 +173,15 @@ def test_ledger_constant_and_checks():
     assert set(d) >= {"epsilon", "n", "clean_bits", "total_factor", "entropy_cap"}
 
 
+@pytest.mark.parametrize("eps", [2e-162, 1e-155, 1e-200])
+def test_ledger_rejects_a_bias_whose_factor_is_not_finite(eps):
+    # 19.5/eps^2 overflows below about 3.3e-154 and divides by an eps^2 that
+    # underflows to 0 below about 1.5e-162; the smallest bias taken is finite
+    with pytest.raises(ValueError, match="not finite"):
+        yield_ledger(eps, 1000, 0)
+    assert math.isfinite(yield_ledger(analysis.EPSILON_MIN, 1000, 0).total_factor)
+
+
 def test_runtime_exponent_fit():
     sizes = [100, 200, 400, 800]
     steps = [n**2 for n in sizes]

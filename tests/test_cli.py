@@ -160,6 +160,11 @@ def test_invalid_value_rejected_naming_its_flag(tmp_path, capsys, argv, flag):
     (["equiv", "--seed", "-1"], "--seed must be >= 0"),
     (["bench", "--seed", "-1"], "--seed must be >= 0"),
     (["arch", "--pattern", "ABCDE"], "--pattern must be ABC or ABCD"),
+    # the ledger's 19.5/epsilon^2 overflows below about 3.3e-154, and
+    # epsilon^2 underflows to 0 below about 1.5e-162
+    (["pipeline", "--n", "1000", "--epsilon", "1e-200"], "--epsilon must lie in [1e-150, 1]"),
+    (["pipeline", "--n", "1000", "--epsilon", "1e-155"], "--epsilon must lie in [1e-150, 1]"),
+    (["bench", "--epsilon", "1e-200"], "--epsilon must lie in [1e-150, 1]"),
 ])
 def test_out_of_range_value_rejected_naming_its_flag(tmp_path, capsys, monkeypatch, argv,
                                                      message):

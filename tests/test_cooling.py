@@ -827,14 +827,16 @@ def test_direct_parity_rounds_bin_consecutively_after_a_charged_column_read(monk
     res = pipeline(model, n, seed)
 
     # the parity rounds bin consecutive bits of the sample, then of the
-    # first round's payloads read column by column, rows of w = 6
+    # first round's payloads read column by column, rows of w = 6; the
+    # second round's record carries that read's inversion count
     recs = [r for r in res.records if r.phase == 2]
     x = thermal.sample(model, n, seed)
     y1, want1 = phase2_round(x, 7, seed=None, bias_pred=recs[0].bias_pred)
-    x2, _ = real_transpose(y1, 6, window)
+    x2, inv = real_transpose(y1, 6, window)
     y2, want2 = phase2_round(x2, 21, seed=None, bias_pred=recs[1].bias_pred, round_index=1)
     want1.steps += n
     want2.steps += n
+    want2.read_inv = inv
     assert recs == [want1, want2]
     assert [(len(b), w) for b, w, _, _ in transposes] == [(len(y1), 6), (len(y2), 20)]
     assert np.array_equal(transposes[0][0], y1) and np.array_equal(transposes[0][2], x2)
@@ -852,6 +854,32 @@ def test_direct_parity_rounds_bin_consecutively_after_a_charged_column_read(monk
     for prev, nxt in zip(res.records, res.records[1:]):
         assert (nxt.n_in, nxt.ones_in) == (prev.n_out, prev.ones_out)
     assert res.records[-1].n_out == res.clean_bits
+
+
+@pytest.mark.parametrize("mode", ["binomial-direct", "shuffled-blocks"])
+@pytest.mark.parametrize("binnings", [1, 2])
+def test_pipeline_runs_its_plans_round_list(monkeypatch, mode, binnings):
+    # the pipeline is one run_rounds call on its plan's one round list, the
+    # column reads included: that list, run on the sample (spread by the
+    # stride permutation in shuffled-blocks mode), gives its bits and records
+    model = _two_binnings(monkeypatch) if binnings == 2 else thermal.BiasModel("binomial", 0.25)
+    n, seed, direct = 64**3, 5, mode == "binomial-direct"
+    plan = cooling.make_plan(model.epsilon, n)
+    assert len(plan.phase2) == binnings
+    x = thermal.sample(model, n, seed)
+    if direct:
+        root, m = None, n
+    else:
+        x, root, m = thermal.stride_spread(x), np.random.SeedSequence((seed, 0x5EED2)), block_size(n)
+    bits, records = run_rounds(x, plan_rounds(plan.orbit, plan.phase2, plan.certificate, root), m)
+    res = pipeline(model, n, seed, mode=mode)
+    for rec in res.records:
+        rec.steps -= n
+    assert np.array_equal(res.bits, bits) and res.records == records
+    # a read precedes each unshuffled round that follows a parity round
+    parity = [i for i, r in enumerate(records) if r.phase == 2]
+    reads = (parity[1:] if direct else []) + [parity[-1] + 1]
+    assert [i for i, r in enumerate(records) if r.read_inv is not None] == reads
 
 
 def test_clean_prefix_has_no_ones_when_phase2_leaves_pairs(monkeypatch):
