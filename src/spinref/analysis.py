@@ -265,8 +265,8 @@ def ledger_constant():
     return math.prod(LEDGER_FACTORS)
 
 
-# the smallest bias the ledger takes: its factor 19.5/eps^2 overflows a float
-# below about 3.3e-154, and eps^2 underflows to 0 below about 1.5e-162
+# the smallest bias a run takes, rounded up from where the ledger's factor
+# 19.5/eps^2 overflows a float, about 3.3e-154 (eps^2 is 0 below 1.5e-162)
 EPSILON_MIN = 1e-150
 
 
