@@ -282,31 +282,31 @@ class PackedBits:
 
 @lru_cache(maxsize=1)
 def _tables():
-    """The pairing table and the ones of every uint16 word, built on first
-    use, so a process that never pairs packed bits never holds them.
+    """The pairing table, built on first use, so a process that never pairs
+    packed bits never holds it.
 
-    Per 16-cell chunk the pairing table gives the second bits of its equal
-    pairs, packed from bit 0 up in pair order, and their count from bit 8
-    up; it is built from the same table over bytes, the low byte's pairs
-    first.
+    Per 16-cell chunk it gives a little-endian uint16: the second bits of
+    the chunk's equal pairs, packed from bit 0 up in pair order, in the low
+    byte, and their count in the high byte.  It is built from the same
+    table over bytes, the low byte's pairs first.
     """
-    byte = np.arange(256, dtype=np.uint32)
-    kept, count = np.zeros(256, np.uint32), np.zeros(256, np.uint32)
+    byte = np.arange(256, dtype=np.uint16)
+    kept, count = np.zeros(256, np.uint16), np.zeros(256, np.uint16)
     for j in range(0, 8, 2):
         second = byte >> (j + 1) & 1
         equal = (byte >> j & 1) == second
         kept |= (second & equal) << count
         count += equal
     # chunk hi * 256 + lo sits at row hi, column lo
-    pair = (kept | kept[:, None] << count | (count + count[:, None]) << 8).ravel()
-    ones = np.unpackbits(byte.astype(np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
-    return pair, (ones + ones[:, None]).ravel()
+    pair = kept | kept[:, None] << count | (count + count[:, None]) << 8
+    return pair.ravel().astype("<u2", copy=False)
 
 
 # cells paired per call of ``_pair_chunks``: its largest temporary, the
-# table entries, then takes 64 KiB; a whole 2^20-cell draw block per call
-# measured twice as slow on a direct run's first round
-_PACKED_SLICE = 1 << 18
+# intp copy of the chunks that ``np.take`` indexes with, then takes 256 KiB;
+# 2^20 cells per call measured faster still, but took a direct run's
+# tracemalloc peak at 2^22 from 0.220 to 0.308 bytes per input bit
+_PACKED_SLICE = 1 << 19
 
 
 def _pair_chunks(chunks, m, out, o, pair):
@@ -314,50 +314,56 @@ def _pair_chunks(chunks, m, out, o, pair):
     uint32 words ``out`` from bit o on, where they are 0, and return the
     bit after them.
 
-    Each chunk's kept bits and their count come from the table ``pair``
-    (``_tables``); the unused lanes of a last part chunk are read as
-    unequal pairs 0b10, which keep nothing.  The four chunks of each 64
-    cells join into one fragment of at most 32 bits, whose low part lands
-    in the word of its bit offset and high part in the next.  The
-    fragments' bits never overlap, so the sums that ``np.bincount`` takes
-    in float64 are their ORs, exact below 2^32.
+    Each chunk's kept bits and their count are the low and high byte of
+    its entry in the table ``pair`` (``_tables``); the unused lanes of a
+    last part chunk are read as unequal pairs 0b10, which keep nothing.
+    The four chunks of each 64 cells join pairwise, then the two pairs,
+    into one fragment of at most 32 bits.  The fragments' exclusive
+    cumsum, plus o, is each one's bit offset: its low part lands in the
+    word of that offset and its high part in the next.  The fragments'
+    bits never overlap, so the sums that ``np.bincount`` takes in float64
+    are their ORs, exact below 2^32.
     """
     c = -(-m // 16)
-    t = np.zeros(-(-c // 4) * 4, np.uint32)  # 0 = pair[0xAAAA]: no pair equal
+    t = np.zeros(-(-c // 4) * 4, "<u2")  # 0 = pair[0xAAAA]: no pair equal
     np.take(pair, chunks[:c], out=t[:c], mode="clip")
     if m % 16:
         full = (1 << (m & 14)) - 1  # the lanes of the last chunk's whole pairs
         t[c - 1] = pair[int(chunks[c - 1]) & full | 0xAAAA & ~full]
-    t = t.reshape(-1, 4)
-    kept, count = t & 0xFF, t >> 8
-    frag, length = kept[:, 0].copy(), count[:, 0].copy()
-    for j in (1, 2, 3):
-        frag |= kept[:, j] << length
-        length += count[:, j]
-    end = np.cumsum(length, dtype=np.int64)
-    start = end - length
-    start += o & 31
-    frag = frag.astype(np.uint64)
-    frag <<= (start & 31).view(np.uint64)
-    word = start >> 5
+    t = t.view(np.uint8).reshape(-1, 2, 2, 2)  # fragment, half, chunk, byte
+    kept, count = t[..., 0], t[..., 1]
+    half = kept[..., 1].astype(np.uint16) << count[..., 0]
+    half |= kept[..., 0]
+    width = count[..., 0] + count[..., 1]
+    frag = half[:, 1].astype("<u8")
+    frag <<= width[:, 0]
+    frag |= half[:, 0]
+    start = np.empty(len(frag) + 1, np.intp)
+    start[0] = o & 31
+    np.add(width[:, 0], width[:, 1], out=start[1:])
+    np.cumsum(start, out=start)
+    frag <<= (start[:-1] & 31).view(np.uintp)
+    word = start[:-1] >> 5
     size = int(word[-1]) + 2
-    acc = np.bincount(word, weights=frag & 0xFFFFFFFF, minlength=size)
-    acc[1:] += np.bincount(word, weights=frag >> 32, minlength=size - 1)
+    low, high = frag.view("<u4").reshape(-1, 2).T
+    acc = np.bincount(word, weights=low, minlength=size)
+    acc[1:] += np.bincount(word, weights=high, minlength=size - 1)
     out[o >> 5 : (o >> 5) + size] |= acc.astype(np.uint32)
-    return o + int(end[-1])
+    return o - (o & 31) + int(start[-1])
 
 
 def _pair_packed(bits, bias_pred, round_index, window):
     """``phase1_round`` on ``PackedBits``: the kept bits packed into one
     uint32 array, paired ``_PACKED_SLICE`` cells at a time (``_pair_chunks``).
 
-    Only the kept bits' ones are counted.  An unequal pair holds one 1 and
-    an equal pair twice its kept bit, so the input's ones follow, with the
-    last cell of an odd input; no lane past the n bits is counted.
+    Only the kept bits' ones are counted, with ``np.bitwise_count``.  An
+    unequal pair holds one 1 and an equal pair twice its kept bit, so the
+    input's ones follow, with the last cell of an odd input; no lane past
+    the n bits is counted.
     """
     if _split(bits.n, window)[0]:
         raise ValueError(f"packed bits must fit one window: {bits.n} bits, window {window}")
-    pair, ones = _tables()
+    pair = _tables()
     out = np.zeros(bits.n // 64 + 2, np.uint32)
     n_in = n_out = odd = 0
     for words, m in bits.blocks:
@@ -367,7 +373,7 @@ def _pair_packed(bits, bias_pred, round_index, window):
         n_in += m
         odd = int(chunks[(m - 1) // 16]) >> (m - 1) % 16 & 1 if m % 2 else 0
     out = out[: -(-n_out // 32)]
-    ones_out = int(ones[out.view(np.uint16)].sum())
+    ones_out = int(np.bitwise_count(out).sum())
     ones_in = 2 * ones_out + n_in // 2 - n_out + odd
     return PackedBits(((out, n_out),), n_out), RoundRecord(
         1, round_index, n_in, n_out, ones_in, ones_out, _bias(ones_out, n_out), bias_pred,
@@ -386,7 +392,7 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, window=None):
 
     ``bits`` may also be ``PackedBits``, such as the direct pipeline's
     sample, which must fit one window; the kept bits then come back packed.
-    They are paired 16 at a time by table lookup, 2^18 cells per step, so
+    They are paired 16 at a time by table lookup, 2^19 cells per step, so
     the whole input is never held unless it was given whole
     (``_pair_packed``).
     """
@@ -489,11 +495,13 @@ class Plan:
 
 
 def make_plan(epsilon, n):
-    """The ``Plan`` for declared bias ``epsilon`` in (0, 1] and population n,
-    pairing until the predicted bias reaches phase 2's entry bias
-    ``analysis.TARGET_BIAS``, where parity binning takes over."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon={epsilon} outside (0, 1]")
+    """The ``Plan`` for declared bias ``epsilon`` and population n, pairing
+    until the predicted bias reaches phase 2's entry bias
+    ``analysis.TARGET_BIAS``, where parity binning takes over.  ``epsilon``
+    must lie in [``analysis.EPSILON_MIN``, 1]: below that floor the run's
+    ledger cannot be formed, so no run is planned."""
+    if not analysis.EPSILON_MIN <= epsilon <= 1.0:
+        raise ValueError(f"epsilon={epsilon} outside [{analysis.EPSILON_MIN:g}, 1]")
     orbit = tuple(analysis.forward_orbit(epsilon))
     # the orbit end may sit within the threshold slack below the entry
     # bias; clamp the declared phase-2 entry level to the region maximum

@@ -123,6 +123,21 @@ def test_plan_enters_phase2_at_the_region_maximum_from_the_threshold_slack():
     assert plan.orbit == (plan.orbit[0], slack) and plan.delta2 == cooling.PHASE2_DELTA_MAX
 
 
+def test_plan_rejects_a_bias_below_the_floor_before_sampling(monkeypatch):
+    # below analysis.EPSILON_MIN the ledger cannot be formed: the pipeline
+    # stops at its plan, before drawing a cell or pairing a round
+    def no_draw(*args):
+        raise AssertionError("sampled a run that has no plan")
+
+    monkeypatch.setattr(thermal, "_blocks", no_draw)
+    for eps in (1e-200, 1e-155, 0.0):
+        with pytest.raises(ValueError, match=f"outside \\[{analysis.EPSILON_MIN:g}, 1\\]"):
+            cooling.make_plan(eps, 10**6)
+        with pytest.raises(ValueError, match=f"{analysis.EPSILON_MIN:g}"):
+            pipeline(thermal.BiasModel("binomial", eps), 10**6, 1)
+    assert cooling.make_plan(analysis.EPSILON_MIN, 10**6).epsilon == analysis.EPSILON_MIN
+
+
 def test_phase1_monotone_cleanliness():
     bits = thermal.sample(thermal.BiasModel("binomial", 0.3), 10**6, seed=5)
     _, recs = run_phase1(bits, 0.3)
@@ -646,6 +661,55 @@ def test_packed_round_equals_round_on_cells(dtype):
                     assert rec == want_rec, (n, p, rest, r)
 
 
+def _packed_case(sizes, dtypes, p, seed):
+    """Blocks of the given cell counts, each packed into words of its own
+    dtype with the lanes past it set, their cells, and the cells joined."""
+    rng = np.random.default_rng(seed)
+    cells = [(rng.random(m) < p).astype(np.uint8) for m in sizes]
+    blocks = [(_words(bits, dtype, 1), len(bits)) for bits, dtype in zip(cells, dtypes)]
+    return blocks, np.concatenate(cells) if cells else np.zeros(0, np.uint8)
+
+
+def _assert_packed_round_equals_round_on_cells(blocks, cells):
+    want_out, want_rec = phase1_round(cells, bias_pred=0.5, round_index=2)
+    packed = cooling.PackedBits(iter(blocks), len(cells))
+    out, rec = _unpacked(phase1_round(packed, bias_pred=0.5, round_index=2, window=len(cells) or None))
+    assert out.dtype == np.uint8 and np.array_equal(out, want_out)
+    assert rec == want_rec
+
+
+_block_sizes = st.one_of(st.just(0), st.integers(1, 100), st.integers(1, 2 * cooling._PACKED_SLICE),
+                         st.integers(cooling._PACKED_SLICE - 64, 2 * cooling._PACKED_SLICE))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    sizes=st.lists(_block_sizes, min_size=1, max_size=4),
+    dtypes=st.lists(st.sampled_from([np.uint16, np.uint32, np.uint64]), min_size=4, max_size=4),
+    p=st.sampled_from([0.02, 0.3, 0.5, 0.98]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_round_on_random_blocks_equals_round_on_cells(sizes, dtypes, p, seed):
+    # empty blocks, blocks ending inside a chunk, blocks over one or two
+    # packed steps and an odd last block, in words of 16, 32 and 64 bits:
+    # every slice starts at the bit offset the slices before it leave, and
+    # its fragments land there; every block but the last is even
+    sizes = [m - m % 2 for m in sizes[:-1]] + sizes[-1:]
+    _assert_packed_round_equals_round_on_cells(*_packed_case(sizes, dtypes, p, seed))
+
+
+@pytest.mark.parametrize("offset", range(32))
+def test_packed_slice_starts_at_every_offset_in_a_word(offset):
+    # a first block of equal pairs keeps 32 + offset bits, so the second
+    # block's first slice starts at offset ``offset`` of the output's
+    # second word, and its second slice wherever the first one ends
+    blocks, cells = _packed_case([2 * (32 + offset), cooling._PACKED_SLICE + 98],
+                                 [np.uint32, np.uint64], 0.5, offset)
+    blocks[0] = (np.zeros_like(blocks[0][0]), blocks[0][1])
+    cells[: blocks[0][1]] = 0
+    _assert_packed_round_equals_round_on_cells(blocks, cells)
+
+
 def test_pair_table_covers_every_chunk():
     # every 16-cell chunk once, as 2^20 cells of uint16 words; 0xAAAA, the
     # padding of a part chunk, keeps nothing
@@ -654,7 +718,7 @@ def test_pair_table_covers_every_chunk():
     out, rec = phase1_round(cooling.PackedBits(((chunks, len(cells)),), len(cells)))
     want, want_rec = phase1_round(cells)
     assert np.array_equal(out.unpack(), want) and rec == want_rec
-    assert cooling._tables()[0][0xAAAA] == 0
+    assert cooling._tables()[0xAAAA] == 0
 
 
 def test_pipeline_streamed_first_round_equals_whole_sample(monkeypatch):
@@ -756,9 +820,9 @@ def test_pipeline_direct_peak_memory_per_bit():
     # the pairing rounds read the sample packed, one 2^20-cell draw block
     # at a time, and keep their output packed, so the n sampled bits never
     # exist, and parity binning takes consecutive bins, so no permutation
-    # index is built: the peak, 0.220 bytes per input bit here, is set by
-    # the pairing rounds with their unpack; the bound leaves about 10%
-    # above it
+    # index is built: the peak, 0.220 bytes per input bit here with 2^19
+    # cells per packed pairing step, as with 2^18, is set by the pairing
+    # rounds with their unpack; the bound leaves about 10% above it
     model, n = thermal.BiasModel("binomial", 0.25), 2**22
     pipeline(model, n, seed=12)
     tracemalloc.start()
