@@ -667,7 +667,7 @@ def _packed_case(sizes, dtypes, p, seed):
     rng = np.random.default_rng(seed)
     cells = [(rng.random(m) < p).astype(np.uint8) for m in sizes]
     blocks = [(_words(bits, dtype, 1), len(bits)) for bits, dtype in zip(cells, dtypes)]
-    return blocks, np.concatenate(cells) if cells else np.zeros(0, np.uint8)
+    return blocks, np.concatenate(cells)
 
 
 def _assert_packed_round_equals_round_on_cells(blocks, cells):
