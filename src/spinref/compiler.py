@@ -111,13 +111,16 @@ class MachineProgram:
         return machine.lower(self.encoded, self.n_cells)
 
     def run(self, bits, return_state=False):
-        """Execute on a fresh tape and extract the live output bits."""
+        """Execute on a fresh tape and extract the live output bits.  The
+        live map reads the executor's final list, turned to start at the
+        final head, so the cells are read out of numpy once."""
         state = machine.new_tape(bits)
-        if state.n != self.n_cells:
-            raise ValueError(f"program expects {self.n_cells} cells, got {state.n}")
-        machine.execute(state, self.lowered)
-        cells, head = state.cells.tolist(), state.head
-        out = self.live_map.extract(cells[head:] + cells[:head] if head else cells)
+        n, lowered = self.n_cells, self.lowered
+        if state.n != n:
+            raise ValueError(f"program expects {n} cells, got {state.n}")
+        t, _ = machine._execute(state, lowered)
+        head = lowered.head
+        out = self.live_map.extract(t[head:n] + t[:head] if head else t[:n])
         if return_state:
             return out, state
         return out

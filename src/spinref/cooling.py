@@ -23,8 +23,9 @@ of one width, the last one possibly short, that no pair, bin or block
 straddles; the pipeline cuts the survivors into windows afresh before every
 round.  One kernel, ``_round``, runs every round of the three phases on a
 bit array; at most ``_FEW`` rows, such as each case of an equivalence
-check, are decided row by row on Python lists, where numpy's fixed cost per
-call would dominate.  Pairing also runs on ``PackedBits``, 16 bits to a
+check, are decided row by row in one loop over Python lists, where numpy's
+fixed cost per call would dominate; unshuffled in one window, the rows are
+cut from the bits' one list.  Pairing also runs on ``PackedBits``, 16 bits to a
 uint16 chunk (``_pair_packed``), each chunk decided by one lookup in a
 65,536-entry table.  Only the direct pipeline's sample arrives packed, as
 the sampler draws it; it stays packed through the pairing rounds, and the
@@ -179,8 +180,10 @@ _W1, _W255 = np.uint16(1), np.uint16(255)
 _SLICE = 1 << 16
 
 # rounds of at most this many rows are decided row by row on Python lists:
-# at that size numpy's fixed cost per call is most of a round's time, and
-# from 24 rows on (measured) the numpy slices are faster
+# at that size numpy's fixed cost per call is most of a round's time.
+# Measured on the list loop, the numpy slices are faster from 16 pairs on
+# (8.9 against 7.6 us), from 22 blocks of 8 and from 26 bins of 3; at 16
+# no phase is more than about 1.2 times slower than its faster path
 _FEW = 16
 
 
@@ -212,20 +215,30 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
     and keep a row's payload, all but its h header bits, iff the row's
     ones-count is a multiple of 2 (pairing, k = 2, and parity binning: h =
     1) or of 4 (mod-4 counting: h = 3).  At most ``_FEW`` rows are decided
-    on Python lists; more are decided ``_SLICE`` rows at a time, pairs read
-    as uint16 words and other rows by their sums, taken with ``np.einsum``
-    in the smallest unsigned type that holds k, so a sum is exact at any k.
-    Every kept payload is appended to one buffer as it is decided.  ``u``,
-    the count of rows holding exactly one 1, is recorded in phase 2 only.
-    ``PackedBits``, as pairing leaves a direct run's sample, are unpacked.
+    on Python lists: unshuffled in one window, as slices of the bits' one
+    list, from which the input's ones are summed too, and otherwise as the
+    list of ``_rows``.  More are decided ``_SLICE`` rows at a time, pairs
+    read as uint16 words and other rows by their sums, taken with
+    ``np.einsum`` in the smallest unsigned type that holds k, so a sum is
+    exact at any k.  Every kept payload is appended to one buffer as it is
+    decided.  ``u``, the count of rows holding exactly one 1, is recorded
+    in phase 2 only.  ``PackedBits``, as pairing leaves a direct run's
+    sample, are unpacked.
     """
     h, mask = (3, 3) if phase == 3 else (1, 1)
     bits = bits.unpack() if isinstance(bits, PackedBits) else np.asarray(bits, np.uint8)
-    rows = _rows(bits, k, window, rng)
+    n_in = len(bits)
     buf = bytearray()
     ones_out = u = 0
-    if len(rows) <= _FEW:
-        for r in rows.tolist():
+    if rng is None and n_in // k <= _FEW and (window is None or n_in <= window):
+        cells = bits.tolist()
+        rows, ones_in = zip(*[iter(cells)] * k), sum(cells)  # full rows, as tuples
+    else:
+        rows, ones_in = _rows(bits, k, window, rng), None
+        if len(rows) <= _FEW:
+            rows = rows.tolist()
+    if not isinstance(rows, np.ndarray):
+        for r in rows:
             s = sum(r)
             if phase == 2 and s == 1:
                 u += 1
@@ -250,9 +263,11 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
             buf += kept.data
             ones_out += int(np.count_nonzero(kept))
             del kept  # held into the next slice, it would raise the round's peak
-    n_in, n_out = len(bits), len(buf)
+    if ones_in is None:
+        ones_in = int(np.count_nonzero(bits))
+    n_out = len(buf)
     return np.frombuffer(buf, np.uint8), RoundRecord(
-        phase, round_index, n_in, n_out, int(np.count_nonzero(bits)), ones_out,
+        phase, round_index, n_in, n_out, ones_in, ones_out,
         _bias(ones_out, n_out), bias_pred, _steps(phase, k, n_in, window),
         u if phase == 2 else None, None if phase == 1 else k,
     )

@@ -189,12 +189,17 @@ class TapeState:
 
 def new_tape(bits):
     """Fresh state: head at 0, register (0, 0), zero steps."""
-    arr = np.array(bits, dtype=np.uint8)
+    arr = np.array(bits)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("tape needs a non-empty 1-d bit sequence")
+    if arr.dtype != np.uint8:
+        # checked before the cast, which would turn 256 and 0.7 into 0
+        if not ((arr == 0) | (arr == 1)).all():
+            raise ValueError("tape cells must be bits")
+        arr = arr.astype(np.uint8)
     # deleting every 0 and 1 byte leaves nothing exactly when all cells are
     # bits; on a short tape this is several times cheaper than a reduction
-    if arr.tobytes().translate(None, b"\x00\x01"):
+    elif arr.tobytes().translate(None, b"\x00\x01"):
         raise ValueError("tape cells must be bits")
     return TapeState(arr, 0, [0, 0], 0)
 
@@ -389,18 +394,24 @@ def encode(program):
 
 @lru_cache(maxsize=64)
 def _gate_meta(gate):
-    """(wires, rows) of a gate.  ``rows[i]`` is the output bit tuple for
-    packed input i.  ``wires[j]`` is the input wire that output wire j
-    copies, or ``wires`` is None if the gate does more than rearrange.
-    Both depend only on the width and table, the gate's hash and equality,
-    so equal gates share one cache entry."""
+    """(wires, rows) of a gate.  ``rows`` is the table nested one input bit
+    per level: ``rows[b0][b1]...`` is the output bit tuple for input bits
+    b0, b1, ..., so the executor indexes it with the bits as they are and
+    packs no index.  ``np.asarray(rows).reshape(-1, width)`` is the flat
+    table, row i for packed input i.  ``wires[j]`` is the input wire that
+    output wire j copies, or ``wires`` is None if the gate does more than
+    rearrange.  Both depend only on the width and table, the gate's hash
+    and equality, so equal gates share one cache entry."""
     w = gate.width
-    rows = tuple(tuple((o >> (w - 1 - j)) & 1 for j in range(w)) for o in gate.table)
+    flat = [tuple((o >> (w - 1 - j)) & 1 for j in range(w)) for o in gate.table]
+    rows = flat
+    while len(rows) > 1:
+        rows = list(zip(rows[::2], rows[1::2]))
     inputs = [tuple((i >> (w - 1 - j)) & 1 for i in range(1 << w)) for j in range(w)]
-    outputs = list(zip(*rows))
+    outputs = list(zip(*flat))
     if all(out in inputs for out in outputs):
-        return tuple(inputs.index(out) for out in outputs), rows
-    return None, rows
+        return tuple(inputs.index(out) for out in outputs), rows[0]
+    return None, rows[0]
 
 
 @dataclass(frozen=True)
@@ -413,7 +424,8 @@ class Lowered:
     they are folded into a renaming of list slots, undone at the end by
     reading the slots in the order of ``gather``, a tuple, or None when no
     slot moved.  What is left in ``ops`` are table lookups on at most 4
-    fixed slots, ``(width, slot..., rows)``, and measurements, ``(0, slot)``.
+    fixed slots, ``(width, slot..., rows)``, ``rows`` nested one input bit
+    per level as ``_gate_meta`` gives it, and measurements, ``(0, slot)``.
     ``head`` is the final head offset; ``len()`` is the step count.  Two
     lowerings are equal when all of these are.
     """
@@ -528,17 +540,35 @@ def _run(lowered, t):
         w = op[0]
         if w == 2:
             _, a, b, rows = op
-            t[a], t[b] = rows[t[a] << 1 | t[b]]
+            t[a], t[b] = rows[t[a]][t[b]]
         elif w == 3:
             _, a, b, c, rows = op
-            t[a], t[b], t[c] = rows[t[a] << 2 | t[b] << 1 | t[c]]
+            t[a], t[b], t[c] = rows[t[a]][t[b]][t[c]]
         elif w == 4:
             _, a, b, c, d, rows = op
-            t[a], t[b], t[c], t[d] = rows[t[a] << 3 | t[b] << 2 | t[c] << 1 | t[d]]
+            t[a], t[b], t[c], t[d] = rows[t[a]][t[b]][t[c]][t[d]]
         else:
             measured.append(t[op[1]])
     if lowered._getter is not None:
         t = list(lowered._getter(t))
+    return t, measured
+
+
+def _execute(state, lowered):
+    """Run ``lowered``, lowered for this tape's size, on ``state`` in place.
+    Returns the final list of ``_run`` (the cells in logical order from the
+    start head, then y1 and y2) and the measurements, so a caller that reads
+    the output reads it from the list the run already holds."""
+    n = state.n
+    head = state.head % n
+    t = state.cells.tolist()
+    if head:
+        t = t[head:] + t[:head]
+    t, measured = _run(lowered, t + state.register)
+    state.register[:] = t[n:]
+    state.cells[:] = t[n - head : n] + t[: n - head] if head else t[:n]
+    state.head = (head + lowered.head) % n
+    state.steps += lowered.steps
     return t, measured
 
 
@@ -550,16 +580,7 @@ def execute(state, program):
         program = lower(program, n)
     elif program.n != n:
         raise ValueError(f"program lowered for {program.n} cells, tape has {n}")
-    head = state.head % n
-    t = state.cells.tolist()
-    if head:
-        t = t[head:] + t[:head]
-    t, measured = _run(program, t + state.register)
-    state.register[:] = t[n:]
-    state.cells[:] = t[n - head : n] + t[: n - head] if head else t[:n]
-    state.head = (head + program.head) % n
-    state.steps += program.steps
-    return measured
+    return _execute(state, program)[1]
 
 
 def trace(state, program):

@@ -341,6 +341,34 @@ def test_phase3_zero_ones_loses_only_headers():
     assert rec.n_out == 700
 
 
+def test_phase3_round_keeps_blocks_and_ones_as_the_mod4_law_predicts():
+    # iid bits at delta: a block's 3 header and k - 3 payload weights are
+    # independent binomials, and it is kept iff their sum is 0 mod 4.  The
+    # kept count is binomial in the blocks; the payload ones out are a sum
+    # of B iid per-block values (the payload weight if kept, else 0), whose
+    # exact mean and variance come from enumerating both weights.  Ones
+    # cluster in the kept blocks, so a Poisson sigma would be too narrow:
+    # with it this seed reads z = -1.91, with the exact variance -1.16
+    n, k, delta = 10**7, 8, 0.05
+    bits = thermal.sample(thermal.BiasModel("binomial", 1 - 2 * delta), n, seed=11)
+    _, rec = phase3_round(bits, k)
+
+    def pmf(m):
+        return [math.comb(m, j) * delta**j * (1 - delta) ** (m - j) for j in range(m + 1)]
+
+    kept_pairs = [(ph * pw, w) for h, ph in enumerate(pmf(3))
+                  for w, pw in enumerate(pmf(k - 3)) if (h + w) % 4 == 0]
+    p = sum(q for q, _ in kept_pairs)
+    mean = sum(q * w for q, w in kept_pairs)
+    var = sum(q * w * w for q, w in kept_pairs) - mean**2
+    blocks = n // k
+    assert rec.n_out % (k - 3) == 0
+    z_kept = (rec.n_out // (k - 3) - blocks * p) / math.sqrt(blocks * p * (1 - p))
+    z_ones = (rec.ones_out - blocks * mean) / math.sqrt(blocks * var)
+    assert abs(z_kept) <= 3.0, z_kept
+    assert abs(z_ones) <= 3.0, z_ones
+
+
 # ---------------------------------------------------------------------------
 # windowed rounds
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinref import machine
+from spinref import compiler, machine
 from spinref.machine import (
     CA,
     GATES,
@@ -37,6 +37,26 @@ def test_new_tape_rejects_empty_and_nonbits():
         new_tape([])
     with pytest.raises(ValueError):
         new_tape([0, 2])
+
+
+@pytest.mark.parametrize("bits", [np.array([256, 1, 0, 1]), [0.7, 1, 0, 1], [1, 0, -1],
+                                  np.array([0, 1, 257], np.uint16), [0.0, 1.0, float("nan")]])
+def test_new_tape_refuses_cells_that_are_bits_only_once_cast(bits):
+    # a uint8 cast wraps 256 and 257 to 0 and 1, and truncates 0.7 to 0
+    with pytest.raises(ValueError, match="tape cells must be bits"):
+        new_tape(bits)
+
+
+def test_compiled_run_refuses_a_cell_that_wraps_to_a_bit():
+    with pytest.raises(ValueError, match="tape cells must be bits"):
+        compiler.compile_phase1(4).run(np.array([256, 0, 1, 1]))
+
+
+def test_new_tape_takes_bits_of_any_dtype():
+    for bits in ([1, 0, 1], [True, False, True], np.array([1, 0, 1], np.int64),
+                 np.array([1.0, 0.0, 1.0]), np.array([1, 0, 1], np.uint8)):
+        st_ = new_tape(bits)
+        assert st_.cells.dtype == np.uint8 and st_.cells.tolist() == [1, 0, 1]
 
 
 def test_new_tape_steps_zero_after_construction():
@@ -334,6 +354,36 @@ def test_execute_and_trace_match_the_primitives(run):
         assert got.cells is cells and got.register is register
         assert list(got.cells) == list(want.cells)
         assert (got.head, got.register, got.steps) == (want.head, want.register, want.steps)
+
+
+@st.composite
+def _live_runs(draw):
+    """A program of ``_runs`` on a fresh tape of its bits, and a live map
+    of whole blocks that fits the tape."""
+    program, bits, *_ = draw(_runs())
+    n = len(bits)
+    k = draw(st.integers(2, max(2, n)))
+    live = compiler.LiveMap(
+        draw(st.integers(0, n // k)), k, draw(st.integers(1, k - 1)), draw(st.integers(0, 1))
+    )
+    return program, bits, live
+
+
+@settings(max_examples=300, deadline=None)
+@given(_live_runs())
+# the final head is 2, so the live map reads the cells turned by two
+@example(([Shift(1), Gate(GATES["EQMARK"]), Shift(1), SwapReg(1), Measure()],
+          [1, 1, 0, 1, 0, 0], compiler.LiveMap(2, 3, 1, 0)))
+def test_machine_program_run_matches_the_primitives(run):
+    program, bits, live = run
+    want = new_tape(bits)
+    _reference(want, program)
+    got_out, got = compiler.MachineProgram("hand", len(bits), program, live).run(
+        np.array(bits, np.uint8), return_state=True
+    )
+    assert got.snapshot() == want.snapshot() and got.steps == want.steps == len(program)
+    want_out = live.extract(want.logical().tolist())
+    assert got_out.dtype == np.uint8 and got_out.tolist() == want_out.tolist()
 
 
 @pytest.mark.parametrize(
