@@ -25,8 +25,8 @@ round.  One kernel, ``_round``, runs every round of the three phases on a
 bit array; at most ``_FEW`` rows, such as each case of an equivalence
 check, are decided row by row in one loop over Python lists, where numpy's
 fixed cost per call would dominate; unshuffled in one window, the rows are
-cut from the bits' one list.  Pairing also runs on ``PackedBits``, 16 bits to a
-uint16 chunk (``_pair_packed``), each chunk decided by one lookup in a
+cut from the bits' one list.  Pairing also runs on ``PackedBits``, 16 bits
+to a uint16 chunk (``_pair_packed``), each chunk decided by one lookup in a
 65,536-entry table.  Only the direct pipeline's sample arrives packed, as
 the sampler draws it; it stays packed through the pairing rounds, and the
 next round unpacks it.  Every other input keeps the unpacked path: packing
@@ -181,9 +181,10 @@ _SLICE = 1 << 16
 
 # rounds of at most this many rows are decided row by row on Python lists:
 # at that size numpy's fixed cost per call is most of a round's time.
-# Measured on the list loop, the numpy slices are faster from 16 pairs on
-# (8.9 against 7.6 us), from 22 blocks of 8 and from 26 bins of 3; at 16
-# no phase is more than about 1.2 times slower than its faster path
+# Measured on the list loop, both paths cost the same at 16 pairs, 22
+# blocks of 8 and 24 bins of 3 (12.3, 16.1 and 18.4 us), and numpy is
+# faster above.  Any one constant from 16 to 22 leaves some phase up to
+# about 1.3 times slower than its faster path; 16 is pairing's crossover
 _FEW = 16
 
 
@@ -215,15 +216,15 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
     and keep a row's payload, all but its h header bits, iff the row's
     ones-count is a multiple of 2 (pairing, k = 2, and parity binning: h =
     1) or of 4 (mod-4 counting: h = 3).  At most ``_FEW`` rows are decided
-    on Python lists: unshuffled in one window, as slices of the bits' one
-    list, from which the input's ones are summed too, and otherwise as the
-    list of ``_rows``.  More are decided ``_SLICE`` rows at a time, pairs
-    read as uint16 words and other rows by their sums, taken with
-    ``np.einsum`` in the smallest unsigned type that holds k, so a sum is
-    exact at any k.  Every kept payload is appended to one buffer as it is
-    decided.  ``u``, the count of rows holding exactly one 1, is recorded
-    in phase 2 only.  ``PackedBits``, as pairing leaves a direct run's
-    sample, are unpacked.
+    in one loop over Python rows: unshuffled in one window, as tuples cut
+    from the bits' one list, from which the input's ones are summed too,
+    and otherwise as the list of ``_rows``.  More are decided ``_SLICE``
+    rows at a time, pairs read as uint16 words and other rows by their
+    sums, taken with ``np.einsum`` in the smallest unsigned type that holds
+    k, so a sum is exact at any k.  Every kept payload is appended to one
+    buffer as it is decided.  ``u``, the count of rows holding exactly one
+    1, is recorded in phase 2 only.  ``PackedBits``, as pairing leaves a
+    direct run's sample, are unpacked.
     """
     h, mask = (3, 3) if phase == 3 else (1, 1)
     bits = bits.unpack() if isinstance(bits, PackedBits) else np.asarray(bits, np.uint8)
@@ -232,7 +233,8 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
     ones_out = u = 0
     if rng is None and n_in // k <= _FEW and (window is None or n_in <= window):
         cells = bits.tolist()
-        rows, ones_in = zip(*[iter(cells)] * k), sum(cells)  # full rows, as tuples
+        ones_in = sum(cells)
+        rows = zip(*[iter(cells)] * k)  # the full rows, as tuples
     else:
         rows, ones_in = _rows(bits, k, window, rng), None
         if len(rows) <= _FEW:
