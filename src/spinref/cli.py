@@ -342,6 +342,11 @@ def _cmd_analyze(args, outdir):
 
 
 def _cmd_arch(args, outdir):
+    """``arch.json`` for one ring.  ABCD: the two-tape rotation fixes every B
+    and D site and advances A/C by one period.  ABC: the realized logical
+    shift, its logical order, and ``n_applications_identity``, whether n
+    shifts are the identity: they are iff every orbit's length
+    (``perms.cycles``) divides n, so the shift is never composed n times."""
     pattern = tuple(args.pattern.upper())
     payload = {"pattern": "".join(pattern), "periods": args.periods}
     ok = True
@@ -366,11 +371,7 @@ def _cmd_arch(args, outdir):
     else:
         spec = polymer.single_tape_spec(args.periods)
         rs = polymer.realize_abstract_shift(spec)
-        n = spec.ring_length
-        acc = perms.identity(n)
-        for _ in range(n):
-            acc = perms.compose(acc, rs.permutation)
-        closes = bool(np.array_equal(acc, perms.identity(n)))
+        closes = all(spec.ring_length % len(c) == 0 for c in perms.cycles(rs.permutation))
         payload.update(
             {
                 "sequence": polymer.sequence_to_text(rs.sequence).split("\n")[:-1],

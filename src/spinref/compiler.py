@@ -396,10 +396,6 @@ class EquivReport:
     mismatches: int
     witness: list | None = None
 
-    @property
-    def ok(self):
-        return self.mismatches == 0
-
     def as_dict(self):
         return asdict(self)
 

@@ -22,10 +22,10 @@ A round runs on a flat bit array, optionally cut into consecutive windows
 of one width, the last one possibly short, that no pair, bin or block
 straddles; the pipeline cuts the survivors into windows afresh before every
 round.  One kernel, ``_round``, runs every round of the three phases on a
-bit array; at most ``_FEW`` rows, such as each case of an equivalence
-check, are decided row by row in one loop over Python lists, where numpy's
-fixed cost per call would dominate; unshuffled in one window, the rows are
-cut from the bits' one list.  Pairing also runs on ``PackedBits``, 16 bits
+bit array; at most ``_FEW`` rows that are unshuffled and fit one window,
+such as each case of an equivalence check, are decided row by row in one
+loop over tuples cut from the bits' one list, where numpy's fixed cost per
+call would dominate.  Pairing also runs on ``PackedBits``, 16 bits
 to a uint16 chunk (``_pair_packed``), each chunk decided by one lookup in a
 65,536-entry table.  Only the direct pipeline's sample arrives packed, as
 the sampler draws it; it stays packed through the pairing rounds, and the
@@ -179,12 +179,13 @@ _W1, _W255 = np.uint16(1), np.uint16(255)
 # of a 10**7-bit round would take more memory than the round's output
 _SLICE = 1 << 16
 
-# rounds of at most this many rows are decided row by row on Python lists:
-# at that size numpy's fixed cost per call is most of a round's time.
-# Measured on the list loop, both paths cost the same at 16 pairs, 22
-# blocks of 8 and 24 bins of 3 (12.3, 16.1 and 18.4 us), and numpy is
-# faster above.  Any one constant from 16 to 22 leaves some phase up to
-# about 1.3 times slower than its faster path; 16 is pairing's crossover
+# unshuffled rounds of at most this many rows in one window are decided row
+# by row on Python lists: at that size numpy's fixed cost per call is most
+# of a round's time.  Measured on the list loop, both paths cost the same
+# at 16 pairs, 22 blocks of 8 and 24 bins of 3 (12.3, 16.1 and 18.4 us),
+# and numpy is faster above.  Any one constant from 16 to 22 leaves some
+# phase up to about 1.3 times slower than its faster path; 16 is pairing's
+# crossover
 _FEW = 16
 
 
@@ -215,16 +216,15 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
     Every phase is one rule: cut the bits into rows of k bits (``_rows``)
     and keep a row's payload, all but its h header bits, iff the row's
     ones-count is a multiple of 2 (pairing, k = 2, and parity binning: h =
-    1) or of 4 (mod-4 counting: h = 3).  At most ``_FEW`` rows are decided
-    in one loop over Python rows: unshuffled in one window, as tuples cut
-    from the bits' one list, from which the input's ones are summed too,
-    and otherwise as the list of ``_rows``.  More are decided ``_SLICE``
-    rows at a time, pairs read as uint16 words and other rows by their
-    sums, taken with ``np.einsum`` in the smallest unsigned type that holds
-    k, so a sum is exact at any k.  Every kept payload is appended to one
-    buffer as it is decided.  ``u``, the count of rows holding exactly one
-    1, is recorded in phase 2 only.  ``PackedBits``, as pairing leaves a
-    direct run's sample, are unpacked.
+    1) or of 4 (mod-4 counting: h = 3).  At most ``_FEW`` rows, unshuffled
+    in one window, are decided in one loop over tuples cut from the bits'
+    one list, from which the input's ones are summed too.  Any other round
+    is decided ``_SLICE`` rows at a time, pairs read as uint16 words and
+    other rows by their sums, taken with ``np.einsum`` in the smallest
+    unsigned type that holds k, so a sum is exact at any k.  Every kept
+    payload is appended to one buffer as it is decided.  ``u``, the count
+    of rows holding exactly one 1, is recorded in phase 2 only.
+    ``PackedBits``, as pairing leaves a direct run's sample, are unpacked.
     """
     h, mask = (3, 3) if phase == 3 else (1, 1)
     bits = bits.unpack() if isinstance(bits, PackedBits) else np.asarray(bits, np.uint8)
@@ -234,13 +234,7 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
     if rng is None and n_in // k <= _FEW and (window is None or n_in <= window):
         cells = bits.tolist()
         ones_in = sum(cells)
-        rows = zip(*[iter(cells)] * k)  # the full rows, as tuples
-    else:
-        rows, ones_in = _rows(bits, k, window, rng), None
-        if len(rows) <= _FEW:
-            rows = rows.tolist()
-    if not isinstance(rows, np.ndarray):
-        for r in rows:
+        for r in zip(*[iter(cells)] * k):  # the full rows, as tuples
             s = sum(r)
             if phase == 2 and s == 1:
                 u += 1
@@ -249,6 +243,7 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
                 buf.extend(payload)
                 ones_out += sum(payload)
     else:
+        rows, ones_in = _rows(bits, k, window, rng), int(np.count_nonzero(bits))
         if phase == 1:
             second, words = _pairs(rows)
         else:
@@ -265,8 +260,6 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
             buf += kept.data
             ones_out += int(np.count_nonzero(kept))
             del kept  # held into the next slice, it would raise the round's peak
-    if ones_in is None:
-        ones_in = int(np.count_nonzero(bits))
     n_out = len(buf)
     return np.frombuffer(buf, np.uint8), RoundRecord(
         phase, round_index, n_in, n_out, ones_in, ones_out,

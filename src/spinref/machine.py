@@ -25,12 +25,15 @@ this simulator.
 Programs are oblivious: where each primitive acts never depends on the
 data.  ``lower`` uses that to resolve the head statically, once per program
 and tape size, and ``execute``, ``trace`` and compiled programs all run the
-lowered form through one executor loop.  The primitives above are the
-reference semantics it is tested against.  The compiler builds each
-round's ``Lowered`` from the round's parts, and its codes and text from
-one run list, without a walk over its steps; ``lower``,
-``program_to_text`` and ``compiler._emit_deinterleave`` are the
-references they are tested against.
+lowered form through one executor loop; every wire rearrangement
+(``SWAP2`` and other renaming gates, ``SWAPREG``) lowers to one action, a
+renaming of list slots.  The primitives above are the reference semantics
+it is tested against; they, ``encode`` and ``text_to_program`` refuse a
+bad instruction through one statement of the rules, ``_check``.  The
+compiler builds each round's ``Lowered`` from the round's parts, and its
+codes and text from one run list, without a walk over its steps;
+``lower``, ``program_to_text`` and ``compiler._emit_deinterleave`` are
+the references they are tested against.
 
 A program is an iterable of instructions or ``encode``'s form of one: a
 table of its distinct instructions and one integer code per step (uint8
@@ -210,8 +213,7 @@ def new_tape(bits):
 
 def shift(state, direction):
     """Move the head one cell; direction is +1 or -1."""
-    if direction not in (1, -1):
-        raise ValueError("shift direction must be +1 or -1")
+    _check(Shift(direction))
     state.head = (state.head + direction) % state.n
     state.steps += 1
     return state
@@ -251,13 +253,10 @@ def measure_first(state):
 
 def ca_parallel_gate(state, k, gate):
     """One pulse: apply a width-2 gate to every logical pair (l*k, l*k+1)."""
-    if gate.width != 2:
-        raise ValueError("parallel pulses take a width-2 gate")
+    _check(CA(k, gate))
     n = state.n
-    if k <= 0 or n % k != 0:
+    if n % k:
         raise ValueError(f"spacing k={k} must divide n={n}")
-    if k == 1:
-        raise ValueError("spacing k=1 would address overlapping pairs")
     first = (state.head + np.arange(0, n, k)) % n
     second = (first + 1) % n
     a = state.cells[first].astype(np.int64)
@@ -272,8 +271,7 @@ def ca_parallel_gate(state, k, gate):
 
 def swap_register(state, which):
     """Exchange y_which (1 or 2) with the cell under the head."""
-    if which not in (1, 2):
-        raise ValueError("register index must be 1 or 2")
+    _check(SwapReg(which))
     i = state.head % state.n
     state.register[which - 1], state.cells[i] = (
         int(state.cells[i]),
@@ -315,8 +313,8 @@ class CA:
 
 def _check(ins):
     """Raise if ``ins`` is not a valid instruction on any tape.  ``lower``
-    adds the one check that needs the tape size: a pulse's spacing must
-    divide n."""
+    and ``ca_parallel_gate`` add the one check that needs the tape size: a
+    pulse's spacing must divide n."""
     kind = type(ins)
     if kind is Shift:
         if ins.direction not in (1, -1):
@@ -420,7 +418,7 @@ class Lowered:
 
     The executor runs it on a list of n + 2 ints: the n cells as seen from
     the start head, then y1 and y2 as cells n and n + 1.  Shifts are gone.
-    Wire rearrangements (SWAP2 gates and pulses, SWAPREG) move no data:
+    Wire rearrangements (renaming gates and pulses, SWAPREG) move no data:
     they are folded into a renaming of list slots, undone at the end by
     reading the slots in the order of ``gather``, a tuple, or None when no
     slot moved.  What is left in ``ops`` are table lookups on at most 4
@@ -448,18 +446,24 @@ class Lowered:
 
 
 # what lowering does with a step that is not a shift
-_SWAP, _LOOKUP, _RENAME, _SWAPREG, _MEASURE, _PULSE = range(6)
+_RENAME, _LOOKUP, _MEASURE, _PULSE = range(4)
 
 
 def _action(ins, n):
     """(head move, action) of one table entry on an n-cell tape.  The action
     is a tuple led by one of the tags above, or None when the step leaves
-    nothing to lower (a shift, or a gate that keeps every wire)."""
+    nothing to lower (a shift, or a gate that keeps every wire).  Wires
+    are numbered as a width-4 gate's: the cells under and after the head,
+    then y1 and y2.  Every head step that only rearranges wires (a
+    ``SWAPREG``, ``SWAP2`` or any other renaming gate) is one rename,
+    ``(_RENAME, written, read)``: wire ``written[j]`` takes what wire
+    ``read[j]`` held."""
     kind = type(ins)
     if kind is Shift:
         return ins.direction, None
     if kind is SwapReg:
-        return 0, (_SWAPREG, n + ins.which - 1)
+        r = ins.which + 1
+        return 0, (_RENAME, (0, r), (r, 0))
     if kind is Measure:
         return 0, (_MEASURE,)
     g = ins.gate
@@ -470,14 +474,12 @@ def _action(ins, n):
         return 0, None
     if kind is CA:
         return 0, (_PULSE, ins.k, wires, rows)
-    if wires == (1, 0):
-        return 0, (_SWAP,)
     if wires is None or (n == 1 and wires[0] > 1):
         # on a one-cell ring both head wires are that cell; if the first
         # output wire takes a register bit, the cell's bit lands in two
         # places, which no renaming holds
         return 0, (_LOOKUP, g.width, rows)
-    return 0, (_RENAME, wires)
+    return 0, (_RENAME, range(g.width), wires)
 
 
 def lower(instructions, n, heads=None):
@@ -505,19 +507,14 @@ def lower(instructions, n, heads=None):
         act = actions[c]
         tag = act[0]
         h1 = h + 1 if h + 1 < n else 0
-        if tag == _SWAP:
-            slot[h], slot[h1] = slot[h1], slot[h]
+        if tag == _RENAME:
+            pos = (h, h1) + y
+            src = [slot[pos[i]] for i in act[2]]
+            for i, s in zip(act[1], src):
+                slot[pos[i]] = s
         elif tag == _LOOKUP:
             w = act[1]
             ops.append((w, slot[h], slot[h1]) + tuple(slot[n : n + w - 2]) + (act[2],))
-        elif tag == _RENAME:
-            pos = (h, h1) + y
-            src = [slot[pos[i]] for i in act[1]]
-            for p, s in zip(pos, src):
-                slot[p] = s
-        elif tag == _SWAPREG:
-            r = act[1]
-            slot[h], slot[r] = slot[r], slot[h]
         elif tag == _MEASURE:
             ops.append((0, slot[h]))
         else:

@@ -17,6 +17,8 @@ rotation sequences used by the tape abstractions:
 ``realize_abstract_shift`` turns the single-tape triple into a true
 single-cell cyclic shift of a declared logical cell ordering by adding a
 head-local boundary fix-up (a head swap conjugated by (A,B) pulses).
+One runner, ``_run``, applies a sequence to ring bits and to site labels
+alike; ``induced_permutation`` inverts what it leaves of the labels.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import perms
-from .machine import GATES, ReversibleGate
+from .machine import GATES, ReversibleGate, new_tape
 
 __all__ = [
     "PolymerSpec",
@@ -105,6 +107,12 @@ class HeadPulse:
 
     gate: ReversibleGate
 
+    def __post_init__(self):
+        if self.gate.width != 2:
+            raise ValueError(
+                f"head pulses take a width-2 gate; {self.gate.name} has width {self.gate.width}"
+            )
+
 
 class PulseSequence(list):
     """Ordered pulses; plain list with a constructor that normalizes tuples."""
@@ -146,38 +154,53 @@ def _head_pair(spec):
     return d, (d + 1) % n
 
 
-def _layer_perm(spec, pulse):
-    n = spec.ring_length
-    perm = np.arange(n)
-    if isinstance(pulse, TypePulse):
-        first, second = _pulse_pairs(spec, pulse)
-        perm[first], perm[second] = second, first
-    elif isinstance(pulse, HeadPulse):
-        d, e = _head_pair(spec)
-        if pulse.gate == GATES["SWAP2"]:
-            perm[d], perm[e] = e, d
-        elif pulse.gate == GATES["ID2"]:
-            pass
+def _run(spec, seq, cells, head):
+    """Apply the pulses of ``seq`` in order to ``cells``, one entry per ring
+    site, in place: a type pulse swaps the entries of every pair it
+    addresses, and a head pulse sets the head pair's entries (x, y) to
+    ``head(gate, x, y)``."""
+    for pulse in seq:
+        if isinstance(pulse, TypePulse):
+            first, second = _pulse_pairs(spec, pulse)
+            cells[first], cells[second] = cells[second], cells[first]
+        elif isinstance(pulse, HeadPulse):
+            d, e = _head_pair(spec)
+            cells[d], cells[e] = head(pulse.gate, cells[d], cells[e])
         else:
-            raise ValueError(
-                "only SWAP2/ID2 head pulses induce a position permutation; "
-                "use apply_sequence_to_bits for general head gates"
-            )
-    else:
-        raise TypeError(f"unknown pulse {pulse!r}")
-    return perm
+            raise TypeError(f"unknown pulse {pulse!r}")
+    return cells
+
+
+def _move_sites(gate, x, y):
+    """A head pulse on site labels: only the gates that move whole sites."""
+    if gate == GATES["SWAP2"]:
+        return y, x
+    if gate == GATES["ID2"]:
+        return x, y
+    raise ValueError(
+        "only SWAP2/ID2 head pulses induce a position permutation; "
+        "use apply_sequence_to_bits for general head gates"
+    )
+
+
+def _ring_bits(spec, bits):
+    """``bits`` as a fresh uint8 array, checked as a tape's cells are
+    (``machine.new_tape``), with one bit per ring site."""
+    cells = new_tape(bits).cells
+    if len(cells) != spec.ring_length:
+        raise ValueError("bit vector length must equal the ring length")
+    return cells
 
 
 def induced_permutation(spec, seq):
     """Exact composite destination map of a pulse sequence.
 
     Content at ring position i ends at position perm[i] after applying the
-    pulses in order.
+    pulses in order.  The pulses run on the sites' own labels, which leaves
+    at each position the label of the site whose content ends there: the
+    inverse map, inverted by one argsort.
     """
-    perm = np.arange(spec.ring_length)
-    for pulse in seq:
-        perm = perms.compose(perm, _layer_perm(spec, pulse))
-    return perm
+    return np.argsort(_run(spec, seq, np.arange(spec.ring_length), _move_sites))
 
 
 def track_decomposition(perm):
@@ -202,7 +225,7 @@ def transposition_as_cnots(pair):
 
 def cnot_layer(spec, src, dst, bits):
     """Bit-level CNOT pulse: dst-site ^= src-site on every {src,dst} adjacency."""
-    out = np.array(bits, dtype=np.uint8)
+    out = _ring_bits(spec, bits)
     first, second = _pulse_pairs(spec, TypePulse(src, dst))
     # the pairs are disjoint, so no source is another pair's target
     from_first = np.array(spec.pattern)[first % len(spec.pattern)] == src
@@ -213,22 +236,10 @@ def cnot_layer(spec, src, dst, bits):
 
 def apply_sequence_to_bits(spec, seq, bits):
     """Run a pulse sequence on explicit ring contents (head gates allowed)."""
-    out = np.array(bits, dtype=np.uint8)
-    n = spec.ring_length
-    if len(out) != n:
-        raise ValueError("bit vector length must equal the ring length")
-    for pulse in seq:
-        if isinstance(pulse, TypePulse):
-            first, second = _pulse_pairs(spec, pulse)
-            out[first], out[second] = out[second], out[first]
-        elif isinstance(pulse, HeadPulse):
-            d, e = _head_pair(spec)
-            packed = 2 * int(out[d]) + int(out[e])
-            res = pulse.gate.table[packed]
-            out[d], out[e] = (res >> 1) & 1, res & 1
-        else:
-            raise TypeError(f"unknown pulse {pulse!r}")
-    return out
+    # a head gate sets its pair to the two bits of its table entry for (x, y)
+    return _run(
+        spec, seq, _ring_bits(spec, bits), lambda g, x, y: divmod(g.table[2 * int(x) + int(y)], 2)
+    )
 
 
 @dataclass
@@ -263,20 +274,14 @@ def realize_abstract_shift(spec):
     triple = PulseSequence([("A", "B"), ("C", "A"), ("B", "C")])
     sigma = induced_permutation(spec, triple)
 
-    # orbit of the head C site under the bare rotation: all A and C sites
-    track_ac = [d]
-    j = int(sigma[d])
-    while j != d:
-        track_ac.append(j)
-        j = int(sigma[j])
-    # orbit of the B site two past the head: all B sites
-    b0 = (d + 2) % n
-    track_b = [b0]
-    j = int(sigma[b0])
-    while j != b0:
-        track_b.append(j)
-        j = int(sigma[j])
-    logical = np.array(track_ac + track_b)
+    # the tracks are sigma's orbits of the head C site (all A and C sites)
+    # and of the B site two past it (all B sites), each read from its start
+    tracks, logical = perms.cycles(sigma), []
+    for start in (d, (d + 2) % n):
+        track = next(c for c in tracks if start in c)
+        at = track.index(start)
+        logical += track[at:] + track[:at]
+    logical = np.array(logical)
 
     fixup = PulseSequence([("A", "B"), HeadPulse(GATES["SWAP2"]), ("A", "B")])
     sequence = PulseSequence(list(triple) + list(fixup))

@@ -429,6 +429,36 @@ def test_bad_instruction_has_no_text(bad, error):
             runner(program)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        Shift(2),
+        Shift(0),
+        SwapReg(3),
+        SwapReg(0),
+        CA(1, GATES["SWAP2"]),
+        CA(0, GATES["SWAP2"]),
+        CA(-2, GATES["SWAP2"]),
+        CA(3, GATES["SWAP2"]),
+        CA(2, GATES["PAR3"]),
+    ],
+)
+def test_primitives_refuse_what_lower_refuses_with_its_message(bad):
+    st_ = new_tape([1, 0, 1, 1, 0, 0, 1, 0])
+    snap = st_.snapshot()
+    with pytest.raises(ValueError) as lowered:
+        machine.lower([bad], st_.n)
+    with pytest.raises(ValueError) as primitive:
+        if isinstance(bad, Shift):
+            shift(st_, bad.direction)
+        elif isinstance(bad, SwapReg):
+            swap_register(st_, bad.which)
+        else:
+            ca_parallel_gate(st_, bad.k, bad.gate)
+    assert str(primitive.value) == str(lowered.value)
+    assert st_.snapshot() == snap and st_.steps == 0
+
+
 def test_encoded_form_is_the_listed_program():
     # entries are instances: the shared step is one entry, equal ones are not
     step = Shift(1)

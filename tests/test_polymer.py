@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinref import perms, polymer
 from spinref.machine import GATES
@@ -249,8 +251,8 @@ def test_pulse_layers_equal_the_pair_by_pair_loops(spec):
                 swapped[i], swapped[j] = swapped[j], swapped[i]
                 s, d = (i, j) if spec.type_at(i) == a else (j, i)
                 xored[d] ^= xored[s]
-            assert np.array_equal(polymer._layer_perm(spec, pulse), perm)
             layer = PulseSequence([pulse])
+            assert np.array_equal(induced_permutation(spec, layer), perm)
             assert np.array_equal(apply_sequence_to_bits(spec, layer, bits), swapped)
             assert np.array_equal(cnot_layer(spec, a, b, bits), xored)
             checked += 1
@@ -270,6 +272,58 @@ def test_head_pulse_permutation_and_bits():
     bits2 = np.array([1, 0, 0, 0, 0, 1], dtype=np.uint8)
     out2 = apply_sequence_to_bits(spec, PulseSequence([HeadPulse(GATES["EQMARK"])]), bits2)
     assert list(out2) == [1, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("name", ["PAR3", "XDEP3", "INC4", "DEP34"])
+def test_head_pulse_refuses_a_gate_that_is_not_width_two(name):
+    # the head pair holds two bits, so a wider table would be read with a
+    # two-bit index
+    with pytest.raises(ValueError, match=name):
+        HeadPulse(GATES[name])
+
+
+@pytest.mark.parametrize(
+    "bits, message",
+    [
+        ([0, 1] * 5, "ring length"),
+        ([0, 1, 1], "ring length"),
+        ([0, 0, 2, 0, 0, 0, 0, 0], "bits"),
+        (np.array([0, 0, 2, 0, 0, 0, 0, 0], dtype=np.uint8), "bits"),
+        ([0.5, 0, 0, 0, 0, 0, 0, 0], "bits"),
+    ],
+)
+def test_bit_level_pulses_take_one_bit_per_ring_site(bits, message):
+    spec = two_tape_spec(2)  # 8 sites
+    with pytest.raises(ValueError, match=message):
+        cnot_layer(spec, "A", "B", bits)
+    with pytest.raises(ValueError, match=message):
+        apply_sequence_to_bits(spec, PulseSequence([("A", "B")]), bits)
+
+
+def _position_pulses(spec):
+    """Every pulse with a position permutation on ``spec``: the type pulses
+    it allows, and the SWAP2 and ID2 head pulses if it has a head site."""
+    heads = [HeadPulse(GATES["SWAP2"]), HeadPulse(GATES["ID2"])] if spec.d_site is not None else []
+    types = [TypePulse(a, b) for a in spec.pattern for b in spec.pattern]
+    allowed = [p for p in types if not isinstance(_outcome(polymer._pulse_pairs, spec, p), str)]
+    return heads + allowed
+
+
+@st.composite
+def _pulse_runs(draw):
+    spec = draw(st.sampled_from([single_tape_spec, two_tape_spec]))(draw(st.integers(1, 6)))
+    seq = PulseSequence(draw(st.lists(st.sampled_from(_position_pulses(spec)), max_size=12)))
+    n = spec.ring_length
+    return spec, seq, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pulse_runs())
+def test_bits_move_where_the_induced_permutation_sends_them(run):
+    spec, seq, bits = run
+    perm = induced_permutation(spec, seq)
+    assert perms.is_permutation(perm)
+    assert apply_sequence_to_bits(spec, seq, bits)[perm].tolist() == bits
 
 
 def test_head_pulse_needs_a_d_site():
