@@ -7,8 +7,6 @@ the track structure of the single-tape rotation triple, the two-tape
 rotation, and the head-patched sequence that realizes a true logical shift.
 """
 
-import numpy as np
-
 from spinref import perms, polymer
 
 
@@ -26,11 +24,10 @@ def main():
     print("realized logical shift (triple + head swap conjugated by (A,B)):")
     print("  " + " | ".join(polymer.sequence_to_text(rs.sequence).split("\n")[:-1]))
     print(f"  logical cell order: {rs.logical_order.tolist()}")
+    # n shifts are the identity iff every orbit's length divides n
     n = spec.ring_length
-    acc = perms.identity(n)
-    for _ in range(n):
-        acc = perms.compose(acc, rs.permutation)
-    print(f"  {n} applications == identity: {np.array_equal(acc, perms.identity(n))}\n")
+    closes = all(n % len(c) == 0 for c in perms.cycles(rs.permutation))
+    print(f"  {n} applications == identity: {closes}\n")
 
     two = polymer.two_tape_spec(4)
     perm2 = polymer.induced_permutation(two, polymer.two_tape_rotate_seq())

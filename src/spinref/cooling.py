@@ -25,12 +25,12 @@ round.  One kernel, ``_round``, runs every round of the three phases on a
 bit array; at most ``_FEW`` rows that are unshuffled and fit one window,
 such as each case of an equivalence check, are decided row by row in one
 loop over tuples cut from the bits' one list, where numpy's fixed cost per
-call would dominate.  Pairing also runs on ``PackedBits``, 16 bits
-to a uint16 chunk (``_pair_packed``), each chunk decided by one lookup in a
-65,536-entry table.  Only the direct pipeline's sample arrives packed, as
-the sampler draws it; it stays packed through the pairing rounds, and the
-next round unpacks it.  Every other input keeps the unpacked path: packing
-and unpacking a few hundred pairs would cost more than pairing them.
+call would dominate.  Every pairing round of more pairs runs packed
+instead (``_pair_packed``), on ``PackedBits``, 16 bits to a uint16 chunk,
+each chunk decided by one lookup in a 65,536-entry table.  The direct
+pipeline's sample arrives packed, as the sampler draws it, and a
+shuffled-blocks run packs its spread sample once; either stays packed
+through the pairing rounds, and the next round unpacks it.
 
 Per-round step costs are charged from the compiled-program cost formulas
 (single-tape canonical); the pipeline additionally accumulates totals for
@@ -171,34 +171,18 @@ def _steps(phase, k, length, window):
     return (q * _cost(phase, k, window) if q else 0) + _cost(phase, k, tail)
 
 
-# typed scalars for the pair-word test: a Python int operand costs a
-# conversion on every call, most of a microsecond per small round
-_W1, _W255 = np.uint16(1), np.uint16(255)
-
 # rows decided and selected per slice: a flag, or an index, over every row
 # of a 10**7-bit round would take more memory than the round's output
 _SLICE = 1 << 16
 
 # unshuffled rounds of at most this many rows in one window are decided row
 # by row on Python lists: at that size numpy's fixed cost per call is most
-# of a round's time.  Measured on the list loop, both paths cost the same
-# at 16 pairs, 22 blocks of 8 and 24 bins of 3 (12.3, 16.1 and 18.4 us),
-# and numpy is faster above.  Any one constant from 16 to 22 leaves some
-# phase up to about 1.3 times slower than its faster path; 16 is pairing's
-# crossover
+# of a round's time.  Measured on the list loop, numpy costs the same at 22
+# blocks of 8 and 24 bins of 3 (16.1 and 18.4 us).  The packed pairing
+# kernel, about 33 us from 17 to 1,000 pairs, costs the same near 110
+# pairs, so 17 pairs take 33 us against 6.6 on lists: the price of one
+# pairing kernel for every larger round
 _FEW = 16
-
-
-def _pairs(rows):
-    """Each two-bit row's second bit, and the row read as one uint16 word."""
-    rows = np.ascontiguousarray(rows)
-    return rows[:, 1], rows.view(np.uint16).ravel()
-
-
-def _equal(words):
-    """Which pair words are equal pairs: exactly 0x0000 and 0x0101, the two
-    words still above 0x00FF once 1 is subtracted (0 wraps to 0xFFFF)."""
-    return words - _W1 > _W255
 
 
 @lru_cache(maxsize=None)
@@ -219,12 +203,12 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
     1) or of 4 (mod-4 counting: h = 3).  At most ``_FEW`` rows, unshuffled
     in one window, are decided in one loop over tuples cut from the bits'
     one list, from which the input's ones are summed too.  Any other round
-    is decided ``_SLICE`` rows at a time, pairs read as uint16 words and
-    other rows by their sums, taken with ``np.einsum`` in the smallest
-    unsigned type that holds k, so a sum is exact at any k.  Every kept
-    payload is appended to one buffer as it is decided.  ``u``, the count
-    of rows holding exactly one 1, is recorded in phase 2 only.
-    ``PackedBits``, as pairing leaves a direct run's sample, are unpacked.
+    is decided ``_SLICE`` rows at a time by the rows' sums, taken with
+    ``np.einsum`` in the smallest unsigned type that holds k, so a sum is
+    exact at any k.  Every kept payload is appended to one buffer as it is
+    decided.  ``u``, the count of rows holding exactly one 1, is recorded
+    in phase 2 only, and k in phases 2 and 3.  ``PackedBits``, as pairing
+    leaves a run's sample, are unpacked.
     """
     h, mask = (3, 3) if phase == 3 else (1, 1)
     bits = bits.unpack() if isinstance(bits, PackedBits) else np.asarray(bits, np.uint8)
@@ -244,19 +228,13 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
                 ones_out += sum(payload)
     else:
         rows, ones_in = _rows(bits, k, window, rng), int(np.count_nonzero(bits))
-        if phase == 1:
-            second, words = _pairs(rows)
-        else:
-            acc, mask, zero, one = _sums(k, mask)
+        acc, mask, zero, one = _sums(k, mask)
         for lo in range(0, len(rows), _SLICE):
-            if phase == 1:
-                kept = second[lo : lo + _SLICE].compress(_equal(words[lo : lo + _SLICE]))
-            else:
-                part = rows[lo : lo + _SLICE]
-                s = np.einsum("ij->i", part, dtype=acc)
-                kept = part[:, h:].compress((s & mask) == zero, axis=0)
-                if phase == 2:
-                    u += int(np.count_nonzero(s == one))
+            part = rows[lo : lo + _SLICE]
+            s = np.einsum("ij->i", part, dtype=acc)
+            kept = part[:, h:].compress((s & mask) == zero, axis=0)
+            if phase == 2:
+                u += int(np.count_nonzero(s == one))
             buf += kept.data
             ones_out += int(np.count_nonzero(kept))
             del kept  # held into the next slice, it would raise the round's peak
@@ -264,7 +242,7 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
     return np.frombuffer(buf, np.uint8), RoundRecord(
         phase, round_index, n_in, n_out, ones_in, ones_out,
         _bias(ones_out, n_out), bias_pred, _steps(phase, k, n_in, window),
-        u if phase == 2 else None, None if phase == 1 else k,
+        u if phase == 2 else None, k if phase > 1 else None,
     )
 
 
@@ -362,30 +340,46 @@ def _pair_chunks(chunks, m, out, o, pair):
     return o - (o & 31) + int(start[-1])
 
 
-def _pair_packed(bits, bias_pred, round_index, window):
-    """``phase1_round`` on ``PackedBits``: the kept bits packed into one
-    uint32 array, paired ``_PACKED_SLICE`` cells at a time (``_pair_chunks``).
+def _pack(cells):
+    """The bit array ``cells`` as ``PackedBits``: one block of uint16 chunks."""
+    words = np.packbits(cells, bitorder="little")
+    words = np.append(words, np.uint8(0)) if len(words) % 2 else words
+    return PackedBits(((words.view("<u2"), len(cells)),), len(cells))
 
-    Only the kept bits' ones are counted, with ``np.bitwise_count``.  An
+
+def _pair_packed(bits, bias_pred, round_index, window):
+    """``phase1_round`` on ``PackedBits`` or a bit array; the kept bits,
+    one uint32 array, return in the input's form.  The cells are paired
+    ``_PACKED_SLICE`` at a time (``_pair_chunks``) as one window, which
+    pairs them as even windows do.  A bit array, or packed bits in odd
+    windows once unpacked, is first cut into its windows' full pairs
+    (``_rows``) and packed (``_pack``), and its ones counted.  Otherwise
+    only the kept bits' ones are counted, with ``np.bitwise_count``: an
     unequal pair holds one 1 and an equal pair twice its kept bit, so the
     input's ones follow, with the last cell of an odd input; no lane past
     the n bits is counted.
     """
-    if _split(bits.n, window)[0]:
-        raise ValueError(f"packed bits must fit one window: {bits.n} bits, window {window}")
+    packed = isinstance(bits, PackedBits)
+    n_in = bits.n if packed else len(bits)
+    ones_in = None
+    if not packed or _split(n_in, window)[0] and window % 2:
+        cells = bits.unpack() if packed else np.asarray(bits)
+        ones_in = int(np.count_nonzero(cells))
+        bits = _pack(_rows(cells, 2, window).ravel())
     pair = _tables()
     out = np.zeros(bits.n // 64 + 2, np.uint32)
-    n_in = n_out = odd = 0
+    n_out = odd = 0
     for words, m in bits.blocks:
         chunks = words.astype(words.dtype.newbyteorder("<"), copy=False).view("<u2")
         for lo in range(0, m, _PACKED_SLICE):
             n_out = _pair_chunks(chunks[lo // 16 :], min(_PACKED_SLICE, m - lo), out, n_out, pair)
-        n_in += m
         odd = int(chunks[(m - 1) // 16]) >> (m - 1) % 16 & 1 if m % 2 else 0
     out = out[: -(-n_out // 32)]
     ones_out = int(np.bitwise_count(out).sum())
-    ones_in = 2 * ones_out + n_in // 2 - n_out + odd
-    return PackedBits(((out, n_out),), n_out), RoundRecord(
+    if ones_in is None:
+        ones_in = 2 * ones_out + bits.n // 2 - n_out + odd
+    out = PackedBits(((out, n_out),), n_out) if packed else thermal._cells(out, n_out)
+    return out, RoundRecord(
         1, round_index, n_in, n_out, ones_in, ones_out, _bias(ones_out, n_out), bias_pred,
         _steps(1, 2, n_in, window),
     )
@@ -400,13 +394,13 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, window=None):
     ``window`` width, pair within each window of that many bits.
     ``bias_pred`` is the planned output bias, recorded as given.
 
-    ``bits`` may also be ``PackedBits``, such as the direct pipeline's
-    sample, which must fit one window; the kept bits then come back packed.
-    They are paired 16 at a time by table lookup, 2^19 cells per step, so
-    the whole input is never held unless it was given whole
-    (``_pair_packed``).
+    ``bits`` may be a bit array or ``PackedBits``, such as the direct
+    pipeline's sample, and the kept bits come back in the same form.  More
+    than ``_FEW`` pairs, or packed bits, are paired 16 at a time by table
+    lookup, 2^19 cells per step, so the whole input is never held unless
+    it was given whole (``_pair_packed``); fewer, row by row (``_round``).
     """
-    if isinstance(bits, PackedBits):
+    if isinstance(bits, PackedBits) or len(bits) // 2 > _FEW:
         return _pair_packed(bits, bias_pred, round_index, window)
     return _round(1, bits, 2, window, None, bias_pred, round_index)
 
@@ -654,9 +648,10 @@ def pipeline(model, n, seed, mode="binomial-direct"):
     round is the gathered prefix.  When n is a perfect cube the spread is
     the stride permutation, taken as one strided read
     (``thermal.stride_spread``); otherwise it is a seeded uniform
-    permutation, applied through its destination map.  Every round after
-    the first regroups the survivors into fresh windows and is charged a
-    gather of its input; the round records do not include that charge.
+    permutation, applied through its destination map; the spread sample is
+    then packed, as a direct run's is drawn.  Every round after the first
+    regroups the survivors into fresh windows and is charged a gather of
+    its input; the round records do not include that charge.
     Its parity rounds shuffle each window from their own child of the
     root ``SeedSequence((seed, 0x5EED2))`` (``phase2_round``): the shuffle
     hides a markov source's correlation (ROADMAP item 11), and no step
@@ -689,6 +684,7 @@ def pipeline(model, n, seed, mode="binomial-direct"):
         for arch, c in _arch_init_cost(n, inv).items():
             steps[arch] += c
         m = block_size(n)
+        bits = _pack(bits)
 
     root = None if direct else np.random.SeedSequence((seed, 0x5EED2))
     bits, records = run_rounds(bits, plan_rounds(plan.orbit, plan.phase2, plan.certificate, root), m)

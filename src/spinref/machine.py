@@ -1,7 +1,7 @@
 """Abstract cyclic-tape machine with a head-carried two-bit register.
 
 The machine state is a ring of n classical bits plus a two-bit register
-(y1, y2) that logically travels with the head.  Four primitive families are
+(y1, y2) that logically travels with the head.  Five primitive families are
 supported, each costing exactly one step:
 
 * ``shift``            -- move the head one cell around the ring (O(1) offset,

@@ -560,12 +560,21 @@ def _reference_round(phase, bits, k, seed, window):
          shuffled=False, seed=12)
 @example(phase=3, k=5, layout=(5 * cooling._FEW + 5, 60), one_window=True, big=False, step=1,
          shuffled=False, seed=12)
+# pairing in odd windows, each full one's last cell dropped, with an odd and
+# an even tail, and in even windows
+@example(phase=1, k=2, layout=(12 * 7 + 3, 7), one_window=False, big=True, step=1,
+         shuffled=False, seed=13)
+@example(phase=1, k=2, layout=(12 * 7 + 4, 7), one_window=False, big=False, step=3,
+         shuffled=False, seed=14)
+@example(phase=1, k=2, layout=(12 * 8 + 5, 8), one_window=False, big=True, step=1,
+         shuffled=False, seed=15)
 def test_round_kernels_equal_plain_selection(phase, k, layout, one_window, big, step, shuffled,
                                             seed):
-    # word pairing, sliced selection and the window layout give the plain
+    # packed pairing, sliced selection and the window layout give the plain
     # selection's bytes and record, on odd lengths, strided views, dozens of
     # windows with tails or no full row at all, and inputs longer than one
-    # selection slice
+    # selection slice; pairing gives them on the bits packed too, and keeps
+    # them packed
     k = {1: 2, 2: k, 3: max(k, 4)}[phase]
     length, window = layout
     if big:
@@ -584,6 +593,11 @@ def test_round_kernels_equal_plain_selection(phase, k, layout, one_window, big, 
     want_out, want_rec = _reference_round(phase, bits, k, seed2, window)
     assert out.dtype == np.uint8 and np.array_equal(out, want_out)
     assert rec == want_rec
+    if phase == 1:
+        packed = cooling.PackedBits(((_words(bits, np.uint64, 1), len(bits)),), len(bits))
+        out, rec = phase1_round(packed, bias_pred=0.5, window=window)
+        assert isinstance(out, cooling.PackedBits)
+        assert np.array_equal(out.unpack(), want_out) and rec == want_rec
 
 
 @pytest.mark.parametrize("n,size,window", [
@@ -623,6 +637,13 @@ def _words(cells, dtype, rest):
     return np.packbits(padded, bitorder="little").view(dtype)
 
 
+def _pair_by_rows(bits, bias_pred=math.nan, round_index=0, window=None):
+    """The pairing round by ``cooling._round``'s row-sum rule, on the bits
+    unpacked: the reference for the packed kernel, with no table and no
+    packed words."""
+    return cooling._round(1, bits, 2, window, None, bias_pred, round_index)
+
+
 def _unpacked(result):
     out, rec = result
     return out.unpack(), rec
@@ -639,7 +660,7 @@ def test_streamed_round_equals_round_on_the_whole_sample(n, eps):
     for seed in (0, 1, 2):
         sample = thermal.sample(model, n, seed)
         assert np.array_equal(_draws(model, n, seed).unpack(), sample)
-        want_out, want_rec = phase1_round(sample, bias_pred=0.5)
+        want_out, want_rec = _pair_by_rows(sample, bias_pred=0.5)
         out, rec = _unpacked(phase1_round(_draws(model, n, seed), bias_pred=0.5, round_index=0))
         assert out.dtype == np.uint8 and np.array_equal(out, want_out)
         assert rec == want_rec
@@ -659,7 +680,7 @@ def test_streamed_round_on_pieces_of_mixed_sizes_equals_the_whole_round():
     cells = [(rng.random(m) < 0.4).astype(np.uint8) for m, _ in sizes]
     blocks = [(_words(bits, dtype, 1), len(bits)) for bits, (_, dtype) in zip(cells, sizes)]
     whole = np.concatenate(cells)
-    want_out, want_rec = phase1_round(whole, bias_pred=0.5)
+    want_out, want_rec = _pair_by_rows(whole, bias_pred=0.5)
     for window in (None, len(whole)):
         packed = cooling.PackedBits(iter(blocks), len(whole))
         out, rec = _unpacked(phase1_round(packed, bias_pred=0.5, window=window))
@@ -683,7 +704,7 @@ def test_packed_round_equals_round_on_cells(dtype):
                 packed = cooling.PackedBits(((_words(cells, dtype, rest), n),), n)
                 want, got = cells, packed
                 for r in range(3 if n > 200 else 1):
-                    want, want_rec = phase1_round(want, bias_pred=0.5, round_index=r)
+                    want, want_rec = _pair_by_rows(want, bias_pred=0.5, round_index=r)
                     got, rec = phase1_round(got, bias_pred=0.5, round_index=r)
                     assert np.array_equal(got.unpack(), want), (n, p, rest, r)
                     assert rec == want_rec, (n, p, rest, r)
@@ -699,7 +720,7 @@ def _packed_case(sizes, dtypes, p, seed):
 
 
 def _assert_packed_round_equals_round_on_cells(blocks, cells):
-    want_out, want_rec = phase1_round(cells, bias_pred=0.5, round_index=2)
+    want_out, want_rec = _pair_by_rows(cells, bias_pred=0.5, round_index=2)
     packed = cooling.PackedBits(iter(blocks), len(cells))
     out, rec = _unpacked(phase1_round(packed, bias_pred=0.5, round_index=2, window=len(cells) or None))
     assert out.dtype == np.uint8 and np.array_equal(out, want_out)
@@ -744,15 +765,15 @@ def test_pair_table_covers_every_chunk():
     chunks = np.arange(1 << 16, dtype=np.uint16)
     cells = np.unpackbits(chunks.astype("<u2").view(np.uint8), bitorder="little")
     out, rec = phase1_round(cooling.PackedBits(((chunks, len(cells)),), len(cells)))
-    want, want_rec = phase1_round(cells)
+    want, want_rec = _pair_by_rows(cells)
     assert np.array_equal(out.unpack(), want) and rec == want_rec
     assert cooling._tables()[0xAAAA] == 0
 
 
 def test_pipeline_streamed_first_round_equals_whole_sample(monkeypatch):
     # the direct pipeline pairs the sample packed, one draw block at a time;
-    # handing it the whole sample as one block of words gives the same
-    # bits, records and steps
+    # handing it the whole sample as one block of words, paired by rows,
+    # gives the same bits, records and steps
     model, n, seed = thermal.BiasModel("binomial", 0.25), 2 * BLOCK + 5, 4
     got = pipeline(model, n, seed)
     blocks = thermal._blocks
@@ -761,6 +782,7 @@ def test_pipeline_streamed_first_round_equals_whole_sample(monkeypatch):
         yield np.concatenate([words for words, _ in blocks(rng, n, p)]), n
 
     monkeypatch.setattr(thermal, "_blocks", whole)
+    monkeypatch.setattr(cooling, "phase1_round", _pair_by_rows)
     want = pipeline(model, n, seed)
     assert np.array_equal(got.bits, want.bits)
     assert got.records == want.records
@@ -778,7 +800,7 @@ def test_pipeline_without_pairing_round_starts_at_phase2():
     assert res.clean_bits > 0 and int(res.bits.sum()) == 0
 
 
-def test_window_must_be_positive_and_hold_a_stream():
+def test_window_must_be_positive_and_may_cut_a_stream():
     bits = np.zeros(10, dtype=np.uint8)
 
     def packed(*cells):
@@ -791,9 +813,10 @@ def test_window_must_be_positive_and_hold_a_stream():
                      lambda: phase3_round(bits, 4, window=window)):
             with pytest.raises(ValueError, match="window must be >= 1"):
                 call()
-    # packed bits are paired in one window
-    with pytest.raises(ValueError, match="fit one window"):
-        phase1_round(packed(0, 0, 1, 1, 1, 1), window=5)
+    # packed bits are paired within each window: a full odd window's last
+    # cell pairs with nothing, yet is counted in the record
+    out, rec = phase1_round(packed(0, 0, 1, 1, 1, 1), window=5)
+    assert out.unpack().tolist() == [0, 1] and (rec.n_in, rec.ones_in) == (6, 4)
     out, rec = phase1_round(packed(0, 0, 1, 1, 1, 1), window=6)
     assert out.unpack().tolist() == [0, 1, 1] and rec.n_in == 6
 
