@@ -3,15 +3,16 @@
 Subcommands:
 
 * ``pipeline`` -- full end-to-end runs (round trace CSV + yield ledger JSON)
-* ``phase``    -- a single phase on freshly sampled bits; phases 2 and 3
-  draw binomial bits at their plan's entry level
+* ``phase N``  -- phase 1, 2 or 3 alone, each its own parser, on freshly
+  sampled bits; phases 2 and 3 draw binomial bits at their plan's entry level
 * ``analyze``  -- recurrence orbits, schedules and constants, no sampling
 * ``arch``     -- pulse-sequence permutation reports for a polymer ring
 * ``equiv``    -- compiled-versus-abstract equivalence suites
 * ``bench``    -- step-count scaling and fitted runtime exponents
 
 Exit codes: 0 success, 1 validation error, 2 conformance/assertion failure
-(``pipeline``: a trial left a one in its clean prefix or yielded no bits).
+(``pipeline``: a trial left a one in its clean prefix, yielded no bits or
+yielded more than the entropy cap).
 Every emitted byte is a function of (config, seed); trial parallelism
 (``--jobs``) merges results in seed order so it never changes output bytes.
 ``SPINREF_SEED`` provides the default seed and must be an integer >= 0.
@@ -60,39 +61,20 @@ _FLAGS = {
     "format": ({"choices": ["csv", "json"]}, "csv"),
     "mode": ({"choices": ["binomial-direct", "shuffled-blocks"]}, "binomial-direct"),
     "jobs": ({"type": int}, 1),
+    "pattern": ({"type": str}, "ABC"),
+    "periods": ({"type": int}, 3),
+    "sizes": ({"type": str}, "729,2187,6561,19683"),  # 3^6..3^9
+    "tol": ({"type": float}, 0.15),
     "out": ({"type": str}, "."),
 }
 
-# phase -> the flags ``spinref phase`` reads for it
-_PHASE_FLAGS = {
-    1: ("n", "epsilon", "model", "ell", "seed", "target_bias", "format"),
-    2: ("n", "seed", "format"),
-    3: ("n", "seed", "format"),
-}
-
-# subcommand -> (help, the flags it reads besides --out and --config); phase
-# declares the flags of all three phases
-_COMMANDS = {
-    "pipeline": ("full cooling run", ("n", "epsilon", "model", "ell", "seed", "trials",
-                                      "format", "mode", "jobs")),
-    "phase": ("run a single phase", tuple(dict.fromkeys(sum(_PHASE_FLAGS.values(), ())))),
-    "analyze": ("orbits, schedules, constants", ("n", "epsilon")),
-    "arch": ("pulse-permutation verification", ()),
-    "equiv": ("compiled-vs-abstract suites", ("seed",)),
-    "bench": ("runtime-exponent fits", ("epsilon", "model", "ell", "seed")),
-}
-
-# phase -> the smallest --n it plans for: the parity plan's stationary level
-# needs 2 bits and the mod-4 certificate analysis.PHASE3_MIN_N; pipeline and
-# analyze plan all three phases
-_LEAST_N = {
-    1: (1, ""),
-    2: (2, " for the parity-binning plan"),
-    3: (analysis.PHASE3_MIN_N, " for the mod-4 certificate"),
-}
+# subcommand -> the smallest --n it plans for, where that is not the mod-4
+# certificate's analysis.PHASE3_MIN_N: pairing takes any population, and the
+# parity plan's stationary level needs 2 bits
+_LEAST_N = {"phase 1": (1, ""), "phase 2": (2, " for the parity-binning plan")}
 
 # flag -> (valid value test, message), checked in this order when read, after
-# --n; --pattern, --periods and --tol belong to arch and bench alone
+# --n
 _CHECKS = {
     "trials": (lambda v: v >= 1, "--trials must be >= 1"),
     "jobs": (lambda v: v >= 1, "--jobs must be >= 1"),
@@ -107,34 +89,25 @@ _CHECKS = {
 }
 
 
-def _flags(command):
-    return _COMMANDS[command][1] + ("out",)
-
-
-def _read_flags(args):
-    """The flags the chosen subcommand (and phase) reads."""
-    if args.command == "phase":
-        return _PHASE_FLAGS[args.which] + ("out",)
-    return _flags(args.command)
-
-
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="spinref", description=__doc__.splitlines()[0], allow_abbrev=False
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    parsers = {}
-    for command, (help_text, _) in _COMMANDS.items():
-        p = parsers[command] = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        for name in _flags(command):
-            p.add_argument("--" + name.replace("_", "-"), default=None, **_FLAGS[name][0])
+    groups = {}
+    for command, (help_text, flags, _) in _COMMANDS.items():
+        name, _, which = command.partition(" ")
+        if which:  # "phase N" is parser N under ``phase``
+            if name not in groups:
+                group = sub.add_parser(name, help="run a single phase", allow_abbrev=False)
+                groups[name] = group.add_subparsers(dest="command", required=True)
+            p = groups[name].add_parser(which, help=help_text, allow_abbrev=False)
+        else:
+            p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        p.set_defaults(command=command)
+        for key in flags + ("out",):
+            p.add_argument("--" + key.replace("_", "-"), default=None, **_FLAGS[key][0])
         p.add_argument("--config", type=str, default=None)
-    parsers["phase"].add_argument("which", type=int, choices=[1, 2, 3])
-    parsers["arch"].add_argument("--pattern", type=str, default="ABC")
-    parsers["arch"].add_argument("--periods", type=int, default=3)
-    pb = parsers["bench"]
-    pb.add_argument("--sizes", type=str, default=None, help="comma list, default 3^6..3^9")
-    pb.add_argument("--tol", type=float, default=0.15)
     return ap
 
 
@@ -161,9 +134,7 @@ def _config_value(key, value):
 
 def _bench_sizes(text):
     """``bench --sizes``: at least 4 distinct integers, none below the
-    smallest population the phase-3 certificate takes; default 3^6..3^9."""
-    if text is None:
-        return [3**6, 3**7, 3**8, 3**9]
+    smallest population the phase-3 certificate takes."""
     try:
         sizes = [int(s) for s in text.split(",")]
     except ValueError:
@@ -178,38 +149,31 @@ def _bench_sizes(text):
 def _resolve(args):
     """Config-file values fill the unset flags the subcommand reads; explicit
     flags always win.  Config keys of flags it does not read are ignored."""
-    flags = _read_flags(args)
-    for key in _flags(args.command):
-        if key not in flags and getattr(args, key) is not None:
-            raise ValueError(f"phase {args.which} does not read --{key.replace('_', '-')}")
+    flags = _COMMANDS[args.command][1] + ("out",)
     cfg = {}
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
-    merged = argparse.Namespace(**vars(args))
     for key in flags:
-        if getattr(merged, key) is not None:
+        if getattr(args, key) is not None:
             continue
         if key in cfg:
-            setattr(merged, key, _config_value(key, cfg[key]))
+            setattr(args, key, _config_value(key, cfg[key]))
         else:
-            setattr(merged, key, _default_seed() if key == "seed" else _FLAGS[key][1])
-    if args.command == "bench":
-        merged.sizes = _bench_sizes(args.sizes)
+            setattr(args, key, _default_seed() if key == "seed" else _FLAGS[key][1])
     if "n" in flags:
-        least, purpose = _LEAST_N[args.which if args.command == "phase" else 3]
-        if merged.n < least:
+        least, purpose = _LEAST_N.get(args.command,
+                                      (analysis.PHASE3_MIN_N, " for the mod-4 certificate"))
+        if args.n < least:
             raise ValueError(f"--n must be >= {least}{purpose}")
-    checked = flags + {"arch": ("pattern", "periods"), "bench": ("tol",)}.get(args.command, ())
     for key, (valid, message) in _CHECKS.items():
-        if key in checked and not valid(getattr(merged, key)):
+        if key in flags and not valid(getattr(args, key)):
             raise ValueError(message)
-    if "mode" in flags and merged.model == "markov" and merged.mode == "binomial-direct":
+    if "mode" in flags and args.model == "markov" and args.mode == "binomial-direct":
         raise ValueError("--model markov needs --mode shuffled-blocks: "
                          "binomial-direct assumes independent bits")
-    return merged
 
 
 def _model(args):
@@ -282,10 +246,11 @@ def _entry_bits(delta, n, seed):
 
 def _cmd_phase(args, outdir):
     # phases 2 and 3 take bits already at the level their plan enters at
-    if args.which == 1:
+    stem = args.command.replace(" ", "")  # "phase 2" -> phase2_rounds.csv
+    if stem == "phase1":
         bits = thermal.sample(_model(args), args.n, args.seed)
         rounds = cooling.plan_rounds(analysis.forward_orbit(args.epsilon, args.target_bias))
-    elif args.which == 2:
+    elif stem == "phase2":
         delta0 = cooling.PHASE2_DELTA_MAX
         bits = _entry_bits(delta0, args.n, args.seed)
         rounds = cooling.plan_rounds(phase2=cooling.phase2_plan(delta0, args.n),
@@ -302,14 +267,14 @@ def _cmd_phase(args, outdir):
         raise ValueError(f"--n {args.n} is too small: population exhausted after {short[0]} "
                          f"pairing rounds; {len(recs) - short[0]} more needed to reach bias "
                          f"{args.target_bias}")
-    _records_payload(recs, args.format, outdir, f"phase{args.which}_rounds")
+    _records_payload(recs, args.format, outdir, f"{stem}_rounds")
     summary = {
         "n_in": int(args.n),
         "n_out": int(len(out)),
         "ones_out": int(out.sum()),
         "rounds": len(recs),
     }
-    reports.write_text(outdir / f"phase{args.which}_summary.json", reports.to_json(summary))
+    reports.write_text(outdir / f"{stem}_summary.json", reports.to_json(summary))
     return EXIT_OK
 
 
@@ -386,26 +351,26 @@ def _cmd_arch(args, outdir):
 
 
 def _cmd_equiv(args, outdir):
-    suites = {}
-    p1 = compiler.compile_phase1(8)
-    suites["phase1_w8"] = compiler.equivalence_check(
-        p1, lambda b: cooling.phase1_round(b)[0], 8
-    ).as_dict()
-    p1w = compiler.compile_phase1(64)
-    suites["phase1_w64"] = compiler.equivalence_check(
-        p1w, lambda b: cooling.phase1_round(b)[0], 64, samples=1000, seed=args.seed
-    ).as_dict()
-    p2 = compiler.compile_phase2_round(12, 3)
-    suites["phase2_n12_k3"] = compiler.equivalence_check(
-        p2, lambda b: cooling.phase2_round(b, 3, seed=None)[0], 12
-    ).as_dict()
+    def pair(bits):
+        return cooling.phase1_round(bits)[0]
+
+    # (suite, program, abstract round, width, samples); None checks every input
+    suites = {
+        name: compiler.equivalence_check(program, abstract, width, samples, args.seed).as_dict()
+        for name, program, abstract, width, samples in (
+            ("phase1_w8", compiler.compile_phase1(8), pair, 8, None),
+            ("phase1_w64", compiler.compile_phase1(64), pair, 64, 1000),
+            ("phase2_n12_k3", compiler.compile_phase2_round(12, 3),
+             lambda b: cooling.phase2_round(b, 3, seed=None)[0], 12, None),
+        )
+    }
     reports.write_text(outdir / "equiv.json", reports.to_json(suites))
     bad = sum(s["mismatches"] for s in suites.values())
     return EXIT_OK if bad == 0 else EXIT_CONFORMANCE
 
 
 def _cmd_bench(args, outdir):
-    sizes = args.sizes
+    sizes = _bench_sizes(args.sizes)
     model = _model(args)
     totals = {"single": [], "two_tape": [], "two_tape_ca": []}
     for n in sizes:
@@ -427,6 +392,23 @@ def _cmd_bench(args, outdir):
     return EXIT_OK if ok else EXIT_CONFORMANCE
 
 
+# subcommand -> (help, the flags it reads besides --out and --config,
+# handler)
+_COMMANDS = {
+    "pipeline": ("full cooling run", ("n", "epsilon", "model", "ell", "seed", "trials",
+                                      "format", "mode", "jobs"), _cmd_pipeline),
+    "phase 1": ("pairing up to --target-bias",
+                ("n", "epsilon", "model", "ell", "seed", "target_bias", "format"), _cmd_phase),
+    "phase 2": ("the planned parity-binning rounds", ("n", "seed", "format"), _cmd_phase),
+    "phase 3": ("the certified mod-4 rounds", ("n", "seed", "format"), _cmd_phase),
+    "analyze": ("orbits, schedules, constants", ("n", "epsilon"), _cmd_analyze),
+    "arch": ("pulse-permutation verification", ("pattern", "periods"), _cmd_arch),
+    "equiv": ("compiled-vs-abstract suites", ("seed",), _cmd_equiv),
+    "bench": ("runtime-exponent fits", ("epsilon", "model", "ell", "seed", "sizes", "tol"),
+              _cmd_bench),
+}
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -434,16 +416,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        args = _resolve(args)
-        handler = {
-            "pipeline": _cmd_pipeline,
-            "phase": _cmd_phase,
-            "analyze": _cmd_analyze,
-            "arch": _cmd_arch,
-            "equiv": _cmd_equiv,
-            "bench": _cmd_bench,
-        }[args.command]
-        return handler(args, Path(args.out))
+        _resolve(args)
+        return _COMMANDS[args.command][2](args, Path(args.out))
     except (ValueError, OSError) as exc:
         print(f"spinref: {exc}", file=sys.stderr)
         return EXIT_USAGE

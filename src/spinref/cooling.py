@@ -258,14 +258,28 @@ class PackedBits:
     the count of its cells that are bits, even in every block but the
     last, so that no pair straddles two blocks.  The blocks may be made
     only when they are asked for, as the direct pipeline's sample is drawn
-    (``thermal._blocks``); they are read once."""
+    (``thermal._blocks``); they are read once.  Reading them
+    raises ``ValueError`` when they hold other than n cells or a block
+    before the last holds an odd count."""
 
     blocks: Iterable
     n: int
 
+    def _checked_blocks(self):
+        """``blocks``, their cells counted as they are read."""
+        seen = 0
+        for words, m in self.blocks:
+            if seen % 2 or seen + m > self.n:
+                raise ValueError(f"PackedBits of n = {self.n}: a block of {m} cells follows "
+                                 f"{seen}, an odd count or one that leaves no room for it")
+            seen += m
+            yield words, m
+        if seen != self.n:
+            raise ValueError(f"PackedBits of n = {self.n}: the blocks hold {seen} cells")
+
     def unpack(self):
         """The bits, one uint8 per bit."""
-        return np.concatenate([thermal._cells(words, m) for words, m in self.blocks])
+        return np.concatenate([thermal._cells(words, m) for words, m in self._checked_blocks()])
 
 
 @lru_cache(maxsize=1)
@@ -369,7 +383,7 @@ def _pair_packed(bits, bias_pred, round_index, window):
     pair = _tables()
     out = np.zeros(bits.n // 64 + 2, np.uint32)
     n_out = odd = 0
-    for words, m in bits.blocks:
+    for words, m in bits._checked_blocks():
         chunks = words.astype(words.dtype.newbyteorder("<"), copy=False).view("<u2")
         for lo in range(0, m, _PACKED_SLICE):
             n_out = _pair_chunks(chunks[lo // 16 :], min(_PACKED_SLICE, m - lo), out, n_out, pair)

@@ -429,22 +429,61 @@ def _readme_flag_table():
     return rows
 
 
+def _leaf_parsers(parser, row=()):
+    """{"pipeline": parser, ..., "phase 2": parser, ...}: every parser that
+    takes flags, keyed by the words that select it."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(row): parser}
+    return {k: p for name, sub in subs[0].choices.items()
+            for k, p in _leaf_parsers(sub, row + (name,)).items()}
+
+
 def test_readme_flag_table_matches_the_parsers():
-    (sub,) = [a for a in cli._build_parser()._actions
-              if isinstance(a, argparse._SubParsersAction)]
+    parsers = _leaf_parsers(cli._build_parser())
     table = _readme_flag_table()
-    assert set(table) == {c for c in cli._COMMANDS if c != "phase"} | {
-        f"phase {w}" for w in cli._PHASE_FLAGS}
+    assert set(table) == set(parsers)
     for row, words in table.items():
-        command, _, which = row.partition(" ")
-        actions = {o: a for a in sub.choices[command]._actions for o in a.option_strings}
-        if which:
-            accepted = {"--" + f.replace("_", "-") for f in cli._PHASE_FLAGS[int(which)]}
-        else:
-            accepted = set(actions) - {"-h", "--help", "--out", "--config"}
+        actions = {o: a for a in parsers[row]._actions for o in a.option_strings}
+        accepted = set(actions) - {"-h", "--help", "--out", "--config"}
         listed = [w for w in words if w.startswith("--")]
         assert sorted(listed) == sorted(accepted), row
         # a choice list, where given, is the flag's choices
         for flag, word in zip(words, words[1:]):
             if word.startswith("{"):
                 assert word[1:-1].split(",") == list(actions[flag].choices), (row, flag)
+
+
+@pytest.mark.parametrize("which", ["1", "2", "3"])
+def test_phase_help_lists_exactly_the_flags_it_reads(capsys, which):
+    assert run(["phase", which, "--help"]) == cli.EXIT_OK
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    readme = {w for w in _readme_flag_table()[f"phase {which}"] if w.startswith("--")}
+    assert listed == readme | {"--help", "--out", "--config"}
+
+
+def test_flag_before_the_phase_number_rejected(tmp_path):
+    out = tmp_path / "o"
+    assert run(["phase", "--n", "5000", "1", "--out", str(out)]) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+def test_config_fills_the_arch_and_bench_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"periods": 5, "pattern": "abcd", "tol": 0.5,
+                               "sizes": "729,2187,6561,19683"}))
+    for argv, want in ((["arch"], {"pattern": "ABCD", "periods": 5}),
+                       (["arch", "--periods", "4"], {"pattern": "ABCD", "periods": 4})):
+        out = tmp_path / "o"
+        assert run(argv + ["--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        payload = json.loads(read(out / "arch.json"))
+        assert {k: payload[k] for k in want} == want, argv
+    out = tmp_path / "b"
+    assert run(["bench", "--seed", "1", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    payload = json.loads(read(out / "bench.json"))
+    assert payload["tolerance"] == 0.5 and payload["sizes"] == [729, 2187, 6561, 19683]
+    # an explicit flag still wins; bench.json is written before the exit code
+    argv = ["bench", "--seed", "1", "--sizes", "64,128,256,512", "--tol", "0", "--config"]
+    assert run(argv + [str(cfg), "--out", str(out)]) == cli.EXIT_CONFORMANCE
+    payload = json.loads(read(out / "bench.json"))
+    assert payload["tolerance"] == 0.0 and payload["sizes"] == [64, 128, 256, 512]

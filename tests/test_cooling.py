@@ -821,6 +821,27 @@ def test_window_must_be_positive_and_may_cut_a_stream():
     assert out.unpack().tolist() == [0, 1, 1] and rec.n_in == 6
 
 
+def test_packed_bits_refuse_blocks_that_do_not_hold_n_cells():
+    # each of these once gave a record of cells that were never there: 20
+    # cells declared as 24, a one-shot block iterator read a second time,
+    # and a 5-cell block before a 6-cell one, which a pair would straddle
+    cells = bits_of(*[1, 0, 1, 1, 0, 0, 1, 0, 1, 1] * 2)
+
+    def block(lo, hi):
+        return _words(cells[lo:hi], np.uint16, 0), hi - lo
+
+    once = cooling.PackedBits(iter([block(0, 20)]), 20)
+    want_out, want_rec = _pair_by_rows(cells)
+    out, rec = _unpacked(phase1_round(once))
+    assert np.array_equal(out, want_out) and rec == want_rec
+    for bad in (cooling.PackedBits((block(0, 20),), 24), once,
+                cooling.PackedBits((block(0, 5), block(5, 11)), 11)):
+        with pytest.raises(ValueError, match="PackedBits"):
+            phase1_round(bad)
+        with pytest.raises(ValueError, match="PackedBits"):
+            bad.unpack()
+
+
 # ---------------------------------------------------------------------------
 # blocks, pipeline
 
