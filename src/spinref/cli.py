@@ -93,14 +93,16 @@ def _build_parser():
     ap = argparse.ArgumentParser(
         prog="spinref", description=__doc__.splitlines()[0], allow_abbrev=False
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", metavar="SUBCOMMAND", required=True)
     groups = {}
     for command, (help_text, flags, _) in _COMMANDS.items():
         name, _, which = command.partition(" ")
         if which:  # "phase N" is parser N under ``phase``
             if name not in groups:
                 group = sub.add_parser(name, help="run a single phase", allow_abbrev=False)
-                groups[name] = group.add_subparsers(dest="command", required=True)
+                groups[name] = group.add_subparsers(
+                    dest="command", metavar=name.upper(), required=True
+                )
             p = groups[name].add_parser(which, help=help_text, allow_abbrev=False)
         else:
             p = sub.add_parser(command, help=help_text, allow_abbrev=False)

@@ -692,7 +692,7 @@ def pipeline(model, n, seed, mode="binomial-direct"):
             bits = thermal.stride_spread(bits)
             inv = thermal.stride_inversions(n)
         else:
-            perm = thermal.uniform_random_perm(n, np.random.SeedSequence((seed, 0xA11CE)))
+            perm = np.random.default_rng((seed, 0xA11CE)).permutation(n)
             bits = perms.apply_to(bits, perm)
             inv = perms.count_inversions(perm)
         for arch, c in _arch_init_cost(n, inv).items():

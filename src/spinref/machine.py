@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
+import operator
 
 import numpy as np
 
@@ -81,36 +81,62 @@ __all__ = [
 # gates
 
 
-class ReversibleGate:
-    """A bijection on bit tuples of width 2, 3 or 4.
+def _bits(index, width):
+    """The ``width`` bits of table index ``index``, most significant first."""
+    return tuple((index >> (width - 1 - j)) & 1 for j in range(width))
 
-    ``table[i]`` is the output index for input index ``i``.  Bit tuples are
-    packed most-significant-first: for width 2 the tuple (c1, c2) has index
-    2*c1 + c2, width 3 appends y1, width 4 appends y1 then y2.
+
+def _index(bits):
+    """The table index of a bit tuple, the inverse of ``_bits``."""
+    i = 0
+    for b in bits:
+        i = 2 * i + int(b)
+    return i
+
+
+@dataclass(frozen=True, slots=True)
+class ReversibleGate:
+    """A bijection on bit tuples of width 2, 3 or 4, a frozen value equal
+    (and hashed) by width and table; the name only labels it.
+
+    ``table[i]`` is the output index for input index ``i``, a bit tuple's
+    index as ``_index`` reads it and ``_bits`` writes it: most significant
+    first, so for width 2 the tuple (c1, c2) has index 2*c1 + c2, width 3
+    appends y1, width 4 appends y1 then y2.  ``gate(c1, c2, ...)`` returns
+    the output bits.
     """
 
-    __slots__ = ("name", "width", "table")
+    name: str = field(compare=False)
+    width: int
+    table: tuple = field(repr=False)
 
-    def __init__(self, name, width, table):
-        if width not in (2, 3, 4):
-            raise ValueError(f"gate width must be 2, 3 or 4, got {width}")
-        table = tuple(int(t) for t in table)
-        if sorted(table) != list(range(1 << width)):
-            raise ValueError(f"gate table for {name!r} is not a permutation")
-        self.name = name
-        self.width = width
-        self.table = table
+    def __post_init__(self):
+        w, table = self.width, tuple(self.table)
+        # int() would truncate 3.9 and parse "3", so only integers pass
+        if any(isinstance(x, bool) or not hasattr(x, "__index__") for x in (w, *table)):
+            raise ValueError(f"gate {self.name!r} needs an integer width and table entries")
+        if w not in (2, 3, 4):
+            raise ValueError(f"gate width must be 2, 3 or 4, got {w}")
+        table = tuple(map(operator.index, table))
+        if sorted(table) != list(range(1 << w)):
+            raise ValueError(f"gate table for {self.name!r} is not a permutation")
+        object.__setattr__(self, "width", operator.index(w))
+        object.__setattr__(self, "table", table)
+
+    def __call__(self, *bits):
+        if len(bits) != self.width:
+            raise ValueError(f"gate {self.name!r} takes {self.width} bits, got {len(bits)}")
+        return _bits(self.table[_index(bits)], self.width)
 
     @classmethod
     def from_function(cls, name, width, fn):
         """Build a gate from ``fn`` mapping bit tuples to bit tuples."""
         table = []
         for i in range(1 << width):
-            bits = tuple((i >> (width - 1 - j)) & 1 for j in range(width))
-            out = fn(*bits)
+            out = fn(*_bits(i, width))
             if len(out) != width:
                 raise ValueError("gate function changed tuple width")
-            table.append(sum(b << (width - 1 - j) for j, b in enumerate(out)))
+            table.append(_index(out))
         return cls(name, width, table)
 
     def inverse(self, name=None):
@@ -118,19 +144,6 @@ class ReversibleGate:
         for i, o in enumerate(self.table):
             inv[o] = i
         return ReversibleGate(name or f"{self.name}^-1", self.width, inv)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ReversibleGate)
-            and self.width == other.width
-            and self.table == other.table
-        )
-
-    def __hash__(self):
-        return hash((self.width, self.table))
-
-    def __repr__(self):
-        return f"ReversibleGate({self.name!r}, width={self.width})"
 
 
 def _mk(name, width, fn):
@@ -221,26 +234,11 @@ def shift(state, direction):
 
 def apply_head_gate(state, gate):
     """Apply ``gate`` to (cell[head], cell[head+1], y1, y2)[:width]."""
-    w = gate.width
-    n = state.n
-    i0 = state.head % n
-    i1 = (state.head + 1) % n
-    bits = [int(state.cells[i0]), int(state.cells[i1])]
-    if w >= 3:
-        bits.append(state.register[0])
-    if w == 4:
-        bits.append(state.register[1])
-    packed = 0
-    for b in bits:
-        packed = (packed << 1) | b
-    out = gate.table[packed]
-    outbits = [(out >> (w - 1 - j)) & 1 for j in range(w)]
-    state.cells[i0] = outbits[0]
-    state.cells[i1] = outbits[1]
-    if w >= 3:
-        state.register[0] = outbits[2]
-    if w == 4:
-        state.register[1] = outbits[3]
+    n, r = state.n, gate.width - 2
+    i0, i1 = state.head % n, (state.head + 1) % n
+    out = gate(state.cells[i0], state.cells[i1], *state.register[:r])
+    state.cells[i0], state.cells[i1] = out[:2]
+    state.register[:r] = out[2:]
     state.steps += 1
     return state
 
@@ -257,14 +255,9 @@ def ca_parallel_gate(state, k, gate):
     n = state.n
     if n % k:
         raise ValueError(f"spacing k={k} must divide n={n}")
-    first = (state.head + np.arange(0, n, k)) % n
-    second = (first + 1) % n
-    a = state.cells[first].astype(np.int64)
-    b = state.cells[second].astype(np.int64)
-    table = np.asarray(gate.table)
-    out = table[2 * a + b]
-    state.cells[first] = (out >> 1) & 1
-    state.cells[second] = out & 1
+    for first in range(state.head, state.head + n, k):
+        a, b = first % n, (first + 1) % n
+        state.cells[a], state.cells[b] = gate(state.cells[a], state.cells[b])
     state.steps += 1
     return state
 
@@ -401,11 +394,11 @@ def _gate_meta(gate):
     rearrange.  Both depend only on the width and table, the gate's hash
     and equality, so equal gates share one cache entry."""
     w = gate.width
-    flat = [tuple((o >> (w - 1 - j)) & 1 for j in range(w)) for o in gate.table]
+    flat = [_bits(o, w) for o in gate.table]
     rows = flat
     while len(rows) > 1:
         rows = list(zip(rows[::2], rows[1::2]))
-    inputs = [tuple((i >> (w - 1 - j)) & 1 for i in range(1 << w)) for j in range(w)]
+    inputs = list(zip(*(_bits(i, w) for i in range(1 << w))))
     outputs = list(zip(*flat))
     if all(out in inputs for out in outputs):
         return tuple(inputs.index(out) for out in outputs), rows[0]
@@ -438,7 +431,7 @@ class Lowered:
     _getter: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        getter = None if self.gather is None else itemgetter(*self.gather)
+        getter = None if self.gather is None else operator.itemgetter(*self.gather)
         object.__setattr__(self, "_getter", getter)
 
     def __len__(self):
@@ -616,7 +609,7 @@ def _inverse_name(name):
     if name in _INVERSE_NAMES:
         return _INVERSE_NAMES[name]
     g = GATES.get(name)
-    if g is not None and g.inverse("x").table == g.table:
+    if g is not None and g.inverse() == g:
         return name
     return f"{name}^-1"
 

@@ -236,10 +236,8 @@ def cnot_layer(spec, src, dst, bits):
 
 def apply_sequence_to_bits(spec, seq, bits):
     """Run a pulse sequence on explicit ring contents (head gates allowed)."""
-    # a head gate sets its pair to the two bits of its table entry for (x, y)
-    return _run(
-        spec, seq, _ring_bits(spec, bits), lambda g, x, y: divmod(g.table[2 * int(x) + int(y)], 2)
-    )
+    # a head gate sets its pair (x, y) to its output bits, gate(x, y)
+    return _run(spec, seq, _ring_bits(spec, bits), ReversibleGate.__call__)
 
 
 @dataclass

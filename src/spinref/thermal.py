@@ -66,7 +66,6 @@ __all__ = [
     "stride_shuffle_perm",
     "stride_spread",
     "stride_inversions",
-    "uniform_random_perm",
 ]
 
 
@@ -284,9 +283,3 @@ def stride_inversions(n):
     m = _cube_root(n)
     return m * m * (m - 1) * (8 * m * m - 3 * m + 1) // 12
 
-
-def uniform_random_perm(n, seed):
-    """Uniform permutation of 0..n-1 (Fisher-Yates), deterministic per seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return np.random.default_rng(seed).permutation(n)

@@ -487,3 +487,23 @@ def test_config_fills_the_arch_and_bench_flags(tmp_path):
     assert run(argv + [str(cfg), "--out", str(out)]) == cli.EXIT_CONFORMANCE
     payload = json.loads(read(out / "bench.json"))
     assert payload["tolerance"] == 0.0 and payload["sizes"] == [64, 128, 256, 512]
+
+
+PHASES = "'1', '2', '3'"
+
+
+@pytest.mark.parametrize("argv,slot,refused", [
+    ([], "SUBCOMMAND", None),
+    (["phase"], "PHASE", None),
+    (["pipline"], "SUBCOMMAND", "'pipline' (choose from 'pipeline', 'phase', 'analyze', 'arch',"),
+    (["phase", "4"], "PHASE", f"'4' (choose from {PHASES})"),
+    (["phase", "--n", "5000", "1"], "PHASE", f"'5000' (choose from {PHASES})"),
+], ids=["bare", "bare-phase", "typo", "phase-4", "flag-first"])
+def test_missing_or_unknown_subcommand_names_its_slot(capsys, argv, slot, refused):
+    assert run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument command" not in err and "required: command" not in err
+    if refused is None:
+        assert f"the following arguments are required: {slot}" in err
+    else:
+        assert f"argument {slot}: invalid choice: {refused}" in err

@@ -111,6 +111,64 @@ def test_gate_table_must_be_permutation():
         ReversibleGate("bad", 5, tuple(range(32)))
 
 
+@pytest.mark.parametrize("table", [
+    [0, 1, 2, 3.9], [0.5, 1, 2, 3], [False, True, 2, 3], ["0", "1", "2", "3"],
+])
+def test_gate_table_entries_must_be_integers(table):
+    # int() would make each of these the identity table
+    with pytest.raises(ValueError, match="'g'"):
+        ReversibleGate("g", 2, table)
+
+
+def test_gate_width_must_be_an_integer():
+    for width in (2.0, True, "2"):
+        with pytest.raises(ValueError):
+            ReversibleGate("g", width, [0, 1, 2, 3])
+    gate = ReversibleGate("g", np.int64(2), np.arange(4))
+    assert gate == GATES["ID2"] and type(gate.width) is int
+
+
+def test_gate_is_a_value_of_its_width_and_table():
+    a, b = ReversibleGate("a", 2, (0, 1, 3, 2)), ReversibleGate("b", 2, [0, 1, 3, 2])
+    assert a == b and hash(a) == hash(b) and a != GATES["ID2"]
+    assert {a: "found"}[b] == "found" and b in {a}
+    assert ReversibleGate("c", 3, range(8)) != ReversibleGate("c", 2, range(4))
+    with pytest.raises(AttributeError):
+        a.table = GATES["ID2"].table
+    with pytest.raises(AttributeError):
+        a.name = "c"
+
+
+def _msb_first(gate, bits):
+    """The gate's output bits read from its table by hand."""
+    w = gate.width
+    out = gate.table[sum(b << (w - 1 - j) for j, b in enumerate(bits))]
+    return tuple((out >> (w - 1 - j)) & 1 for j in range(w))
+
+
+def _all_bits(width):
+    return [tuple((i >> (width - 1 - j)) & 1 for j in range(width)) for i in range(1 << width)]
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_gate_call_reads_its_table_most_significant_first(name):
+    gate = GATES[name]
+    for bits in _all_bits(gate.width):
+        assert gate(*bits) == _msb_first(gate, bits)
+    assert ReversibleGate.from_function(name, gate.width, gate) == gate
+    with pytest.raises(ValueError):
+        gate(*bits, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]).flatmap(lambda w: st.permutations(range(1 << w))))
+def test_table_gate_call_reads_its_table_most_significant_first(table):
+    gate = ReversibleGate("t", len(table).bit_length() - 1, table)
+    for bits in _all_bits(gate.width):
+        assert gate(*bits) == _msb_first(gate, bits)
+    assert ReversibleGate.from_function("u", gate.width, gate) == gate
+
+
 def test_measure_first_reads_under_head():
     st_ = new_tape([1, 0, 0])
     assert measure_first(st_) == 1

@@ -14,7 +14,6 @@ from spinref.thermal import (
     stride_inversions,
     stride_shuffle_perm,
     stride_spread,
-    uniform_random_perm,
 )
 
 
@@ -372,23 +371,6 @@ def test_cube_roots_are_exact_past_float_precision():
         assert cooling.block_size(n) == m and cooling.block_size(n - 1) == m - 1
         with pytest.raises(ValueError):
             stride_inversions(n + 1)
-
-
-def test_uniform_perm_basics():
-    assert list(uniform_random_perm(1, seed=0)) == [0]
-    for n in (2, 5, 30):
-        assert perms.is_permutation(uniform_random_perm(n, seed=n))
-
-
-def test_uniform_perm_multinomial():
-    # n=3: each of the 6 permutations appears 10000 +- 400 times in 60000 draws
-    counts = {}
-    for s in range(60000):
-        key = tuple(uniform_random_perm(3, seed=s))
-        counts[key] = counts.get(key, 0) + 1
-    assert len(counts) == 6
-    for c in counts.values():
-        assert abs(c - 10000) < 400
 
 
 def test_initial_permutation_charge_is_the_bubble_programs_step_count():
