@@ -44,9 +44,9 @@ distinct instruction is checked and printed once, however often it runs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-import operator
 
 import numpy as np
 

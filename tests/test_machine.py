@@ -139,34 +139,26 @@ def test_gate_is_a_value_of_its_width_and_table():
         a.name = "c"
 
 
-def _msb_first(gate, bits):
-    """The gate's output bits read from its table by hand."""
+def _check_call_reads_table_msb_first(gate):
     w = gate.width
-    out = gate.table[sum(b << (w - 1 - j) for j, b in enumerate(bits))]
-    return tuple((out >> (w - 1 - j)) & 1 for j in range(w))
-
-
-def _all_bits(width):
-    return [tuple((i >> (width - 1 - j)) & 1 for j in range(width)) for i in range(1 << width)]
+    for i in range(1 << w):
+        bits = tuple((i >> (w - 1 - j)) & 1 for j in range(w))
+        out = gate.table[i]
+        assert gate(*bits) == tuple((out >> (w - 1 - j)) & 1 for j in range(w))
+    assert ReversibleGate.from_function("f", w, gate) == gate
+    with pytest.raises(ValueError):
+        gate(*bits, 0)
 
 
 @pytest.mark.parametrize("name", sorted(GATES))
 def test_gate_call_reads_its_table_most_significant_first(name):
-    gate = GATES[name]
-    for bits in _all_bits(gate.width):
-        assert gate(*bits) == _msb_first(gate, bits)
-    assert ReversibleGate.from_function(name, gate.width, gate) == gate
-    with pytest.raises(ValueError):
-        gate(*bits, 0)
+    _check_call_reads_table_msb_first(GATES[name])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 4]).flatmap(lambda w: st.permutations(range(1 << w))))
 def test_table_gate_call_reads_its_table_most_significant_first(table):
-    gate = ReversibleGate("t", len(table).bit_length() - 1, table)
-    for bits in _all_bits(gate.width):
-        assert gate(*bits) == _msb_first(gate, bits)
-    assert ReversibleGate.from_function("u", gate.width, gate) == gate
+    _check_call_reads_table_msb_first(ReversibleGate("t", len(table).bit_length() - 1, table))
 
 
 def test_measure_first_reads_under_head():
