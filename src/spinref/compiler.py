@@ -428,8 +428,9 @@ def equivalence_check(program, abstract_fn, width, samples=None, seed=0):
         mode = "sampled"
     mismatches = 0
     witness = None
+    run = program.run
     for bits in inputs:
-        got = np.asarray(program.run(bits), dtype=np.uint8)
+        got = np.asarray(run(bits), dtype=np.uint8)
         want = np.asarray(abstract_fn(bits), dtype=np.uint8)
         if len(got) != len(want) or got.tobytes() != want.tobytes():
             mismatches += 1

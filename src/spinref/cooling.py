@@ -24,8 +24,9 @@ straddles; the pipeline cuts the survivors into windows afresh before every
 round.  One kernel, ``_round``, runs every round of the three phases on a
 bit array; at most ``_FEW`` rows that are unshuffled and fit one window,
 such as each case of an equivalence check, are decided row by row in one
-loop over tuples cut from the bits' one list, where numpy's fixed cost per
-call would dominate.  Every pairing round of more pairs runs packed
+loop over the bits' bytes, each row's ones one ``bytes.count``, where
+numpy's fixed cost per call would dominate.  Either way a cell other than
+0 or 1 raises a ValueError.  Every pairing round of more pairs runs packed
 instead (``_pair_packed``), on ``PackedBits``, 16 bits to a uint16 chunk,
 each chunk decided by one lookup in a 65,536-entry table.  The direct
 pipeline's sample arrives packed, as the sampler draws it, and a
@@ -176,13 +177,16 @@ def _steps(phase, k, length, window):
 _SLICE = 1 << 16
 
 # unshuffled rounds of at most this many rows in one window are decided row
-# by row on Python lists: at that size numpy's fixed cost per call is most
-# of a round's time.  Measured on the list loop, numpy costs the same at 22
-# blocks of 8 and 24 bins of 3 (16.1 and 18.4 us).  The packed pairing
-# kernel, about 33 us from 17 to 1,000 pairs, costs the same near 110
-# pairs, so 17 pairs take 33 us against 6.6 on lists: the price of one
-# pairing kernel for every larger round
-_FEW = 16
+# by row on the bits' bytes: at that size numpy's fixed cost per call is
+# most of a round's time.  Timed in a process that first built spinbench's
+# HostSpeed (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6), the byte loop and
+# numpy cost the same near 40 blocks of 8 and 40 bins of 3 (10.3 against
+# 10.8 us, 11.7 against 11.9), and near 32 rows of 21 or 33 bits; at 32
+# rows of 8 and of 3 the loop takes 9.0 and 10.2 us against 10.7 and 11.7.
+# The packed pairing kernel, about 35 us from 17 to 1,000 pairs, costs the
+# same near 150 pairs, so 32 pairs take 9.0 us here against 37: the price
+# of one pairing kernel for every larger round
+_FEW = 32
 
 
 @lru_cache(maxsize=None)
@@ -194,6 +198,24 @@ def _sums(k, mask):
     return acc, acc.type(mask), acc.type(0), acc.type(1)
 
 
+_NOT_BITS = "round cells must be bits, 0 or 1"
+
+
+def _uint8(bits, scan=True):
+    """A bit array as a uint8 array.  A cell other than 0 or 1 raises a
+    ValueError, checked before the cast, which would turn 256 and 0.5 into
+    bits.  A uint8 array is checked by its maximum, or, when not ``scan``,
+    returned as it is for the caller to check its bytes."""
+    arr = np.asarray(bits)
+    if arr.dtype != np.uint8:
+        if not ((arr == 0) | (arr == 1)).all():
+            raise ValueError(_NOT_BITS)
+        return arr.astype(np.uint8)
+    if scan and arr.max(initial=0) > 1:
+        raise ValueError(_NOT_BITS)
+    return arr
+
+
 def _round(phase, bits, k, window, rng, bias_pred, round_index):
     """One round of ``phase`` on the bit array ``bits``, and its record.
 
@@ -201,34 +223,41 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
     and keep a row's payload, all but its h header bits, iff the row's
     ones-count is a multiple of 2 (pairing, k = 2, and parity binning: h =
     1) or of 4 (mod-4 counting: h = 3).  At most ``_FEW`` rows, unshuffled
-    in one window, are decided in one loop over tuples cut from the bits'
-    one list, from which the input's ones are summed too.  Any other round
-    is decided ``_SLICE`` rows at a time by the rows' sums, taken with
-    ``np.einsum`` in the smallest unsigned type that holds k, so a sum is
-    exact at any k.  Every kept payload is appended to one buffer as it is
-    decided.  ``u``, the count of rows holding exactly one 1, is recorded
-    in phase 2 only, and k in phases 2 and 3.  ``PackedBits``, as pairing
-    leaves a run's sample, are unpacked.
+    in one window, are decided in one loop over the bits' bytes: a row's
+    ones are one ``bytes.count`` of its slice, a kept payload is appended
+    as a byte slice, and the input's and output's ones are each one more
+    count.  Any other round is decided ``_SLICE`` rows at a time by the
+    rows' sums, taken with ``np.einsum`` in the smallest unsigned type that
+    holds k, so a sum is exact at any k.  Every kept payload is appended to
+    one buffer as it is decided.  ``u``, the count of rows holding exactly
+    one 1, is recorded in phase 2 only, and k in phases 2 and 3.
+    ``PackedBits``, as pairing leaves a run's sample, are unpacked.  A cell
+    other than 0 or 1 raises a ValueError on either path.
     """
     h, mask = (3, 3) if phase == 3 else (1, 1)
-    bits = bits.unpack() if isinstance(bits, PackedBits) else np.asarray(bits, np.uint8)
-    n_in = len(bits)
+    packed = isinstance(bits, PackedBits)
+    n_in = bits.n if packed else len(bits)
+    few = rng is None and n_in // k <= _FEW and (window is None or n_in <= window)
+    bits = bits.unpack() if packed else _uint8(bits, scan=not few)
     buf = bytearray()
-    ones_out = u = 0
-    if rng is None and n_in // k <= _FEW and (window is None or n_in <= window):
-        cells = bits.tolist()
-        ones_in = sum(cells)
-        for r in zip(*[iter(cells)] * k):  # the full rows, as tuples
-            s = sum(r)
+    u = 0
+    if few:
+        raw = bits.tobytes()
+        # deleting every 0 and 1 byte leaves nothing exactly when all are bits
+        if raw.translate(None, b"\x00\x01"):
+            raise ValueError(_NOT_BITS)
+        ones_in = raw.count(1)
+        for lo in range(0, n_in - n_in % k, k):
+            s = raw.count(1, lo, lo + k)
             if phase == 2 and s == 1:
                 u += 1
             if not s & mask:
-                payload = r[h:]
-                buf.extend(payload)
-                ones_out += sum(payload)
+                buf += raw[lo + h : lo + k]
+        ones_out = buf.count(1)
     else:
         rows, ones_in = _rows(bits, k, window, rng), int(np.count_nonzero(bits))
         acc, mask, zero, one = _sums(k, mask)
+        ones_out = 0
         for lo in range(0, len(rows), _SLICE):
             part = rows[lo : lo + _SLICE]
             s = np.einsum("ij->i", part, dtype=acc)
@@ -377,7 +406,7 @@ def _pair_packed(bits, bias_pred, round_index, window):
     n_in = bits.n if packed else len(bits)
     ones_in = None
     if not packed or _split(n_in, window)[0] and window % 2:
-        cells = bits.unpack() if packed else np.asarray(bits)
+        cells = bits.unpack() if packed else _uint8(bits)
         ones_in = int(np.count_nonzero(cells))
         bits = _pack(_rows(cells, 2, window).ravel())
     pair = _tables()
@@ -433,8 +462,10 @@ def phase2_round(bits, k, seed=None, bias_pred=math.nan, round_index=0, window=N
     pays for it.  Bin bits beyond the last full bin are discarded.  With a
     ``window`` width each window of that many bits is binned on its own, in
     order, shuffled from one generator when seeded.  ``bias_pred`` is the
-    planned output bias, recorded as given.
+    planned output bias, recorded as given.  A k that is not an integer,
+    a float or a bool, raises a TypeError that names k.
     """
+    k = compiler._integer("k", k)
     if k < 2:
         raise ValueError("bin size must be >= 2")
     rng = None if seed is None else np.random.default_rng(seed)
@@ -488,8 +519,10 @@ def phase3_round(bits, k, bias_pred=math.nan, round_index=0, window=None):
     its total ones-count is divisible by 4; the three header bits are always
     consumed.  With a ``window`` width no block straddles two windows of
     that many bits.  ``bias_pred`` is the planned output bias, recorded as
-    given.
+    given.  A k that is not an integer, a float or a bool, raises a
+    TypeError that names k.
     """
+    k = compiler._integer("k", k)
     if k < 4:
         raise ValueError("block size must be >= 4")
     return _round(3, bits, k, window, None, bias_pred, round_index)
@@ -517,7 +550,9 @@ def make_plan(epsilon, n):
     until the predicted bias reaches phase 2's entry bias
     ``analysis.TARGET_BIAS``, where parity binning takes over.  ``epsilon``
     must lie in [``analysis.EPSILON_MIN``, 1]: below that floor the run's
-    ledger cannot be formed, so no run is planned."""
+    ledger cannot be formed, so no run is planned.  ``n`` must be an
+    integer; a float or bool raises a TypeError that names it."""
+    n = compiler._integer("n", n)
     if not analysis.EPSILON_MIN <= epsilon <= 1.0:
         raise ValueError(f"epsilon={epsilon} outside [{analysis.EPSILON_MIN:g}, 1]")
     orbit = tuple(analysis.forward_orbit(epsilon))

@@ -27,9 +27,11 @@ data.  ``lower`` uses that to resolve the head statically, once per program
 and tape size, and ``execute``, ``trace`` and compiled programs all run the
 lowered form through one executor loop; every wire rearrangement
 (``SWAP2`` and other renaming gates, ``SWAPREG``) lowers to one action, a
-renaming of list slots.  The primitives above are the reference semantics
-it is tested against; they, ``encode`` and ``text_to_program`` refuse a
-bad instruction through one statement of the rules, ``_check``.  The
+renaming of list slots, and a gate that changes only some wires to a
+lookup of only those and the wires they depend on.  The primitives above
+are the reference semantics it is tested against; they, ``encode`` and
+``text_to_program`` refuse a bad instruction through one statement of
+the rules, ``_check``.  The
 compiler builds each round's ``Lowered`` from the round's parts, and its
 codes and text from one run list, without a walk over its steps;
 ``lower``, ``program_to_text`` and ``compiler._emit_deinterleave`` are
@@ -383,26 +385,68 @@ def encode(program):
     return Encoded(table, codes)
 
 
+def _nest(entries):
+    """A table of 2^m entries nested one input bit per level, most
+    significant first: ``_nest(t)[b0][b1]...`` is t's entry for bits b0,
+    b1, ...  The executor indexes it with the bits as they are and packs
+    no index."""
+    while len(entries) > 1:
+        entries = list(zip(entries[::2], entries[1::2]))
+    return entries[0]
+
+
+# lookups narrower than their gate, by the wires they read and the wires
+# they write, numbered as a width-4 gate's (the cells under and after the
+# head, then y1 and y2): a gate whose changed outputs are the written wires
+# and depend on none but the read ones lowers to the op of that kind,
+# ``(kind, c1, c2, y1..., rows)`` with the register slots up to the last
+# wire read, ``rows`` nested over the read wires in order and giving the
+# written bit, or the written bits as a tuple
+_NARROW = {
+    ((0, 1), (0,)): 5,  # EQMARK
+    ((0, 2), (2,)): 6,  # PAR3
+    ((0, 2), (0,)): 7,  # XDEP3
+    ((0, 2, 3), (2, 3)): 8,  # INC4, DEC4
+    ((0, 2, 3), (0,)): 9,  # DEP34
+}
+
+
 @lru_cache(maxsize=64)
 def _gate_meta(gate):
-    """(wires, rows) of a gate.  ``rows`` is the table nested one input bit
-    per level: ``rows[b0][b1]...`` is the output bit tuple for input bits
-    b0, b1, ..., so the executor indexes it with the bits as they are and
-    packs no index.  ``np.asarray(rows).reshape(-1, width)`` is the flat
-    table, row i for packed input i.  ``wires[j]`` is the input wire that
-    output wire j copies, or ``wires`` is None if the gate does more than
-    rearrange.  Both depend only on the width and table, the gate's hash
-    and equality, so equal gates share one cache entry."""
+    """(wires, full, narrow) of a gate.  ``wires[j]`` is the input wire
+    that output wire j copies, or ``wires`` is None if the gate does more
+    than rearrange.  ``full`` is the lookup of every wire, ``(width, width
+    - 2, rows)``: the op kind, its register slots and the whole table
+    nested (``_nest``), so that ``np.asarray(rows).reshape(-1, width)`` is
+    the flat table, row i for packed input i.  ``narrow`` is the lookup of
+    only the wires the gate changes, ``(kind, register slots, rows)`` as
+    ``_NARROW`` gives it, or None when no kind there fits.  All three
+    depend only on the width and table, the gate's hash and equality, so
+    equal gates share one cache entry."""
     w = gate.width
     flat = [_bits(o, w) for o in gate.table]
-    rows = flat
-    while len(rows) > 1:
-        rows = list(zip(rows[::2], rows[1::2]))
     inputs = list(zip(*(_bits(i, w) for i in range(1 << w))))
     outputs = list(zip(*flat))
+    wires = None
     if all(out in inputs for out in outputs):
-        return tuple(inputs.index(out) for out in outputs), rows[0]
-    return None, rows[0]
+        wires = tuple(inputs.index(out) for out in outputs)
+    changed = tuple(j for j in range(w) if outputs[j] != inputs[j])
+    # wire i is read if flipping it flips a changed output on some input
+    read = {i for i in range(w) for x in range(1 << w) for j in changed
+            if flat[x][j] != flat[x ^ 1 << (w - 1 - i)][j]}
+    narrow = None
+    for (reads, writes), kind in _NARROW.items():
+        if writes == changed and read <= set(reads) and reads[-1] < w:
+            entries = []
+            for x in range(1 << len(reads)):
+                cells = [0] * w
+                for i, b in zip(reads, _bits(x, len(reads))):
+                    cells[i] = b
+                out = flat[_index(cells)]
+                entries.append(out[writes[0]] if len(writes) == 1 else tuple(out[j] for j in writes))
+            narrow = kind, max(reads[-1] - 1, 0), _nest(entries)
+            break
+    return wires, (w, w - 2, _nest(flat)), narrow
 
 
 @dataclass(frozen=True)
@@ -415,10 +459,17 @@ class Lowered:
     they are folded into a renaming of list slots, undone at the end by
     reading the slots in the order of ``gather``, a tuple, or None when no
     slot moved.  What is left in ``ops`` are table lookups on at most 4
-    fixed slots, ``(width, slot..., rows)``, ``rows`` nested one input bit
-    per level as ``_gate_meta`` gives it, and measurements, ``(0, slot)``.
-    ``head`` is the final head offset; ``len()`` is the step count.  Two
-    lowerings are equal when all of these are.
+    fixed slots, ``(kind, c1, c2, y1..., rows)``, c1 and c2 always the
+    head cells' slots, and measurements, ``(0, slot)``.  A gate that leaves
+    some wires unchanged, where ``_NARROW`` has a kind for its changed
+    wires, is a lookup that reads only the wires those depend on and writes
+    only them.  Any other gate, and every gate on a one-cell ring, where
+    both head wires are the one cell and the last write wins, is the
+    lookup of all w wires, of kind w, writing the output tuple of
+    ``rows[c1][c2][y1]...``.  Either way ``rows`` is nested one input bit
+    per level as ``_gate_meta`` gives it.  ``head`` is the final head
+    offset; ``len()`` is the step count.  Two lowerings are equal when all
+    of these are.
     """
 
     n: int
@@ -445,7 +496,8 @@ _RENAME, _LOOKUP, _MEASURE, _PULSE = range(4)
 def _action(ins, n):
     """(head move, action) of one table entry on an n-cell tape.  The action
     is a tuple led by one of the tags above, or None when the step leaves
-    nothing to lower (a shift, or a gate that keeps every wire).  Wires
+    nothing to lower (a shift, or a gate that keeps every wire).  A lookup
+    is ``(_LOOKUP, kind, register slots, rows)`` (``_gate_meta``).  Wires
     are numbered as a width-4 gate's: the cells under and after the head,
     then y1 and y2.  Every head step that only rearranges wires (a
     ``SWAPREG``, ``SWAP2`` or any other renaming gate) is one rename,
@@ -460,18 +512,20 @@ def _action(ins, n):
     if kind is Measure:
         return 0, (_MEASURE,)
     g = ins.gate
-    wires, rows = _gate_meta(g)
+    wires, full, narrow = _gate_meta(g)
     if kind is CA and n % ins.k:
         raise ValueError(f"spacing k={ins.k} must divide n={n}")
     if wires == tuple(range(g.width)):
         return 0, None
+    # on a one-cell ring both head wires are that cell, so only the full
+    # lookup writes it last from the second output wire
+    look = full if narrow is None or n == 1 else narrow
     if kind is CA:
-        return 0, (_PULSE, ins.k, wires, rows)
+        return 0, (_PULSE, ins.k, wires, look)
     if wires is None or (n == 1 and wires[0] > 1):
-        # on a one-cell ring both head wires are that cell; if the first
-        # output wire takes a register bit, the cell's bit lands in two
-        # places, which no renaming holds
-        return 0, (_LOOKUP, g.width, rows)
+        # if the first output wire takes a register bit on a one-cell ring,
+        # the cell's bit lands in two places, which no renaming holds
+        return 0, (_LOOKUP,) + look
     return 0, (_RENAME, range(g.width), wires)
 
 
@@ -506,16 +560,16 @@ def lower(instructions, n, heads=None):
             for i, s in zip(act[1], src):
                 slot[pos[i]] = s
         elif tag == _LOOKUP:
-            w = act[1]
-            ops.append((w, slot[h], slot[h1]) + tuple(slot[n : n + w - 2]) + (act[2],))
+            _, kind, r, rows = act
+            ops.append((kind, slot[h], slot[h1], *slot[n : n + r], rows))
         elif tag == _MEASURE:
             ops.append((0, slot[h]))
         else:
-            _, k, wires, rows = act
+            _, k, wires, (kind, _, rows) = act
             for first in range(h, h + n, k):
                 a, b = first % n, (first + 1) % n
                 if wires is None:
-                    ops.append((2, slot[a], slot[b], rows))
+                    ops.append((kind, slot[a], slot[b], rows))
                 else:
                     slot[a], slot[b] = slot[b], slot[a]
     gather = None if slot == list(range(n + 2)) else tuple(slot)
@@ -524,11 +578,28 @@ def lower(instructions, n, heads=None):
 
 def _run(lowered, t):
     """The executor: run ``lowered`` on the list ``t`` of n + 2 bits; returns
-    the final list, in logical order, and the measurements."""
+    the final list, in logical order, and the measurements.  The narrow
+    lookups (``_NARROW``) come first, the most frequent in compiled rounds
+    leading."""
     measured = []
     for op in lowered.ops:
         w = op[0]
-        if w == 2:
+        if w == 8:  # y1, y2 from c1, y1, y2
+            _, a, _, c, d, rows = op
+            t[c], t[d] = rows[t[a]][t[c]][t[d]]
+        elif w == 6:  # y1 from c1, y1
+            _, a, _, c, rows = op
+            t[c] = rows[t[a]][t[c]]
+        elif w == 5:  # c1 from c1, c2
+            _, a, b, rows = op
+            t[a] = rows[t[a]][t[b]]
+        elif w == 9:  # c1 from c1, y1, y2
+            _, a, _, c, d, rows = op
+            t[a] = rows[t[a]][t[c]][t[d]]
+        elif w == 7:  # c1 from c1, y1
+            _, a, _, c, rows = op
+            t[a] = rows[t[a]][t[c]]
+        elif w == 2:
             _, a, b, rows = op
             t[a], t[b] = rows[t[a]][t[b]]
         elif w == 3:
@@ -554,7 +625,8 @@ def _execute(state, lowered):
     t = state.cells.tolist()
     if head:
         t = t[head:] + t[:head]
-    t, measured = _run(lowered, t + state.register)
+    t += state.register
+    t, measured = _run(lowered, t)
     state.register[:] = t[n:]
     state.cells[:] = t[n - head : n] + t[: n - head] if head else t[:n]
     state.head = (head + lowered.head) % n

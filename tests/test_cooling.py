@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -541,7 +542,7 @@ def _reference_round(phase, bits, k, seed, window):
          seed=8)
 @example(phase=1, k=2, layout=(0, 50), one_window=False, big=False, step=1, shuffled=False,
          seed=8)
-# exactly _FEW rows, decided on lists, and _FEW + 1, decided by numpy: in one
+# exactly _FEW rows, decided on bytes, and _FEW + 1, decided by numpy: in one
 # window, and in eight windows of 7 bits, two bins each, then a last window
 # of 2 bits (no bin) or 3 (one bin)
 @example(phase=1, k=2, layout=(2 * cooling._FEW + 1, 60), one_window=True, big=False, step=3,
@@ -598,6 +599,82 @@ def test_round_kernels_equal_plain_selection(phase, k, layout, one_window, big, 
         out, rec = phase1_round(packed, bias_pred=0.5, window=window)
         assert isinstance(out, cooling.PackedBits)
         assert np.array_equal(out.unpack(), want_out) and rec == want_rec
+
+
+def _all_inputs(most):
+    """Every bit array of 0 to ``most`` bits, as uint8."""
+    for n in range(most + 1):
+        words = np.arange(1 << n, dtype=">u2").view(np.uint8).reshape(-1, 2)
+        yield from np.unpackbits(words, axis=1)[:, 16 - n :]
+
+
+def test_tiny_and_numpy_rounds_agree_on_every_input_of_up_to_12_bits(monkeypatch):
+    # the byte loop decides every round of at most _FEW rows; with _FEW
+    # below zero the same calls take the numpy path, which must give the
+    # same bytes and record
+    inputs = list(_all_inputs(12))
+    # every phase that takes k: pairing only k = 2, mod-4 counting k >= 4
+    for phase, k in [(1, 2), (2, 2), (2, 3), (2, 5), (3, 5), (2, 8), (3, 8)]:
+        def run(bits):
+            return cooling._round(phase, bits, k, None, None, 0.5, 1)
+
+        tiny = [run(bits) for bits in inputs]
+        monkeypatch.setattr(cooling, "_FEW", -1)
+        for bits, (want_out, want_rec) in zip(inputs, tiny):
+            out, rec = run(bits)
+            assert out.dtype == np.uint8 and out.tobytes() == want_out.tobytes(), (phase, k, bits)
+            assert rec == want_rec, (phase, k, bits)
+        monkeypatch.undo()
+
+
+_NOT_BITS = np.array([2, 2, 0, 0, 1, 1, 0, 0], np.uint8)
+
+
+@pytest.mark.parametrize("call, cells", [
+    # the tiny path counted only the 1 bytes, numpy and the packer every
+    # nonzero one: phase3_round recorded ones_in 6 on one copy and 80 on
+    # twenty; phase1_round gave [2, 0] on one copy and ones on forty
+    (lambda b: phase3_round(b, 8), _NOT_BITS),
+    (lambda b: phase3_round(b, 8), np.tile(_NOT_BITS, 20)),
+    (lambda b: phase1_round(b), _NOT_BITS[:4]),
+    (lambda b: phase1_round(b), np.tile(_NOT_BITS[:4], 40)),
+    (lambda b: phase2_round(b, 4), _NOT_BITS),
+    (lambda b: phase2_round(b, 4), np.tile(_NOT_BITS, 20)),
+    (lambda b: phase2_round(b, 4, seed=1), _NOT_BITS),
+    (lambda b: phase3_round(b, 4, window=4), np.tile(_NOT_BITS, 20)),
+    # cells that the uint8 cast alone would make bits
+    (lambda b: phase1_round(b), np.array([256, 0, 1, 1])),
+    (lambda b: phase3_round(b, 4), [0.5, 0, 0, 0, 1, 1, 1, 1]),
+    (lambda b: phase2_round(b, 2), np.tile([1, 1, 0, -1], 40)),
+])
+def test_round_kernels_refuse_cells_that_are_not_bits(call, cells):
+    with pytest.raises(ValueError, match="must be bits"):
+        call(cells)
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: phase2_round(bits_of(0, 1, 1, 0, 0, 0), k),
+    lambda k: phase3_round(bits_of(0, 0, 0, 0, 1, 1, 0, 0), k),
+])
+def test_bin_and_block_sizes_must_be_integers(call):
+    # 5.0 used to fail inside the kernel: "can't multiply sequence by
+    # non-int of type 'float'"
+    for k in (5.0, np.float64(4.0), True, "4"):
+        with pytest.raises(TypeError, match=re.escape(f"k must be an integer, got {k!r}")):
+            call(k)
+    assert call(np.int64(4))[1].k == 4
+
+
+def test_plan_and_pipeline_refuse_a_population_that_is_not_an_integer():
+    # a plan at n = 1000.5 used to certify n = 1000.5, and a pipeline at
+    # n = 1000.0 failed inside numpy
+    model = thermal.BiasModel("binomial", 0.25)
+    for n in (1000.5, 1000.0, True):
+        with pytest.raises(TypeError, match=re.escape(f"n must be an integer, got {n!r}")):
+            cooling.make_plan(0.25, n)
+        with pytest.raises(TypeError, match=re.escape(f"n must be an integer, got {n!r}")):
+            pipeline(model, n, 1)
+    assert cooling.make_plan(0.25, np.int64(1000)) == cooling.make_plan(0.25, 1000)
 
 
 @pytest.mark.parametrize("n,size,window", [

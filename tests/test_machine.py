@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -404,6 +406,72 @@ def test_execute_and_trace_match_the_primitives(run):
         assert got.cells is cells and got.register is register
         assert list(got.cells) == list(want.cells)
         assert (got.head, got.register, got.steps) == (want.head, want.register, want.steps)
+
+
+def _same_state(got, want):
+    return (got.cells.tolist(), got.register, got.steps) == (
+        want.cells.tolist(), want.register, want.steps)
+
+
+@pytest.mark.parametrize("name, reads, writes", [
+    ("EQMARK", 2, 1), ("PAR3", 2, 1), ("XDEP3", 2, 1),
+    ("INC4", 3, 2), ("DEC4", 3, 2), ("DEP34", 3, 1),
+])
+def test_gates_that_keep_wires_lower_to_lookups_of_the_wires_they_change(name, reads, writes):
+    gate = GATES[name]
+    (op,) = machine.lower([Gate(gate)], 4).ops
+    form = {kind: wires for wires, kind in machine._NARROW.items()}[op[0]]
+    assert (len(form[0]), len(form[1])) == (reads, writes)
+    # kind, the two head cells, the register slots up to the last wire read
+    assert len(op) == 3 + max(form[0][-1] - 1, 0) + 1
+    # on a one-cell ring the lookup covers every wire
+    (op,) = machine.lower([Gate(gate)], 1).ops
+    assert op[0] == gate.width and len(op) == 2 + gate.width
+
+
+def test_one_cell_ring_executes_every_gate_and_inverse_as_the_primitive():
+    # both head wires are the one cell, and the primitive writes it last
+    # from the second output wire; a narrow lookup would write it from the
+    # first
+    gates = list(GATES.values())
+    for gate in gates + [g.inverse() for g in gates]:
+        for cell, y1, y2 in itertools.product((0, 1), repeat=3):
+            want, got = _state([cell], 0, [y1, y2], 0), _state([cell], 0, [y1, y2], 0)
+            apply_head_gate(want, gate)
+            execute(got, [Gate(gate)])
+            assert _same_state(got, want), (gate.name, cell, y1, y2)
+
+
+def _flip_gate(width, j, f):
+    """The gate that flips wire j where ``f``, a truth table over the other
+    wires read most significant first, is 1."""
+    def fn(*b):
+        rest = machine._index(b[:j] + b[j + 1 :])
+        return b[:j] + (b[j] ^ (f >> rest & 1),) + b[j + 1 :]
+
+    return ReversibleGate.from_function(f"flip{j}", width, fn)
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_gates_that_flip_one_wire_execute_as_the_primitive(width):
+    # every gate that flips one wire by any function of the others: a
+    # lookup of every wire, a rename, nothing, or a narrow lookup that
+    # reads a superset of the wires the flip depends on
+    kinds = {n: set() for n in (1, 2, 3)}
+    for j in range(width):
+        for f in range(1 << (1 << (width - 1))):
+            gate = _flip_gate(width, j, f)
+            for n in kinds:
+                lowered = machine.lower([Gate(gate)], n)
+                kinds[n].update(op[0] for op in lowered.ops)
+                for bits in itertools.product((0, 1), repeat=n + 2):
+                    want, got = (_state(bits[:n], 0, bits[n:], 0) for _ in range(2))
+                    apply_head_gate(want, gate)
+                    execute(got, lowered)
+                    assert _same_state(got, want), (gate.table, n, bits)
+    # every narrow kind that writes one wire and fits the width is reached
+    narrow = {2: {5}, 3: {5, 6, 7}, 4: {5, 6, 7, 9}}[width]
+    assert kinds == {1: {width}, 2: {width} | narrow, 3: {width} | narrow}
 
 
 @st.composite
