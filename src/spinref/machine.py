@@ -442,8 +442,8 @@ def _gate_meta(gate):
                 cells = [0] * w
                 for i, b in zip(reads, _bits(x, len(reads))):
                     cells[i] = b
-                out = flat[_index(cells)]
-                entries.append(out[writes[0]] if len(writes) == 1 else tuple(out[j] for j in writes))
+                out = tuple(flat[_index(cells)][j] for j in writes)
+                entries.append(out if len(out) > 1 else out[0])
             narrow = kind, max(reads[-1] - 1, 0), _nest(entries)
             break
     return wires, (w, w - 2, _nest(flat)), narrow

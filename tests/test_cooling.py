@@ -185,7 +185,7 @@ def test_phase2_round_records_u():
 
 def _wide_rows(k, weights, filler, seed):
     """Rows of k bits with the given ones-counts at random places, then
-    ``filler`` all-zero rows: few rows take the list path, many numpy's."""
+    ``filler`` all-zero rows: few rows take the byte path, many numpy's."""
     rng = np.random.default_rng(seed)
     rows = np.zeros((len(weights) + filler, k), np.uint8)
     for r, w in zip(rows, weights):
@@ -193,12 +193,14 @@ def _wide_rows(k, weights, filler, seed):
     return rows
 
 
-@pytest.mark.parametrize("filler", [0, 2 * cooling._FEW])
+# 32 zero rows take the round past _FEW rows, onto the numpy path
+@pytest.mark.parametrize("filler", [0, 32])
 def test_phase2_counts_bins_wider_than_255_by_exact_sums(filler):
     # a bin of 257 ones is odd and holds more than one 1; a sum kept in
     # uint8 would read it as 1
     k = 300
     rows = _wide_rows(k, [257, 1, 256, 0], filler, seed=filler)
+    assert (len(rows) > cooling._FEW) == (filler > 0)
     out, rec = phase2_round(rows.ravel(), k, seed=None)
     assert rec.u == 1
     kept = [r[1:] for r in rows if r.sum() % 2 == 0]
@@ -317,10 +319,11 @@ def test_phase3_pass_predicate_exhaustive_small():
         assert np.array_equal(out, np.array(flat, dtype=np.uint8))
 
 
-@pytest.mark.parametrize("filler", [0, 2 * cooling._FEW])
+@pytest.mark.parametrize("filler", [0, 32])
 def test_phase3_keeps_blocks_wider_than_255_by_exact_sums(filler):
     k = 300
     rows = _wide_rows(k, [256, 258, 4], filler, seed=filler)
+    assert (len(rows) > cooling._FEW) == (filler > 0)
     out, rec = phase3_round(rows.ravel(), k)
     kept = [r[3:] for i, r in enumerate(rows) if i != 1]
     assert np.array_equal(out, np.concatenate(kept))

@@ -431,8 +431,8 @@ def test_gates_that_keep_wires_lower_to_lookups_of_the_wires_they_change(name, r
 
 def test_one_cell_ring_executes_every_gate_and_inverse_as_the_primitive():
     # both head wires are the one cell, and the primitive writes it last
-    # from the second output wire; a narrow lookup would write it from the
-    # first
+    # from the second output wire; a narrow lookup that writes c1 would
+    # write it from the first
     gates = list(GATES.values())
     for gate in gates + [g.inverse() for g in gates]:
         for cell, y1, y2 in itertools.product((0, 1), repeat=3):
@@ -455,8 +455,8 @@ def _flip_gate(width, j, f):
 @pytest.mark.parametrize("width", [2, 3, 4])
 def test_gates_that_flip_one_wire_execute_as_the_primitive(width):
     # every gate that flips one wire by any function of the others: a
-    # lookup of every wire, a rename, nothing, or a narrow lookup that
-    # reads a superset of the wires the flip depends on
+    # lookup of every wire, nothing (f = 0), or a narrow lookup that reads
+    # a superset of the wires the flip depends on
     kinds = {n: set() for n in (1, 2, 3)}
     for j in range(width):
         for f in range(1 << (1 << (width - 1))):
