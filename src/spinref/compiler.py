@@ -23,7 +23,6 @@ Step counts are exact closed forms, checked against generated programs.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -111,18 +110,19 @@ class MachineProgram:
         return machine.lower(self.encoded, self.n_cells)
 
     def run(self, bits, return_state=False):
-        """Execute on a fresh tape and extract the live output bits.  The
-        live map reads the executor's final list, turned to start at the
-        final head, so the cells are read out of numpy once."""
-        state = machine.new_tape(bits)
+        """Execute on ``bits`` (``machine._bit_cells``) as the executor's list
+        and extract the live output bits.  The live map reads the final list,
+        turned to start at the final head, so the cells are read out of numpy
+        once; ``return_state`` also builds the final ``TapeState`` from it."""
+        cells = machine._bit_cells(bits)
         n, lowered = self.n_cells, self.lowered
-        if state.n != n:
-            raise ValueError(f"program expects {n} cells, got {state.n}")
-        t, _ = machine._execute(state, lowered)
+        if len(cells) != n:
+            raise ValueError(f"program expects {n} cells, got {len(cells)}")
+        t, _ = machine._run(lowered, cells.tolist() + [0, 0])
         head = lowered.head
         out = self.live_map.extract(t[head:n] + t[:head] if head else t[:n])
         if return_state:
-            return out, state
+            return out, machine.TapeState(np.array(t[:n], np.uint8), head, t[n:], lowered.steps)
         return out
 
     @cached_property
@@ -286,22 +286,11 @@ def _round_cost(N, k, header, body_len):
     return B * body_len + (N - B * k) + (h * B + 1) * N + h * (k - h) * B * (B + 1) // 2
 
 
-def _integer(name, value):
-    """``value`` through ``operator.index``, so numpy integers pass; a bool
-    or a non-integer raises a TypeError that names ``name``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
 def _round_size(N, k, least, unit):
     """(N, k) as ints, checked for a round of ``unit``s of k >= ``least``
     cells with at least one whole unit on the tape: the rounds the
     compilers build and the cost closed forms count."""
-    N, k = _integer("N", N), _integer("k", k)
+    N, k = machine._integer("N", N), machine._integer("k", k)
     if k < least:
         raise ValueError(f"{unit} size must be >= {least}, got {k}")
     if k > N:
@@ -419,7 +408,7 @@ def equivalence_check(program, abstract_fn, width, samples=None, seed=0):
     else:
         if samples is None:
             raise ValueError("width > 16 needs an explicit sample count")
-        samples = _integer("samples", samples)
+        samples = machine._integer("samples", samples)
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         rng = np.random.default_rng(seed)

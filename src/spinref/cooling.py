@@ -25,8 +25,9 @@ round.  One kernel, ``_round``, runs every round of the three phases on a
 bit array; at most ``_FEW`` rows that are unshuffled and fit one window,
 such as each case of an equivalence check, are decided row by row in one
 loop over the bits' bytes, each row's ones one ``bytes.count``, where
-numpy's fixed cost per call would dominate.  Either way a cell other than
-0 or 1 raises a ValueError.  Every pairing round of more pairs runs packed
+numpy's fixed cost per call would dominate.  Either way the bits, unless
+packed, and the sizes pass the machine's rules (``machine._bit_cells``,
+``machine._integer``).  Every pairing round of more pairs runs packed
 instead (``_pair_packed``), on ``PackedBits``, 16 bits to a uint16 chunk,
 each chunk decided by one lookup in a 65,536-entry table.  The direct
 pipeline's sample arrives packed, as the sampler draws it, and a
@@ -47,7 +48,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import analysis, compiler, perms, thermal
+from . import analysis, compiler, machine, perms, thermal
 
 __all__ = [
     "RoundRecord",
@@ -105,7 +106,8 @@ class RoundRecord:
     read_inv: int | None = None
 
     def __post_init__(self):
-        if self.n_out > self.n_in or self.ones_out > self.ones_in or self.steps < 0:
+        if (self.n_out > self.n_in or self.ones_out > self.ones_in or self.ones_in > self.n_in
+                or self.ones_out > self.n_out or self.steps < 0):
             raise ValueError("inconsistent round record")
 
 
@@ -198,24 +200,6 @@ def _sums(k, mask):
     return acc, acc.type(mask), acc.type(0), acc.type(1)
 
 
-_NOT_BITS = "round cells must be bits, 0 or 1"
-
-
-def _uint8(bits, scan=True):
-    """A bit array as a uint8 array.  A cell other than 0 or 1 raises a
-    ValueError, checked before the cast, which would turn 256 and 0.5 into
-    bits.  A uint8 array is checked by its maximum, or, when not ``scan``,
-    returned as it is for the caller to check its bytes."""
-    arr = np.asarray(bits)
-    if arr.dtype != np.uint8:
-        if not ((arr == 0) | (arr == 1)).all():
-            raise ValueError(_NOT_BITS)
-        return arr.astype(np.uint8)
-    if scan and arr.max(initial=0) > 1:
-        raise ValueError(_NOT_BITS)
-    return arr
-
-
 def _round(phase, bits, k, window, rng, bias_pred, round_index):
     """One round of ``phase`` on the bit array ``bits``, and its record.
 
@@ -231,21 +215,16 @@ def _round(phase, bits, k, window, rng, bias_pred, round_index):
     holds k, so a sum is exact at any k.  Every kept payload is appended to
     one buffer as it is decided.  ``u``, the count of rows holding exactly
     one 1, is recorded in phase 2 only, and k in phases 2 and 3.
-    ``PackedBits``, as pairing leaves a run's sample, are unpacked.  A cell
-    other than 0 or 1 raises a ValueError on either path.
+    ``PackedBits``, as pairing leaves a run's sample, are unpacked; any
+    other bits are checked by ``machine._bit_cells`` first.
     """
     h, mask = (3, 3) if phase == 3 else (1, 1)
-    packed = isinstance(bits, PackedBits)
-    n_in = bits.n if packed else len(bits)
-    few = rng is None and n_in // k <= _FEW and (window is None or n_in <= window)
-    bits = bits.unpack() if packed else _uint8(bits, scan=not few)
+    bits = bits.unpack() if isinstance(bits, PackedBits) else machine._bit_cells(bits)
+    n_in = len(bits)
     buf = bytearray()
     u = 0
-    if few:
+    if rng is None and n_in // k <= _FEW and (window is None or n_in <= window):
         raw = bits.tobytes()
-        # deleting every 0 and 1 byte leaves nothing exactly when all are bits
-        if raw.translate(None, b"\x00\x01"):
-            raise ValueError(_NOT_BITS)
         ones_in = raw.count(1)
         for lo in range(0, n_in - n_in % k, k):
             s = raw.count(1, lo, lo + k)
@@ -394,19 +373,20 @@ def _pair_packed(bits, bias_pred, round_index, window):
     """``phase1_round`` on ``PackedBits`` or a bit array; the kept bits,
     one uint32 array, return in the input's form.  The cells are paired
     ``_PACKED_SLICE`` at a time (``_pair_chunks``) as one window, which
-    pairs them as even windows do.  A bit array, or packed bits in odd
-    windows once unpacked, is first cut into its windows' full pairs
-    (``_rows``) and packed (``_pack``), and its ones counted.  Otherwise
+    pairs them as even windows do.  A bit array, once checked, or packed
+    bits in odd windows once unpacked, is first cut into its windows' full
+    pairs (``_rows``) and packed (``_pack``), and its ones counted.  Otherwise
     only the kept bits' ones are counted, with ``np.bitwise_count``: an
     unequal pair holds one 1 and an equal pair twice its kept bit, so the
     input's ones follow, with the last cell of an odd input; no lane past
     the n bits is counted.
     """
     packed = isinstance(bits, PackedBits)
+    bits = bits if packed else machine._bit_cells(bits)
     n_in = bits.n if packed else len(bits)
     ones_in = None
     if not packed or _split(n_in, window)[0] and window % 2:
-        cells = bits.unpack() if packed else _uint8(bits)
+        cells = bits.unpack() if packed else bits
         ones_in = int(np.count_nonzero(cells))
         bits = _pack(_rows(cells, 2, window).ravel())
     pair = _tables()
@@ -442,8 +422,9 @@ def phase1_round(bits, bias_pred=math.nan, round_index=0, window=None):
     than ``_FEW`` pairs, or packed bits, are paired 16 at a time by table
     lookup, 2^19 cells per step, so the whole input is never held unless
     it was given whole (``_pair_packed``); fewer, row by row (``_round``).
+    Pairs count all cells, so an array that is not 1-d reaches the check.
     """
-    if isinstance(bits, PackedBits) or len(bits) // 2 > _FEW:
+    if isinstance(bits, PackedBits) or np.size(bits) // 2 > _FEW:
         return _pair_packed(bits, bias_pred, round_index, window)
     return _round(1, bits, 2, window, None, bias_pred, round_index)
 
@@ -465,7 +446,7 @@ def phase2_round(bits, k, seed=None, bias_pred=math.nan, round_index=0, window=N
     planned output bias, recorded as given.  A k that is not an integer,
     a float or a bool, raises a TypeError that names k.
     """
-    k = compiler._integer("k", k)
+    k = machine._integer("k", k)
     if k < 2:
         raise ValueError("bin size must be >= 2")
     rng = None if seed is None else np.random.default_rng(seed)
@@ -522,7 +503,7 @@ def phase3_round(bits, k, bias_pred=math.nan, round_index=0, window=None):
     given.  A k that is not an integer, a float or a bool, raises a
     TypeError that names k.
     """
-    k = compiler._integer("k", k)
+    k = machine._integer("k", k)
     if k < 4:
         raise ValueError("block size must be >= 4")
     return _round(3, bits, k, window, None, bias_pred, round_index)
@@ -552,7 +533,7 @@ def make_plan(epsilon, n):
     must lie in [``analysis.EPSILON_MIN``, 1]: below that floor the run's
     ledger cannot be formed, so no run is planned.  ``n`` must be an
     integer; a float or bool raises a TypeError that names it."""
-    n = compiler._integer("n", n)
+    n = machine._integer("n", n)
     if not analysis.EPSILON_MIN <= epsilon <= 1.0:
         raise ValueError(f"epsilon={epsilon} outside [{analysis.EPSILON_MIN:g}, 1]")
     orbit = tuple(analysis.forward_orbit(epsilon))

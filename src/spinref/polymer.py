@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import perms
-from .machine import GATES, ReversibleGate, new_tape
+from .machine import GATES, ReversibleGate, _bit_cells, _integer
 
 __all__ = [
     "PolymerSpec",
@@ -62,6 +62,7 @@ class PolymerSpec:
     d_site: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "periods", _integer("periods", self.periods))
         if self.periods < 1:
             raise ValueError("periods must be >= 1")
         if len(self.pattern) < 2:
@@ -184,9 +185,9 @@ def _move_sites(gate, x, y):
 
 
 def _ring_bits(spec, bits):
-    """``bits`` as a fresh uint8 array, checked as a tape's cells are
-    (``machine.new_tape``), with one bit per ring site."""
-    cells = new_tape(bits).cells
+    """A copy of ``bits`` as a uint8 array, checked as a tape's cells are
+    (``machine._bit_cells``), with one bit per ring site."""
+    cells = _bit_cells(np.array(bits))
     if len(cells) != spec.ring_length:
         raise ValueError("bit vector length must equal the ring length")
     return cells

@@ -655,6 +655,22 @@ def test_round_kernels_refuse_cells_that_are_not_bits(call, cells):
         call(cells)
 
 
+def test_round_kernels_refuse_cells_that_are_not_1d():
+    # phase1_round recorded n_in 100 and ones_in 104 on a (100, 2) array,
+    # and phase3_round n_in 8 for 64 cells
+    rng = np.random.default_rng(5)
+    for call in (lambda: phase1_round(rng.integers(0, 2, (100, 2))),
+                 lambda: phase3_round(np.zeros((8, 8), np.uint8), 8)):
+        with pytest.raises(ValueError, match="1-d"):
+            call()
+
+
+@pytest.mark.parametrize("n_in, n_out, ones_in, ones_out", [(100, 50, 104, 20), (8, 2, 5, 3)])
+def test_round_record_refuses_more_ones_than_cells(n_in, n_out, ones_in, ones_out):
+    with pytest.raises(ValueError, match="inconsistent round record"):
+        cooling.RoundRecord(1, 0, n_in, n_out, ones_in, ones_out, 0.0, 0.0, 0)
+
+
 @pytest.mark.parametrize("call", [
     lambda k: phase2_round(bits_of(0, 1, 1, 0, 0, 0), k),
     lambda k: phase3_round(bits_of(0, 0, 0, 0, 1, 1, 0, 0), k),

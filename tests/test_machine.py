@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinref import compiler, machine
+from spinref import compiler, cooling, machine, polymer
 from spinref.machine import (
     CA,
     GATES,
@@ -45,12 +45,12 @@ def test_new_tape_rejects_empty_and_nonbits():
                                   np.array([0, 1, 257], np.uint16), [0.0, 1.0, float("nan")]])
 def test_new_tape_refuses_cells_that_are_bits_only_once_cast(bits):
     # a uint8 cast wraps 256 and 257 to 0 and 1, and truncates 0.7 to 0
-    with pytest.raises(ValueError, match="tape cells must be bits"):
+    with pytest.raises(ValueError, match="cells must be bits"):
         new_tape(bits)
 
 
 def test_compiled_run_refuses_a_cell_that_wraps_to_a_bit():
-    with pytest.raises(ValueError, match="tape cells must be bits"):
+    with pytest.raises(ValueError, match="cells must be bits"):
         compiler.compile_phase1(4).run(np.array([256, 0, 1, 1]))
 
 
@@ -59,6 +59,69 @@ def test_new_tape_takes_bits_of_any_dtype():
                  np.array([1.0, 0.0, 1.0]), np.array([1, 0, 1], np.uint8)):
         st_ = new_tape(bits)
         assert st_.cells.dtype == np.uint8 and st_.cells.tolist() == [1, 0, 1]
+
+
+_EIGHT = [1, 0, 1, 1, 0, 0, 1, 0]
+
+
+def _compiled_run(bits):
+    out, state = compiler.compile_phase1(8).run(bits, return_state=True)
+    return out, state.snapshot(), state.steps
+
+
+# every function that takes cells from its caller, on 8 cells
+_DOORS = {
+    "new_tape": lambda b: new_tape(b).cells,
+    "MachineProgram.run": _compiled_run,
+    "apply_sequence_to_bits": lambda b: polymer.apply_sequence_to_bits(
+        polymer.two_tape_spec(2), polymer.two_tape_rotate_seq(), b),
+    "cnot_layer": lambda b: polymer.cnot_layer(polymer.two_tape_spec(2), "A", "B", b),
+    "phase1_round": lambda b: cooling.phase1_round(b, bias_pred=0.5),
+    "phase2_round": lambda b: cooling.phase2_round(b, 2, bias_pred=0.5),
+    "phase3_round": lambda b: cooling.phase3_round(b, 4, bias_pred=0.5),
+}
+
+
+def _plain(result):
+    """A door's result with each array as its dtype and values."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.tolist()
+    if isinstance(result, tuple):
+        return tuple(map(_plain, result))
+    return result
+
+
+def _last_two(n):
+    """n uint8 cells, all 0 but a last 2."""
+    return np.append(np.zeros(n - 1, np.uint8), np.uint8(2))
+
+
+_NOT_BITS, _NOT_1D = "cells must be bits", "cells must be a 1-d"
+_REFUSED = [
+    (np.array([256] + _EIGHT[1:]), _NOT_BITS),
+    ([0.7] + _EIGHT[1:], _NOT_BITS),
+    ([-1] + _EIGHT[1:], _NOT_BITS),
+    ([float("nan")] + _EIGHT[1:], _NOT_BITS),
+    (np.array([2] + _EIGHT[1:], np.uint8), _NOT_BITS),
+    (np.array(_EIGHT, np.uint8).reshape(4, 2), _NOT_1D),
+    (np.array(1, np.uint8), _NOT_1D),
+    # a uint8 array is scanned up to machine._SCAN cells, read by its
+    # maximum past it
+    (_last_two(machine._SCAN), _NOT_BITS),
+    (_last_two(machine._SCAN + 1), _NOT_BITS),
+]
+
+
+@pytest.mark.parametrize("door", sorted(_DOORS))
+def test_every_door_takes_cells_by_one_rule(door):
+    run = _DOORS[door]
+    want = _plain(run(np.array(_EIGHT, np.uint8)))
+    for bits in (_EIGHT, np.array(_EIGHT, bool), np.array(_EIGHT, np.int64),
+                 np.array(_EIGHT, float)):
+        assert _plain(run(bits)) == want, type(bits)
+    for bits, message in _REFUSED:
+        with pytest.raises(ValueError, match=message):
+            run(bits)
 
 
 def test_new_tape_steps_zero_after_construction():

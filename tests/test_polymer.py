@@ -300,6 +300,17 @@ def test_bit_level_pulses_take_one_bit_per_ring_site(bits, message):
         apply_sequence_to_bits(spec, PulseSequence([("A", "B")]), bits)
 
 
+def test_periods_must_be_an_integer():
+    # a spec of 2.5 ABC periods had ring length 7.5, and True made a
+    # 4-site ABCD ring
+    for make in (lambda: PolymerSpec(("A", "B", "C"), 2.5), lambda: two_tape_spec(True),
+                 lambda: single_tape_spec(2.0)):
+        with pytest.raises(TypeError, match="^periods must be an integer"):
+            make()
+    spec = two_tape_spec(np.int64(2))
+    assert spec == two_tape_spec(2) and type(spec.ring_length) is int and spec.ring_length == 8
+
+
 def _position_pulses(spec):
     """Every pulse with a position permutation on ``spec``: the type pulses
     it allows, and the SWAP2 and ID2 head pulses if it has a head site."""
